@@ -6,148 +6,4 @@ protocols, an anti-cheating voting scheme, attack models with their
 detection statistics, and a scenario-driven CLI.
 """
 
-from .states import (
-    DENSE_AMP_BUDGET,
-    DenseBudgetError,
-    DenseState,
-    DensityMatrix,
-    apply_joint,
-    apply_local,
-    inner_product,
-    make_uniform_ghz,
-    maximally_mixed,
-    measure_projective,
-    partial_trace,
-    trace_distance,
-)
-from .branches import (
-    BranchError,
-    BranchState,
-    apply_branch_local,
-    attach_register,
-    branch_measure,
-    branch_partial_trace,
-    ghz_branches,
-    to_dense,
-)
-from .backends import get_backend
-from .protocols import (
-    ProtocolConfig,
-    TallyResult,
-    run_broadcast,
-    run_classical_baseline,
-    run_distributed,
-    run_dolev,
-    run_survey,
-    run_traveling,
-)
-from .groups import (
-    FiniteGroup,
-    Representation,
-    check_protocol_ready,
-    klein4,
-    load_cayley_table,
-    regular_representation,
-    run_abelian_distributed,
-    run_group_traveling,
-)
-from .anticheat import (
-    AuthoritySecrets,
-    ReadoutResult,
-    VotingQudit,
-    authority_correct,
-    authority_readout,
-    run_repeated,
-    run_round,
-    setup,
-    vote_distributed,
-    vote_traveling,
-)
-from .attacks import (
-    AttackReport,
-    CheaterPlan,
-    PhasePOVM,
-    analytic_pq,
-    monte_carlo_pq,
-    run_cheater_attack,
-    run_classical_eavesdrop,
-    run_entangling_attack,
-    run_mitm_traveling,
-    run_pair_check,
-    run_swap_attack,
-    sample_phase_estimate,
-    total_variation,
-)
-from .scenario import ScenarioConfig, ScenarioError, parse_scenario
-from .runner import RunReport, emit_report, execute
-
-__all__ = [
-    "DENSE_AMP_BUDGET",
-    "AttackReport",
-    "AuthoritySecrets",
-    "BranchError",
-    "BranchState",
-    "CheaterPlan",
-    "DenseBudgetError",
-    "DenseState",
-    "DensityMatrix",
-    "FiniteGroup",
-    "PhasePOVM",
-    "ProtocolConfig",
-    "ReadoutResult",
-    "Representation",
-    "RunReport",
-    "ScenarioConfig",
-    "ScenarioError",
-    "TallyResult",
-    "VotingQudit",
-    "analytic_pq",
-    "apply_branch_local",
-    "apply_joint",
-    "apply_local",
-    "attach_register",
-    "authority_correct",
-    "authority_readout",
-    "branch_measure",
-    "branch_partial_trace",
-    "check_protocol_ready",
-    "emit_report",
-    "execute",
-    "get_backend",
-    "ghz_branches",
-    "inner_product",
-    "klein4",
-    "load_cayley_table",
-    "make_uniform_ghz",
-    "maximally_mixed",
-    "measure_projective",
-    "monte_carlo_pq",
-    "parse_scenario",
-    "partial_trace",
-    "regular_representation",
-    "run_abelian_distributed",
-    "run_broadcast",
-    "run_cheater_attack",
-    "run_classical_baseline",
-    "run_classical_eavesdrop",
-    "run_distributed",
-    "run_dolev",
-    "run_entangling_attack",
-    "run_group_traveling",
-    "run_mitm_traveling",
-    "run_pair_check",
-    "run_repeated",
-    "run_round",
-    "run_survey",
-    "run_swap_attack",
-    "run_traveling",
-    "sample_phase_estimate",
-    "setup",
-    "to_dense",
-    "total_variation",
-    "trace_distance",
-    "vote_distributed",
-    "vote_traveling",
-]
-
 __version__ = "0.1.0"

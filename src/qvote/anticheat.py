@@ -22,8 +22,8 @@ import numpy as np
 
 from .backends import get_backend
 from .branches import phase_ghz
-from .matrices import phase_state
-from .protocols import Transcript
+from .matrices import phase_state, shift_matrix
+from .protocols import Transcript, _check_votes
 
 VARIANTS = ("distributed", "traveling")
 
@@ -77,9 +77,6 @@ class VotingQudit:
     """Single-qudit phase state handed to a voter; theta stays hidden from him."""
 
     theta: float
-
-    def amplitudes(self, D: int) -> np.ndarray:
-        return phase_state(D, self.theta)
 
 
 @dataclass
@@ -194,10 +191,7 @@ def _cast_vote_on(
     masks = vote_measurement_masks(D)
     r, state, _ = bk.measure_diag(state, [ballot_reg, v], masks, rng)
     if r:
-        shift = np.zeros((D, D), dtype=complex)
-        for j in range(D):
-            shift[(j + r) % D, j] = 1.0
-        state = bk.apply_local(state, v, shift)
+        state = bk.apply_local(state, v, shift_matrix(D, r))
     round_.state = state
     return int(r)
 
@@ -334,9 +328,7 @@ def run_round(
     correction_register: int = 0,
 ) -> tuple[ReadoutResult, AntiCheatRound]:
     """Full honest round: setup, all votes, corrections, readout."""
-    votes = [int(v) for v in votes]
-    if len(votes) != N:
-        raise ValueError(f"expected {N} votes, got {len(votes)}")
+    votes = _check_votes(votes, N)
     round_ = setup(D, N, secrets, rng, variant=variant, backend=backend)
     cast = vote_distributed if variant == "distributed" else vote_traveling
     for voter, v in enumerate(votes):

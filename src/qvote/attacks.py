@@ -42,9 +42,8 @@ from .matrices import (
     phase_state,
     phase_vote_matrix,
     shift_matrix,
-    swap_pair_matrix,
 )
-from .protocols import ProtocolConfig, sample_zero_sum_ballots
+from .protocols import ProtocolConfig, _check_votes, sample_zero_sum_ballots
 from .states import check_unitary, sample_index
 
 
@@ -121,11 +120,6 @@ class PhasePOVM:
         return float(out) if size is None else out
 
 
-def sample_phase_estimate(povm: PhasePOVM, rng: np.random.Generator, size: int | None = None):
-    """Draw angle estimates from the POVM's outcome density."""
-    return povm.sample(rng, size)
-
-
 # ---------------------------------------------------------------------------
 # cheating voter
 
@@ -170,9 +164,7 @@ def run_cheater_attack(
     change the outcome statistics; ``cheater_position`` exists to verify
     exactly that.
     """
-    honest_votes = [int(v) for v in honest_votes]
-    if len(honest_votes) != N - 1:
-        raise ValueError(f"expected {N - 1} honest votes, got {len(honest_votes)}")
+    honest_votes = _check_votes(honest_votes, N - 1)
     cheater = N - 1 if cheater_position is None else int(cheater_position)
     if not 0 <= cheater < N:
         raise ValueError("cheater position out of range")
@@ -181,9 +173,9 @@ def run_cheater_attack(
     th_y = plan.theta_yes_est
     th_n = plan.theta_no_est
     if th_y is None:
-        th_y = float(sample_phase_estimate(PhasePOVM(D, secrets.yes_angle(D)), rng))
+        th_y = PhasePOVM(D, secrets.yes_angle(D)).sample(rng)
     if th_n is None:
-        th_n = float(sample_phase_estimate(PhasePOVM(D, secrets.no_angle(D)), rng))
+        th_n = PhasePOVM(D, secrets.no_angle(D)).sample(rng)
 
     honest_iter = iter(honest_votes)
     r = -1
@@ -283,6 +275,12 @@ def cheater_conditional_distribution(
     )
 
 
+def broadness_coefficient(D: int, s: int) -> float:
+    """The cosine amplitude c of the closed form; c < 1 makes every readout
+    index reachable."""
+    return 2 * (D - s) * ((D - 2) * (D - s - 1) + (s + 1)) / D**3
+
+
 def analytic_pq(D: int, s: int, m: int, q: int | None = None):
     """Closed-form readout distribution for D = N+1, levels (1, 0), s > D/2.
 
@@ -296,16 +294,10 @@ def analytic_pq(D: int, s: int, m: int, q: int | None = None):
         raise ValueError(f"closed form requires s > D/2 (got s={s}, D={D})")
     if not s < D:
         raise ValueError(f"closed form requires s < D (got s={s}, D={D})")
-    c = 2 * (D - s) * ((D - 2) * (D - s - 1) + (s + 1)) / D**3
+    c = broadness_coefficient(D, s)
     qs = np.arange(D) if q is None else np.asarray(q)
     p = (1 + c * np.cos(2 * np.pi * (m - s - qs) / D)) / D
     return p if q is None else float(p)
-
-
-def broadness_coefficient(D: int, s: int) -> float:
-    """The cosine amplitude c of the closed form; c < 1 makes every readout
-    index reachable."""
-    return 2 * (D - s) * ((D - 2) * (D - s - 1) + (s + 1)) / D**3
 
 
 def monte_carlo_pq(
@@ -367,9 +359,9 @@ class AttackReport:
 
     kind: str
     trials: int
-    detected_count: int
-    leak_attempts: int
-    leak_correct: int
+    detected_count: int = 0
+    leak_attempts: int = 0
+    leak_correct: int = 0
     outcome_histogram: dict[str, int] = field(default_factory=dict)
     analytic_detection: float | None = None
     statistics: dict = field(default_factory=dict)
@@ -425,15 +417,12 @@ def run_mitm_traveling(
     ``repair``, the reading is forwarded onto the real ballot so the tally
     stays intact. Nothing in the scheme can flag this.
     """
-    votes = [int(v) for v in votes]
-    if len(votes) != config.N:
-        raise ValueError(f"expected {config.N} votes")
+    votes = _check_votes(votes, config.N)
     if not 0 <= target < config.N:
         raise ValueError("target out of range")
     bk = get_backend(backend)
     D = config.D
-    report = AttackReport(kind="mitm-traveling", trials=trials, detected_count=0,
-                          leak_attempts=0, leak_correct=0, seed=seed)
+    report = AttackReport(kind="mitm-traveling", trials=trials, seed=seed)
     for _ in range(trials):
         state = bk.ghz(D, 2)
         state = bk.attach(state, D, 0)  # the decoy qudit, register 2
@@ -481,9 +470,7 @@ def run_swap_attack(
     probabilities (pass/fail, the attacker's phase reading, the tally) and
     the requested number of trials is sampled from it.
     """
-    votes = [int(v) for v in votes]
-    if len(votes) != config.N:
-        raise ValueError(f"expected {config.N} votes")
+    votes = _check_votes(votes, config.N)
     if not 0 <= target < config.N:
         raise ValueError("target out of range")
     bk = get_backend(backend)
@@ -528,9 +515,6 @@ def run_swap_attack(
     report = AttackReport(
         kind="swap",
         trials=trials,
-        detected_count=0,
-        leak_attempts=0,
-        leak_correct=0,
         analytic_detection=(1.0 - 1.0 / D) if checked else 0.0,
         seed=seed,
     )
@@ -565,11 +549,6 @@ def random_product_attack(D: int, rng: np.random.Generator) -> np.ndarray:
         proj[j, j] = 1.0
         U += np.kron(V, proj)
     return U
-
-
-def swap_attack_unitary(D: int) -> np.ndarray:
-    """The swap entangler: |0>_E |j> goes to |j>_E |0>."""
-    return swap_pair_matrix(D)
 
 
 def analytic_nondetection(U: np.ndarray, D: int) -> float:
@@ -619,9 +598,7 @@ def run_entangling_attack(
     trials are sampled from the exactly computed pass probability, which is
     also reported against the analytic column expression.
     """
-    votes = [int(v) for v in votes]
-    if len(votes) != config.N:
-        raise ValueError(f"expected {config.N} votes")
+    votes = _check_votes(votes, config.N)
     bk = get_backend(backend)
     D, N = config.D, config.N
     U = check_unitary(np.asarray(U, dtype=complex), D * D)
@@ -633,9 +610,6 @@ def run_entangling_attack(
     report = AttackReport(
         kind="entangling",
         trials=trials,
-        detected_count=0,
-        leak_attempts=0,
-        leak_correct=0,
         analytic_detection=1.0 - analytic_nondetection(U, D) if target in pair else None,
         seed=seed,
     )
@@ -645,7 +619,8 @@ def run_entangling_attack(
             report._bump("detected")
         else:
             report._bump("passed")
-    report.statistics["pass_probability"] = p_pass
+    # a Born sum can exceed 1 by a few ulps; the draws above never fire either way
+    report.statistics["pass_probability"] = min(p_pass, 1.0)
     report.statistics["analytic_nondetection"] = analytic_nondetection(U, D)
     return report
 
@@ -660,18 +635,13 @@ def run_classical_eavesdrop(
 ) -> AttackReport:
     """Eavesdropper on the classical zero-sum ballots: read the target's slip
     before and after; the difference is the vote, and nothing can notice."""
-    votes = [int(v) for v in votes]
-    if len(votes) != N:
-        raise ValueError(f"expected {N} votes")
+    votes = _check_votes(votes, N)
     if not 0 <= target < N:
         raise ValueError("target out of range")
     D = N + 1
     report = AttackReport(
         kind="classical-eavesdrop",
         trials=trials,
-        detected_count=0,
-        leak_attempts=0,
-        leak_correct=0,
         analytic_detection=0.0,
         seed=seed,
     )

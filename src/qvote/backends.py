@@ -17,17 +17,8 @@ import numpy as np
 from . import branches as br
 from . import states as st
 from .branches import BranchState
-from .matrices import swap_pair_matrix
+from .matrices import shift_matrix, swap_pair_matrix
 from .states import DenseState
-
-
-def _controlled_shift_matrix(dc: int, dt: int, shifts: Sequence[int]) -> np.ndarray:
-    U = np.zeros((dc * dt, dc * dt), dtype=complex)
-    for c in range(dc):
-        s = int(shifts[c]) % dt
-        for v in range(dt):
-            U[c * dt + (v + s) % dt, c * dt + v] = 1.0
-    return U
 
 
 class DenseBackend:
@@ -56,7 +47,10 @@ class DenseBackend:
         return st.apply_joint(state, list(pair), U)
 
     def controlled_shift(self, state, control, target, shifts):
-        U = _controlled_shift_matrix(state.dims[control], state.dims[target], shifts)
+        dc, dt = state.dims[control], state.dims[target]
+        U = np.zeros((dc * dt, dc * dt), dtype=complex)
+        for c in range(dc):
+            U[c * dt:(c + 1) * dt, c * dt:(c + 1) * dt] = shift_matrix(dt, int(shifts[c]))
         return st.apply_joint(state, [control, target], U)
 
     def swap(self, state, i, j):

@@ -25,6 +25,8 @@ from .states import (
     DenseBudgetError,
     DenseState,
     DensityMatrix,
+    _check_registers,
+    _kept_dim,
     check_unitary,
     sample_index,
 )
@@ -124,14 +126,17 @@ class BranchState:
                 cleaned.append((coeff, tuple(new_factors)))
         if not cleaned:
             raise ValueError("branch state must have at least one branch")
-        self.dims = dims
-        self.branches = cleaned
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "branches", tuple(cleaned))
         if renormalize:
             n = self.norm()
             if abs(n - 1.0) > NORM_TOL:
                 raise ValueError(f"branch state norm {n!r} deviates from 1 beyond {NORM_TOL}")
             if n != 1.0:
-                self.branches = [(c / n, fs) for c, fs in self.branches]
+                object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in cleaned))
+
+    def __setattr__(self, name, value):  # immutable once constructed
+        raise AttributeError("BranchState is immutable")
 
     @staticmethod
     def _validate_factors(factors: tuple[Factor, ...], dims: tuple[int, ...]) -> None:
@@ -195,13 +200,6 @@ def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
     )
 
 
-def from_labels(dims: Sequence[int], rows: Sequence[tuple[complex, Sequence[int]]]) -> BranchState:
-    """Branch state from (coefficient, basis-label tuple) rows."""
-    return BranchState(
-        dims, [(c, tuple(BasisFactor(l) for l in labels)) for c, labels in rows]
-    )
-
-
 def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
     """Product of two branch states on disjoint register groups (a's first)."""
     branches = []
@@ -256,9 +254,11 @@ def _blocks(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence[int])
     return [tuple(sorted(g)) for g in sorted(groups.values())]
 
 
-def _block_vector(factors: tuple[Factor, ...], block: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """Expand a branch's factors over the block registers, axes in block order."""
-    arr = np.asarray(1.0 + 0.0j)
+def _block_vector(
+    factors: tuple[Factor, ...], block: Sequence[int], dims: tuple[int, ...], coeff: complex = 1.0 + 0.0j
+) -> np.ndarray:
+    """coeff times a branch's factors expanded over the block registers, axes in block order."""
+    arr = np.asarray(coeff)
     axes: list[int] = []
     done: set[int] = set()
     for r in block:
@@ -311,18 +311,23 @@ def _pair_overlap(
     return complex(out)
 
 
+def _inner(dims: tuple[int, ...], bra: Sequence[Branch], ket: Sequence[Branch]) -> complex:
+    """Sum over branch pairs of conj(c_bra) c_ket <bra factors|ket factors>."""
+    regs = range(len(dims))
+    total = 0.0 + 0.0j
+    for ca, fa in bra:
+        for cb, fb in ket:
+            ov = _pair_overlap(fa, fb, dims, regs)
+            if ov != 0.0:
+                total += np.conj(ca) * cb * ov
+    return complex(total)
+
+
 def branch_inner(a: BranchState, b: BranchState) -> complex:
     """Full inner product <a|b> including all cross terms."""
     if a.dims != b.dims:
         raise ValueError(f"layout mismatch: {a.dims} vs {b.dims}")
-    regs = range(len(a.dims))
-    total = 0.0 + 0.0j
-    for ca, fa in a.branches:
-        for cb, fb in b.branches:
-            ov = _pair_overlap(fa, fb, a.dims, regs)
-            if ov != 0.0:
-                total += np.conj(ca) * cb * ov
-    return complex(total)
+    return _inner(a.dims, a.branches, b.branches)
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +345,7 @@ def to_dense(state: BranchState) -> DenseState:
             )
     out = np.zeros(state.dims, dtype=complex)
     for coeff, factors in state.branches:
-        arr = np.asarray(coeff)
-        axes: list[int] = []
-        done: set[int] = set()
-        for r in range(len(state.dims)):
-            if r in done:
-                continue
-            f = factors[r]
-            if isinstance(f, JointFactor):
-                arr = np.multiply.outer(arr, f.amps)
-                axes.extend(f.regs)
-                done.update(f.regs)
-            else:
-                arr = np.multiply.outer(arr, _factor_vector(f, state.dims[r]))
-                axes.append(r)
-                done.add(r)
-        out += arr.transpose([axes.index(r) for r in range(len(state.dims))])
+        out += _block_vector(factors, range(len(state.dims)), state.dims, coeff)
     return DenseState(state.dims, out.reshape(-1))
 
 
@@ -568,18 +558,7 @@ def drop_register(state: BranchState, register: int) -> BranchState:
 
 def branch_partial_trace(state: BranchState, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix on the kept registers (in the order given)."""
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must name at least one register")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep indices must be distinct")
-    for r in keep:
-        if not 0 <= r < state.num_registers:
-            raise ValueError(f"register {r} out of range")
-    kdims = [state.dims[r] for r in keep]
-    kdim = int(np.prod(kdims))
-    if kdim * kdim > DENSE_AMP_BUDGET:
-        raise DenseBudgetError("kept subspace exceeds the dense budget")
+    keep, kdim = _kept_dim(keep, state.dims)
     keep_set = set(keep)
     rho = np.zeros((kdim, kdim), dtype=complex)
     all_regs = range(state.num_registers)
@@ -771,14 +750,7 @@ def _collapse_onto(
 
 
 def _branch_norm_sq(dims: tuple[int, ...], branches: list[Branch]) -> float:
-    total = 0.0 + 0.0j
-    regs = range(len(dims))
-    for ca, fa in branches:
-        for cb, fb in branches:
-            ov = _pair_overlap(fa, fb, dims, regs)
-            if ov != 0.0:
-                total += np.conj(ca) * cb * ov
-    return max(0.0, float(np.real(total)))
+    return max(0.0, _inner(dims, branches, branches).real)
 
 
 def branch_measure(
@@ -803,16 +775,10 @@ def branch_measure(
     if len(projectors) == 0:
         raise ValueError("projector list must not be empty")
     if registers is None:
-        regs = list(range(state.num_registers))
-    else:
-        regs = list(registers)
-        if len(set(regs)) != len(regs):
-            raise ValueError("registers must be distinct")
-        for r in regs:
-            if not 0 <= r < state.num_registers:
-                raise ValueError(f"register {r} out of range")
-        if len(regs) == state.num_registers and regs != sorted(regs):
-            raise ValueError("full-space measurement requires registers in ascending order")
+        registers = range(state.num_registers)
+    regs = _check_registers(registers, state.num_registers)
+    if len(regs) == state.num_registers and regs != sorted(regs):
+        raise ValueError("full-space measurement requires registers in ascending order")
     sdims = tuple(state.dims[r] for r in regs)
     sub = int(np.prod(sdims))
 

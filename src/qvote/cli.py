@@ -1,7 +1,8 @@
 """Command-line front end: run, verify, sweep, and attack scenario files.
 
-Exit codes: 0 success, 1 validation error, 2 invariant or acceptance
-failure detected during the run, 3 resource budget exceeded.
+Exit codes: 0 success; 1 the scenario is invalid (including an unreadable
+file or a command the scheme does not support); 2 an invariant failed during
+the run, or an internal error stopped it; 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     if args.seed is not None:
+        if args.seed < 0:
+            print("scenario error: --seed requires a non-negative integer", file=sys.stderr)
+            return EXIT_VALIDATION
         cfg.seed = args.seed
     if args.backend is not None:
         cfg.backend = args.backend
@@ -78,9 +82,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except ValueError as exc:  # the scenario was valid, so the program is at fault
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
     payload = emit_report(report, args.fmt)
     if args.out is not None:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .backends import get_backend
-from .branches import BasisFactor, BranchState, VecFactor
+from .branches import BasisFactor, BranchState, VecFactor, phase_ghz
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
 from .states import check_unitary, maximally_mixed, trace_distance
 
@@ -364,20 +364,7 @@ def run_abelian_distributed(
         for k, ch in enumerate(choices):
             if ch[f]:
                 state = bk.apply_local(state, k, phase_vote_matrix(d, ch[f]))
-        targets = [
-            BranchState(
-                (d,) * n_parties,
-                [
-                    (
-                        np.exp(2j * np.pi * j * y / d) / np.sqrt(d),
-                        tuple(BasisFactor(j) for _ in range(n_parties)),
-                    )
-                    for j in range(d)
-                ],
-                renormalize=False,
-            )
-            for y in range(d)
-        ]
+        targets = [phase_ghz(d, n_parties, 2 * np.pi * y / d) for y in range(d)]
         outcome, _, _ = bk.measure_targets(state, targets, rng)
         result.append(int(outcome))
     return tuple(result)

@@ -1,24 +1,23 @@
 """Scenario execution and report emission for the CLI.
 
-Reports are deterministic given (scenario, seed): trial RNG streams are
-spawned from the seed in a fixed order, and the json-lines serialization
-carries no timing data, so re-running a scenario reproduces it byte for
-byte. Wall-clock time appears only in the text rendering.
+Every per-scheme and per-attack fact comes from the registry entries in
+:mod:`qvote.scenario`; this module only drives them. Reports are
+deterministic given (scenario, seed): trial RNG streams are spawned from the
+seed in a fixed order, and the json-lines serialization carries no timing
+data, so re-running a scenario reproduces it byte for byte. Wall-clock time
+appears only in the text rendering.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import anticheat, attacks, protocols
-from .branches import phase_ghz, to_dense
-from .scenario import ScenarioConfig
-from .states import DenseBudgetError
+from .scenario import ATTACKS, SCHEMES, ScenarioConfig, ScenarioError, amplitude_agreement, validate
 
 
 @dataclass
@@ -48,8 +47,8 @@ def _jsonable(obj):
     return obj
 
 
-def _trial_streams(seed: int, count: int) -> list[np.random.Generator]:
-    return list(np.random.default_rng(seed).spawn(count))
+def _backends(cfg: ScenarioConfig) -> list[str]:
+    return ["dense", "branch"] if cfg.backend == "both" else [cfg.backend]
 
 
 def _trial_votes(cfg: ScenarioConfig, rng) -> list[int] | None:
@@ -58,214 +57,89 @@ def _trial_votes(cfg: ScenarioConfig, rng) -> list[int] | None:
     return [int(v) for v in rng.random(cfg.N) < cfg.yes_rate]
 
 
-def _honest_result(cfg: ScenarioConfig, backend: str, rng) -> dict:
-    pc = cfg.protocol_config()
-    votes = _trial_votes(cfg, rng)
-    if cfg.scheme == "traveling":
-        res = protocols.run_traveling(pc, votes, backend, rng=rng)
-        return {"tally": res.m, "votes": votes}
-    if cfg.scheme == "distributed":
-        res = protocols.run_distributed(pc, votes, backend, rng=rng)
-        return {"tally": res.m, "votes": votes}
-    if cfg.scheme == "dolev":
-        res = protocols.run_dolev(pc, votes, backend, rng=rng)
-        announced = [e["value"] for e in res.transcript.public if e["event"] == "announce"]
-        return {"tally": res.m, "votes": votes, "announced": announced}
-    if cfg.scheme == "broadcast":
-        res = protocols.run_broadcast(pc, cfg.sender, cfg.message, backend, rng=rng)
-        return {"reconstructed": res.m}
-    if cfg.scheme == "survey":
-        res = protocols.run_survey(pc, cfg.salaries, backend, rng=rng)
-        return {"total": res.m, "average": str(res.average)}
-    if cfg.scheme == "classical-baseline":
-        res = protocols.run_classical_baseline(cfg.N, votes, rng)
-        return {"tally": res.m, "votes": votes}
-    if cfg.scheme in ("anticheat-distributed", "anticheat-traveling"):
-        variant = cfg.scheme.split("-", 1)[1]
-        secrets = (
-            cfg.secrets.resolve(cfg.D, rng)
-            if cfg.secrets is not None
-            else anticheat.random_secrets(cfg.D, cfg.N, rng)
-        )
-        agg = anticheat.run_repeated(
-            cfg.D, cfg.N, secrets, votes, cfg.repetitions, rng,
-            backend=backend, variant=variant,
-        )
-        return {
-            "qs": agg.qs,
-            "m_inferred": agg.results[0].m_inferred,
-            "cheat_detected": agg.cheat_detected,
-        }
-    raise ValueError(f"no runner for scheme {cfg.scheme!r}")
-
-
 def _run_honest(cfg: ScenarioConfig, report: RunReport) -> None:
-    backends = ["dense", "branch"] if cfg.backend == "both" else [cfg.backend]
+    scheme = SCHEMES[cfg.scheme]
+    backends = _backends(cfg)
     per_backend: dict[str, list[dict]] = {}
     for backend in backends:
-        streams = _trial_streams(cfg.seed, max(cfg.trials, 1))
-        records = [
-            dict(_honest_result(cfg, backend, rng), trial=i, backend=backend)
+        streams = np.random.default_rng(cfg.seed).spawn(cfg.trials)
+        per_backend[backend] = [
+            dict(scheme.trial(cfg, _trial_votes(cfg, rng), backend, rng), trial=i, backend=backend)
             for i, rng in enumerate(streams)
         ]
-        per_backend[backend] = records
     canonical = per_backend[backends[0]]
     report.trial_records = canonical
 
     if cfg.backend == "both":
         mismatches = sum(
-            1
-            for a, b in zip(per_backend["dense"], per_backend["branch"])
-            if {k: v for k, v in a.items() if k != "backend"}
-            != {k: v for k, v in b.items() if k != "backend"}
+            a != dict(b, backend="dense") for a, b in zip(per_backend["dense"], per_backend["branch"])
         )
         report.invariants["backend_outcomes_equal"] = {
             "passed": mismatches == 0,
             "mismatches": mismatches,
         }
-        amp = _amplitude_agreement(cfg)
+        amp = amplitude_agreement(cfg)
         report.invariants["backend_amplitude_deviation"] = amp
         report.passed = report.passed and mismatches == 0 and amp["passed"]
 
-    key = next(k for k in ("tally", "reconstructed", "total", "qs") if k in canonical[0])
-    hist: dict[str, int] = {}
-    for rec in canonical:
-        hist[str(rec[key])] = hist.get(str(rec[key]), 0) + 1
+    key = scheme.outcome_key
+    hist = dict(Counter(str(rec[key]) for rec in canonical))
     report.summary = {"outcome_histogram": hist, "outcome_key": key, "trials": len(canonical)}
-    if cfg.votes is not None and cfg.scheme != "broadcast":
+    if cfg.votes is not None:
         report.summary["expected"] = sum(cfg.votes)
 
 
-def _amplitude_agreement(cfg: ScenarioConfig) -> dict:
-    """Per-step amplitude comparison of the two backends on one honest run."""
-    pc = cfg.protocol_config()
-    runner = {
-        "traveling": protocols.run_traveling,
-        "distributed": protocols.run_distributed,
-        "dolev": protocols.run_dolev,
-    }.get(cfg.scheme)
-    if runner is None or cfg.votes is None:
-        return {"passed": True, "max_deviation": 0.0, "note": "amplitude check not applicable"}
-    try:
-        a = runner(pc, cfg.votes, "dense", rng=np.random.default_rng(cfg.seed), record_states=True)
-        b = runner(pc, cfg.votes, "branch", rng=np.random.default_rng(cfg.seed), record_states=True)
-    except DenseBudgetError:
-        return {"passed": True, "max_deviation": None, "note": "dense budget exceeded"}
-    dev = 0.0
-    from .states import align_global_phase
-
-    for sa, sb in zip(a.transcript.states, b.transcript.states):
-        da = align_global_phase(sa["state"].amps)
-        db = align_global_phase(to_dense(sb["state"]).amps)
-        dev = max(dev, float(np.max(np.abs(da - db))))
-    return {"passed": dev <= 1e-12, "max_deviation": dev}
-
-
 def _run_attack(cfg: ScenarioConfig, report: RunReport) -> None:
-    att = cfg.attack
     backend = "dense" if cfg.backend == "both" else cfg.backend
-    rng = np.random.default_rng(cfg.seed)
-    pc = cfg.protocol_config()
-
-    if att.kind == "swap":
-        rep = attacks.run_swap_attack(
-            pc, cfg.votes, att.target, att.pair, rng,
-            trials=cfg.trials, repair=att.repair, backend=backend, seed=cfg.seed,
-        )
-    elif att.kind == "mitm":
-        rep = attacks.run_mitm_traveling(
-            pc, cfg.votes, att.target, rng,
-            backend=backend, repair=att.repair, trials=cfg.trials, seed=cfg.seed,
-        )
-    elif att.kind == "entangling":
-        D = cfg.D
-        if att.entangler == "identity":
-            U = np.eye(D * D, dtype=complex)
-        elif att.entangler == "swap":
-            U = attacks.swap_attack_unitary(D)
-        else:
-            U = attacks.random_product_attack(D, rng)
-        rep = attacks.run_entangling_attack(
-            pc, cfg.votes, att.target, U, att.pair, rng,
-            trials=cfg.trials, backend=backend, seed=cfg.seed,
-        )
-    elif att.kind == "classical":
-        rep = attacks.run_classical_eavesdrop(
-            cfg.N, cfg.votes, att.target, rng, trials=cfg.trials, seed=cfg.seed
-        )
-    elif att.kind == "cheater":
-        _run_cheater(cfg, report, rng, backend)
-        return
-    else:
-        raise ValueError(f"no runner for attack kind {att.kind!r}")
-
-    report.summary = {
-        "kind": rep.kind,
-        "trials": rep.trials,
-        "detection_rate": rep.detection_rate,
-        "analytic_detection": rep.analytic_detection,
-        "leak_accuracy": rep.leak_accuracy,
-        "outcome_histogram": rep.outcome_histogram,
-        "statistics": _jsonable(rep.statistics),
-    }
-    report.trial_records = [
-        {"trial": None, "outcome": k, "count": v} for k, v in sorted(rep.outcome_histogram.items())
-    ]
+    run = ATTACKS[cfg.attack.kind].run
+    summary, report.trial_records = run(cfg, backend, np.random.default_rng(cfg.seed))
+    report.summary = _jsonable(summary)
 
 
-def _run_cheater(cfg: ScenarioConfig, report: RunReport, rng, backend: str) -> None:
-    att = cfg.attack
-    secrets = (
-        cfg.secrets.resolve(cfg.D, rng)
-        if cfg.secrets is not None
-        else anticheat.random_secrets(cfg.D, cfg.N, rng)
-    )
-    if att.theta_mode == "exact":
-        plan = attacks.CheaterPlan(
-            s=att.s,
-            theta_yes_est=secrets.yes_angle(cfg.D),
-            theta_no_est=secrets.no_angle(cfg.D),
-        )
-    else:
-        plan = attacks.CheaterPlan(s=att.s)
-    counts = np.zeros(cfg.D, dtype=int)
-    flagged = 0
-    for i in range(cfg.trials):
-        res, info = attacks.run_cheater_attack(
-            cfg.D, cfg.N, secrets, cfg.votes, plan, rng, backend=backend
-        )
-        q = res.q if res.q is not None else -1
-        if q >= 0:
-            counts[q] += 1
-        if res.cheat_detected:
-            flagged += 1
-        report.trial_records.append(
-            {"trial": i, "q": res.q, "r": info["r"], "cheat_flag": res.cheat_detected}
-        )
-    report.summary = {
-        "kind": "cheater",
-        "trials": cfg.trials,
-        "q_histogram": counts.tolist(),
-        "single_round_flags": flagged,
-        "m_honest": sum(cfg.votes),
-    }
-    regime_ok = (
-        secrets.yes_level == 1
-        and secrets.no_level == 0
-        and cfg.D == cfg.N + 1
-        and att.s is not None
-        and 2 * att.s > cfg.D
-        and att.s < cfg.D
-    )
-    if regime_ok and cfg.trials > 0:
-        analytic = attacks.analytic_pq(cfg.D, att.s, sum(cfg.votes))
-        report.summary["tv_vs_analytic"] = attacks.total_variation(counts, analytic)
-        report.summary["analytic_pq"] = analytic.tolist()
+def _run_verify(cfg: ScenarioConfig, report: RunReport) -> None:
+    checks = SCHEMES[cfg.scheme].checks(cfg)
+    report.invariants = checks
+    report.passed = all(c["passed"] for c in checks.values())
+    report.summary = {"checks": len(checks), "failed": [k for k, c in checks.items() if not c["passed"]]}
+
+
+def _run_sweep(cfg: ScenarioConfig, report: RunReport) -> None:
+    scheme = SCHEMES[cfg.scheme]
+    backends = _backends(cfg)
+    failures = []
+    cases = 0
+    for params in scheme.sweep(cfg):
+        cases += 1
+        case = replace(cfg, yes_rate=None, **params)
+        expected = scheme.expected(case)
+        for backend in backends:
+            rng = np.random.default_rng(cfg.seed)
+            got = scheme.trial(case, case.votes, backend, rng)[scheme.outcome_key]
+            if got != expected:
+                failures.append({"case": params, "backend": backend, "expected": expected, "got": got})
+            report.trial_records.append(
+                dict(_jsonable(params), backend=backend, expected=expected, got=got)
+            )
+    report.summary = {"cases": cases, "backends": backends, "failures": len(failures)}
+    report.invariants["sweep_failures"] = {"passed": not failures, "failures": failures[:10]}
+    report.passed = not failures
 
 
 def execute(cfg: ScenarioConfig, command: str = "run") -> RunReport:
-    """Run a parsed scenario; command selects the engine (run/verify/sweep)."""
+    """Run a parsed scenario; command selects the engine (run/verify/sweep).
+
+    verify and sweep run the honest scheme, so a scenario with an [attack]
+    must also be valid without it; sweep needs a scheme with sweep cases.
+    Both are reported as :class:`ScenarioError`.
+    """
     start = time.perf_counter()
+    if command == "sweep" and SCHEMES[cfg.scheme].sweep is None:
+        raise ScenarioError(f"sweep does not support scheme {cfg.scheme!r}")
+    if command in ("verify", "sweep") and cfg.attack is not None:
+        try:
+            validate(replace(cfg, attack=None))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{command} runs the honest scheme: {exc}") from None
     report = RunReport(
         scenario=_jsonable(cfg.raw), command=command, backend=cfg.backend, seed=cfg.seed
     )
@@ -279,125 +153,6 @@ def execute(cfg: ScenarioConfig, command: str = "run") -> RunReport:
         _run_honest(cfg, report)
     report.wall_clock = time.perf_counter() - start
     return report
-
-
-# ---------------------------------------------------------------------------
-# verify and sweep engines
-
-
-def _run_verify(cfg: ScenarioConfig, report: RunReport) -> None:
-    checks: dict[str, dict] = {}
-    pc = cfg.protocol_config()
-    D, N = cfg.D, cfg.N
-
-    if cfg.scheme in ("traveling", "distributed", "dolev"):
-        votes = cfg.votes or [0] * N
-        runner = {
-            "traveling": protocols.run_traveling,
-            "distributed": protocols.run_distributed,
-            "dolev": protocols.run_dolev,
-        }[cfg.scheme]
-        worst = 0.0
-        for backend in ("dense", "branch"):
-            res = runner(pc, votes, backend, rng=np.random.default_rng(cfg.seed), record_privacy=True)
-            worst = max(worst, max(e["trace_distance"] for e in res.transcript.privacy))
-        checks["privacy_reduced_density"] = {"passed": worst <= 1e-12, "max_trace_distance": worst}
-        checks["tally_correct"] = {"passed": res.m == sum(votes), "tally": res.m}
-        checks["backend_amplitudes"] = _amplitude_agreement(cfg)
-        if cfg.scheme == "distributed":
-            gram_dev = _phase_family_gram(D, N)
-            checks["tally_basis_orthonormal"] = {"passed": gram_dev <= 1e-12, "max_deviation": gram_dev}
-    if cfg.scheme.startswith("anticheat"):
-        rng = np.random.default_rng(cfg.seed)
-        secrets = (
-            cfg.secrets.resolve(D, rng)
-            if cfg.secrets is not None
-            else anticheat.random_secrets(D, N, rng)
-        )
-        variant = cfg.scheme.split("-", 1)[1]
-        res, round_ = anticheat.run_round(
-            D, N, secrets, cfg.votes or [0] * N, rng, backend="branch", variant=variant
-        )
-        expected_q = sum(cfg.votes or [0] * N) * secrets.gap
-        checks["honest_readout_deterministic"] = {
-            "passed": res.q == expected_q and res.probability > 1 - 1e-10,
-            "q": res.q,
-            "probability": res.probability,
-        }
-        regs = len(round_.backend.dims(round_.state))
-        gram_dev = _phase_family_gram(D, regs)
-        checks["readout_basis_orthonormal"] = {"passed": gram_dev <= 1e-12, "max_deviation": gram_dev}
-    if cfg.scheme == "broadcast":
-        res = protocols.run_broadcast(pc, cfg.sender, cfg.message, "branch",
-                                      rng=np.random.default_rng(cfg.seed))
-        checks["message_reconstructed"] = {"passed": res.m == cfg.message, "value": res.m}
-    if cfg.scheme == "survey":
-        res = protocols.run_survey(pc, cfg.salaries, "branch", rng=np.random.default_rng(cfg.seed))
-        checks["total_correct"] = {"passed": res.m == sum(cfg.salaries), "value": res.m}
-    if cfg.scheme == "classical-baseline":
-        res = protocols.run_classical_baseline(N, cfg.votes, np.random.default_rng(cfg.seed))
-        checks["tally_correct"] = {"passed": res.m == sum(cfg.votes), "value": res.m}
-
-    report.invariants = checks
-    report.passed = all(c["passed"] for c in checks.values()) if checks else True
-    report.summary = {"checks": len(checks), "failed": [k for k, c in checks.items() if not c["passed"]]}
-
-
-def _phase_family_gram(D: int, regs: int) -> float:
-    from .branches import branch_inner
-
-    targets = [phase_ghz(D, regs, 2 * np.pi * q / D) for q in range(D)]
-    gram = np.array(
-        [[branch_inner(a, b) for b in targets] for a in targets]
-    )
-    return float(np.max(np.abs(gram - np.eye(D))))
-
-
-def _sweep_cases(cfg: ScenarioConfig):
-    if cfg.scheme in ("traveling", "distributed", "dolev", "classical-baseline"):
-        for votes in itertools.product((0, 1), repeat=cfg.N):
-            yield {"votes": list(votes)}, sum(votes)
-    elif cfg.scheme == "broadcast":
-        for sender in range(cfg.N):
-            for message in range(cfg.D):
-                yield {"sender": sender, "message": message}, message
-    elif cfg.scheme == "survey":
-        for sal in itertools.product(range(min(3, cfg.D)), repeat=cfg.N):
-            if sum(sal) < cfg.D:
-                yield {"salaries": list(sal)}, sum(sal)
-    else:
-        raise ValueError(f"sweep does not support scheme {cfg.scheme!r}")
-
-
-def _run_sweep(cfg: ScenarioConfig, report: RunReport) -> None:
-    backends = ["dense", "branch"] if cfg.backend == "both" else [cfg.backend]
-    pc = cfg.protocol_config()
-    failures = []
-    cases = 0
-    for params, expected in _sweep_cases(cfg):
-        cases += 1
-        for backend in backends:
-            rng = np.random.default_rng(cfg.seed)
-            if cfg.scheme == "traveling":
-                got = protocols.run_traveling(pc, params["votes"], backend, rng=rng).m
-            elif cfg.scheme == "distributed":
-                got = protocols.run_distributed(pc, params["votes"], backend, rng=rng).m
-            elif cfg.scheme == "dolev":
-                got = protocols.run_dolev(pc, params["votes"], backend, rng=rng).m
-            elif cfg.scheme == "classical-baseline":
-                got = protocols.run_classical_baseline(cfg.N, params["votes"], rng).m
-            elif cfg.scheme == "broadcast":
-                got = protocols.run_broadcast(pc, params["sender"], params["message"], backend, rng=rng).m
-            elif cfg.scheme == "survey":
-                got = protocols.run_survey(pc, params["salaries"], backend, rng=rng).m
-            if got != expected:
-                failures.append({"case": params, "backend": backend, "expected": expected, "got": got})
-            report.trial_records.append(
-                dict(_jsonable(params), backend=backend, expected=expected, got=got)
-            )
-    report.summary = {"cases": cases, "backends": backends, "failures": len(failures)}
-    report.invariants["sweep_failures"] = {"passed": not failures, "failures": failures[:10]}
-    report.passed = not failures
 
 
 # ---------------------------------------------------------------------------

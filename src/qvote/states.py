@@ -44,6 +44,28 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def _check_registers(registers: Sequence[int], count: int) -> list[int]:
+    """``registers`` as a list of distinct register indices below ``count``."""
+    registers = list(registers)
+    if len(set(registers)) != len(registers):
+        raise ValueError("registers must be distinct")
+    for r in registers:
+        if not 0 <= r < count:
+            raise ValueError(f"register {r} out of range")
+    return registers
+
+
+def _kept_dim(keep: Sequence[int], dims: tuple[int, ...]) -> tuple[list[int], int]:
+    """The validated kept registers of a reduced state and their joint dimension."""
+    keep = _check_registers(keep, len(dims))
+    if not keep:
+        raise ValueError("keep must name at least one register")
+    kdim = int(np.prod([dims[r] for r in keep]))
+    if kdim * kdim > DENSE_AMP_BUDGET:
+        raise DenseBudgetError("kept subspace exceeds the dense budget")
+    return keep, kdim
+
+
 class DenseState:
     """Normalized pure state over an ordered list of qudit registers."""
 
@@ -87,6 +109,19 @@ class DenseState:
 
     def __repr__(self) -> str:
         return f"DenseState(dims={self.dims})"
+
+
+def _as_matrix(state: DenseState, registers: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Amplitudes as a (registers, rest) matrix, and the axis permutation used."""
+    perm = registers + [r for r in range(state.num_registers) if r not in registers]
+    sub = int(np.prod([state.dims[r] for r in registers]))
+    return state.tensor().transpose(perm).reshape(sub, -1), perm
+
+
+def _from_matrix(state: DenseState, mat: np.ndarray, perm: list[int]) -> DenseState:
+    """Inverse of :func:`_as_matrix`: the state with the original register order."""
+    t = mat.reshape([state.dims[r] for r in perm]).transpose(np.argsort(perm))
+    return DenseState(state.dims, t.reshape(-1))
 
 
 class DensityMatrix:
@@ -163,10 +198,6 @@ def make_uniform_ghz(D: int, N: int) -> DenseState:
     return DenseState(dims, amps)
 
 
-def tensor_states(a: DenseState, b: DenseState) -> DenseState:
-    return DenseState(a.dims + b.dims, np.kron(a.amps, b.amps))
-
-
 # ---------------------------------------------------------------------------
 # unitaries
 
@@ -195,20 +226,8 @@ def apply_local(state: DenseState, register: int, U: np.ndarray) -> DenseState:
 
 def apply_joint(state: DenseState, registers: Sequence[int], U: np.ndarray) -> DenseState:
     """Apply a unitary on the joint space of the listed registers."""
-    registers = list(registers)
-    if len(set(registers)) != len(registers):
-        raise ValueError("registers must be distinct")
-    for r in registers:
-        if not 0 <= r < state.num_registers:
-            raise ValueError(f"register {r} out of range")
-    sub = int(np.prod([state.dims[r] for r in registers]))
-    U = check_unitary(U, sub)
-    rest = [r for r in range(state.num_registers) if r not in registers]
-    perm = registers + rest
-    t = state.tensor().transpose(perm).reshape(sub, -1)
-    t = (U @ t).reshape([state.dims[r] for r in perm])
-    t = t.transpose(np.argsort(perm))
-    return DenseState(state.dims, t.reshape(-1))
+    mat, perm = _as_matrix(state, _check_registers(registers, state.num_registers))
+    return _from_matrix(state, check_unitary(U, mat.shape[0]) @ mat, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +236,8 @@ def apply_joint(state: DenseState, registers: Sequence[int], U: np.ndarray) -> D
 
 def partial_trace(state: DenseState, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix on the kept registers, in the order given."""
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must name at least one register")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep indices must be distinct")
-    for r in keep:
-        if not 0 <= r < state.num_registers:
-            raise ValueError(f"register {r} out of range")
-    rest = [r for r in range(state.num_registers) if r not in keep]
-    kdim = int(np.prod([state.dims[r] for r in keep]))
-    if kdim * kdim > DENSE_AMP_BUDGET:
-        raise DenseBudgetError("kept subspace exceeds the dense budget")
-    mat = state.tensor().transpose(keep + rest).reshape(kdim, -1)
+    keep, _ = _kept_dim(keep, state.dims)
+    mat, _ = _as_matrix(state, keep)
     return DensityMatrix(mat @ mat.conj().T)
 
 
@@ -360,20 +368,9 @@ def measure_projective(
     Returns (outcome index, post-measurement state, outcome probability).
     """
     if registers is None:
-        registers = list(range(state.num_registers))
-    else:
-        registers = list(registers)
-        if len(set(registers)) != len(registers):
-            raise ValueError("registers must be distinct")
-        for r in registers:
-            if not 0 <= r < state.num_registers:
-                raise ValueError(f"register {r} out of range")
-    sub = int(np.prod([state.dims[r] for r in registers]))
-    fam, needs_remainder = _as_projector_family(projectors, sub)
-
-    rest = [r for r in range(state.num_registers) if r not in registers]
-    perm = registers + rest
-    mat = state.tensor().transpose(perm).reshape(sub, -1)
+        registers = range(state.num_registers)
+    mat, perm = _as_matrix(state, _check_registers(registers, state.num_registers))
+    fam, needs_remainder = _as_projector_family(projectors, mat.shape[0])
 
     projected: list[np.ndarray] = []
     probs: list[float] = []
@@ -398,9 +395,7 @@ def measure_projective(
 
     outcome = sample_index(probs, rng)
     p = probs[outcome]
-    post = projected[outcome] / np.sqrt(p)
-    post = post.reshape([state.dims[r] for r in perm]).transpose(np.argsort(perm))
-    return outcome, DenseState(state.dims, post.reshape(-1)), p
+    return outcome, _from_matrix(state, projected[outcome] / np.sqrt(p), perm), p
 
 
 def project_diag(
@@ -411,20 +406,15 @@ def project_diag(
     Returns (probability, normalized post-state or None when the probability
     vanishes). The Born-analysis companion to measure_projective.
     """
-    registers = list(registers)
-    rest = [r for r in range(state.num_registers) if r not in registers]
-    perm = registers + rest
-    sub = int(np.prod([state.dims[r] for r in registers]))
-    mat = state.tensor().transpose(perm).reshape(sub, -1)
+    mat, perm = _as_matrix(state, list(registers))
     weights = np.asarray(mask, dtype=float).reshape(-1)
-    if weights.size != sub:
+    if weights.size != mat.shape[0]:
         raise ValueError("mask size does not match the measured subspace")
     post = mat * weights[:, None]
     p = float(np.real(np.vdot(post, post)))
     if p <= 1e-14:
         return p, None
-    post = (post / np.sqrt(p)).reshape([state.dims[r] for r in perm]).transpose(np.argsort(perm))
-    return p, DenseState(state.dims, post.reshape(-1))
+    return p, _from_matrix(state, post / np.sqrt(p), perm)
 
 
 def project_ket(
@@ -432,16 +422,12 @@ def project_ket(
 ) -> tuple[float, DenseState | None]:
     """Deterministic rank-1 projection of one register onto a normalized ket."""
     ket = np.asarray(ket, dtype=complex).reshape(-1)
-    rest = [r for r in range(state.num_registers) if r != register]
-    perm = [register] + rest
-    mat = state.tensor().transpose(perm).reshape(state.dims[register], -1)
+    mat, perm = _as_matrix(state, [register])
     row = ket.conj() @ mat
     p = float(np.real(np.vdot(row, row)))
     if p <= 1e-14:
         return p, None
-    post = np.outer(ket, row / np.sqrt(p))
-    post = post.reshape([state.dims[r] for r in perm]).transpose(np.argsort(perm))
-    return p, DenseState(state.dims, post.reshape(-1))
+    return p, _from_matrix(state, np.outer(ket, row / np.sqrt(p)), perm)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +443,12 @@ def drop_product_register(state: DenseState, register: int) -> DenseState:
         raise ValueError(f"register {register} out of range")
     if state.num_registers == 1:
         raise ValueError("cannot drop the only register")
-    rest = [r for r in range(state.num_registers) if r != register]
-    mat = state.tensor().transpose([register] + rest).reshape(state.dims[register], -1)
+    mat, perm = _as_matrix(state, [register])
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size > 1 and svals[1] > 1e-10:
         raise ValueError(f"register {register} is entangled with the rest; cannot drop")
     # Project onto the dominant local vector to extract the rest factor.
     u, _, vh = np.linalg.svd(mat, full_matrices=False)
     rest_amps = vh[0]
-    new_dims = tuple(state.dims[r] for r in rest)
+    new_dims = tuple(state.dims[r] for r in perm[1:])
     return DenseState(new_dims, rest_amps)

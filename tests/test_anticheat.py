@@ -314,6 +314,16 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             s.dims = (9,)
 
+    def test_branch_state_read_only(self):
+        from qvote.branches import ghz_branches
+
+        s = ghz_branches(3, 2)
+        assert isinstance(s.branches, tuple)
+        with pytest.raises(AttributeError):
+            s.dims = (9,)
+        with pytest.raises(AttributeError):
+            s.branches = ()
+
     def test_density_matrix_read_only(self):
         from qvote.states import maximally_mixed
 

@@ -130,6 +130,12 @@ class TestParse:
         with pytest.raises(ScenarioError, match="anticheat"):
             parse_scenario(bad)
 
+    def test_anticheat_without_secrets_needs_room(self):
+        # drawn secrets need a level gap g with g * N < D, so D > N
+        bad = "[protocol]\nscheme = anticheat-distributed\nD = 3\nN = 4\nvotes = 1,1,0,0\n"
+        with pytest.raises(ScenarioError, match="requires D > N"):
+            parse_scenario(bad)
+
     def test_votes_length_checked(self):
         bad = DISTRIBUTED.replace("votes = 1,0,1,1", "votes = 1,0")
         with pytest.raises(ScenarioError, match="expected 4 entries"):
@@ -224,11 +230,13 @@ class TestDeterminism:
         assert records[-1]["summary"]["outcome_histogram"] == {"3": 3}
 
     def test_summary_only_stream_when_no_trials(self):
-        cfg = parse_scenario(SWAP)
-        cfg.trials = 0
-        payload = emit_report(execute(cfg), "json-lines")
-        lines = payload.decode().strip().split("\n")
-        assert len(lines) == 1 and json.loads(lines[0])["record"] == "summary"
+        for text in (SWAP, DISTRIBUTED):
+            cfg = parse_scenario(text)
+            cfg.trials = 0
+            payload = emit_report(execute(cfg), "json-lines")
+            lines = payload.decode().strip().split("\n")
+            assert len(lines) == 1 and json.loads(lines[0])["record"] == "summary"
+            assert json.loads(lines[0])["summary"]["trials"] == 0
 
 
 class TestCli:
@@ -284,6 +292,25 @@ class TestCli:
     def test_sweep_subcommand(self, tmp_path):
         path = self._write(tmp_path, DISTRIBUTED)
         assert main(["sweep", str(path)]) == 0
+
+    def test_sweep_without_cases_is_scenario_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, ANTICHEAT)
+        with pytest.raises(ScenarioError, match="sweep does not support"):
+            execute(parse_scenario(ANTICHEAT), command="sweep")
+        assert main(["sweep", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+
+    def test_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        from qvote import cli
+        from qvote.branches import BranchError
+
+        def broken(cfg, command="run"):
+            raise BranchError("not representable")
+
+        monkeypatch.setattr(cli, "execute", broken)
+        path = self._write(tmp_path, DISTRIBUTED)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("internal error: not representable")
 
 
 def test_shipped_scenarios_run_clean(tmp_path):
