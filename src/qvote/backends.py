@@ -119,8 +119,7 @@ class BranchBackend:
         return br.branch_measure(state, list(targets), rng, registers=registers)
 
     def measure_diag(self, state, registers, masks, rng):
-        projs = [np.diag(np.asarray(m, dtype=float).reshape(-1)) for m in masks]
-        return br.branch_measure(state, projs, rng, registers=registers)
+        return br.branch_measure(state, list(masks), rng, registers=registers, diagonal=True)
 
     def measure_local_kets(self, state, register, kets, rng):
         return br.branch_measure(state, list(kets), rng, registers=[register])

@@ -16,6 +16,7 @@ compared up to a global phase throughout.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,17 +39,35 @@ class BranchError(ValueError):
     """Operation would leave the branch representation; use the dense backend."""
 
 
-class BasisFactor:
+class _Frozen:
+    """Immutable once constructed: factors are shared between branches and states."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _read_only(amps: np.ndarray) -> np.ndarray:
+    view = amps.view()
+    view.flags.writeable = False
+    return view
+
+
+class BasisFactor(_Frozen):
     __slots__ = ("label",)
 
     def __init__(self, label: int):
-        self.label = int(label)
+        object.__setattr__(self, "label", int(label))
 
     def __repr__(self) -> str:
         return f"|{self.label}>"
 
 
-class VecFactor:
+class VecFactor(_Frozen):
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray):
@@ -56,13 +75,13 @@ class VecFactor:
         n = np.linalg.norm(amps)
         if n <= _ZERO_TOL or n > 1.0 + 1e-9:
             raise ValueError(f"local factor norm {n!r} outside (0, 1]")
-        self.amps = amps
+        object.__setattr__(self, "amps", _read_only(amps))
 
     def __repr__(self) -> str:
         return f"vec{np.round(self.amps, 3)!r}"
 
 
-class JointFactor:
+class JointFactor(_Frozen):
     """Two-register factor; ``regs`` is sorted and ``amps`` has one axis per register."""
 
     __slots__ = ("regs", "amps")
@@ -70,10 +89,11 @@ class JointFactor:
     def __init__(self, regs: tuple[int, int], amps: np.ndarray):
         if regs[0] >= regs[1]:
             raise ValueError("joint factor registers must be sorted and distinct")
-        self.regs = (int(regs[0]), int(regs[1]))
-        self.amps = np.asarray(amps, dtype=complex)
-        if self.amps.ndim != 2:
+        amps = np.asarray(amps, dtype=complex)
+        if amps.ndim != 2:
             raise ValueError("joint factor amplitudes must be a 2-D array")
+        object.__setattr__(self, "regs", (int(regs[0]), int(regs[1])))
+        object.__setattr__(self, "amps", _read_only(amps))
 
 
 Factor = BasisFactor | VecFactor | JointFactor
@@ -97,7 +117,7 @@ def _tidy_factor(f: Factor) -> tuple[complex, Factor]:
     return 1.0 + 0.0j, f
 
 
-class BranchState:
+class BranchState(_Frozen):
     """Superposition of product-form branches over a fixed register layout."""
 
     __slots__ = ("dims", "branches")
@@ -135,9 +155,6 @@ class BranchState:
             if n != 1.0:
                 object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in cleaned))
 
-    def __setattr__(self, name, value):  # immutable once constructed
-        raise AttributeError("BranchState is immutable")
-
     @staticmethod
     def _validate_factors(factors: tuple[Factor, ...], dims: tuple[int, ...]) -> None:
         for r, f in enumerate(factors):
@@ -172,6 +189,12 @@ class BranchState:
 # construction helpers
 
 
+def _basis_row(D: int) -> list[BasisFactor]:
+    """One shared factor per label, so a D-branch family over N registers
+    holds D factor objects rather than D * N."""
+    return [BasisFactor(j) for j in range(D)]
+
+
 def ghz_branches(D: int, N: int) -> BranchState:
     """The uniform correlated ballot state as D basis branches."""
     if D < 2:
@@ -179,7 +202,7 @@ def ghz_branches(D: int, N: int) -> BranchState:
     if N < 1:
         raise ValueError(f"register count must be >= 1, got {N}")
     c = 1.0 / np.sqrt(D)
-    return BranchState((D,) * N, [(c, tuple(BasisFactor(j) for _ in range(N))) for j in range(D)])
+    return BranchState((D,) * N, [(c, (f,) * N) for f in _basis_row(D)])
 
 
 def phase_ghz(D: int, N: int, theta: float) -> BranchState:
@@ -187,16 +210,17 @@ def phase_ghz(D: int, N: int, theta: float) -> BranchState:
     c = 1.0 / np.sqrt(D)
     return BranchState(
         (D,) * N,
-        [(c * np.exp(1j * j * theta), tuple(BasisFactor(j) for _ in range(N))) for j in range(D)],
+        [(c * np.exp(1j * j * theta), (f,) * N) for j, f in enumerate(_basis_row(D))],
     )
 
 
 def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
     """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D."""
     c = 1.0 / np.sqrt(D)
+    basis = _basis_row(D)
     return BranchState(
         (D,) * len(offsets),
-        [(c, tuple(BasisFactor((j + o) % D) for o in offsets)) for j in range(D)],
+        [(c, tuple(basis[(j + o) % D] for o in offsets)) for j in range(D)],
     )
 
 
@@ -311,23 +335,88 @@ def _pair_overlap(
     return complex(out)
 
 
-def _inner(dims: tuple[int, ...], bra: Sequence[Branch], ket: Sequence[Branch]) -> complex:
-    """Sum over branch pairs of conj(c_bra) c_ket <bra factors|ket factors>."""
-    regs = range(len(dims))
-    total = 0.0 + 0.0j
-    for ca, fa in bra:
-        for cb, fb in ket:
-            ov = _pair_overlap(fa, fb, dims, regs)
-            if ov != 0.0:
-                total += np.conj(ca) * cb * ov
-    return complex(total)
+_ALL_BASIS = {BasisFactor}
+_label = attrgetter("label")
+
+
+def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int], list[int]]:
+    """Split the registers into the join key, those holding a basis factor on
+    every branch of every side, and the rest."""
+    key = list(range(len(dims)))
+    for side in sides:
+        for _, fs in side:
+            if set(map(type, fs)) != _ALL_BASIS:
+                key = [r for r in key if type(fs[r]) is BasisFactor]
+    keyed = set(key)
+    return key, [r for r in range(len(dims)) if r not in keyed]
+
+
+def _labels(factors: tuple[Factor, ...], key: list[int]) -> tuple[int, ...]:
+    if len(key) == len(factors):
+        return tuple(map(_label, factors))
+    return tuple([factors[r].label for r in key])
+
+
+def _inners(
+    dims: tuple[int, ...], bras: Sequence[Sequence[Branch]], ket: Sequence[Branch]
+) -> list[complex]:
+    """<bra|ket> for each bra: the sum over branch pairs of
+    conj(c_bra) c_ket <bra factors|ket factors>.
+
+    Pairs whose key labels differ overlap to 0, so the ket branches are
+    bucketed once by key labels and only matching pairs are overlapped, over
+    the rest of the registers. An empty key matches every pair.
+    """
+    key, rest = _join_key(dims, ket, *bras)
+    buckets: dict[tuple[int, ...], list[Branch]] = {}
+    for b in ket:
+        buckets.setdefault(_labels(b[1], key), []).append(b)
+    out = []
+    for bra in bras:
+        total = 0.0 + 0.0j
+        for ca, fa in bra:
+            for cb, fb in buckets.get(_labels(fa, key), ()):
+                if not rest:
+                    total += np.conj(ca) * cb
+                    continue
+                ov = _pair_overlap(fa, fb, dims, rest)
+                if ov != 0.0:
+                    total += np.conj(ca) * cb * ov
+        out.append(complex(total))
+    return out
+
+
+def _check_orthogonal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> None:
+    """Raise unless the targets are mutually orthogonal, from one Gram matrix
+    over the label join: targets as rows, distinct key-label rows as columns."""
+    sides = [t.branches for t in targets]
+    key, rest = _join_key(dims, *sides)
+    cols: dict[tuple[int, ...], list[tuple[int, complex, tuple[Factor, ...]]]] = {}
+    for i, side in enumerate(sides):
+        for c, fs in side:
+            cols.setdefault(_labels(fs, key), []).append((i, c, fs))
+    if rest:
+        gram = np.zeros((len(sides), len(sides)), dtype=complex)
+        for col in cols.values():
+            for i, ca, fa in col:
+                for j, cb, fb in col:
+                    if i < j:
+                        gram[i, j] += np.conj(ca) * cb * _pair_overlap(fa, fb, dims, rest)
+    else:
+        coeffs = np.zeros((len(sides), len(cols)), dtype=complex)
+        for k, col in enumerate(cols.values()):
+            for i, c, _ in col:
+                coeffs[i, k] += c
+        gram = np.triu(coeffs.conj() @ coeffs.T, 1)
+    if np.max(np.abs(gram)) > NORM_TOL:
+        raise ValueError("measurement targets are not mutually orthogonal")
 
 
 def branch_inner(a: BranchState, b: BranchState) -> complex:
     """Full inner product <a|b> including all cross terms."""
     if a.dims != b.dims:
         raise ValueError(f"layout mismatch: {a.dims} vs {b.dims}")
-    return _inner(a.dims, a.branches, b.branches)
+    return _inners(a.dims, [a.branches], b.branches)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +839,7 @@ def _collapse_onto(
 
 
 def _branch_norm_sq(dims: tuple[int, ...], branches: list[Branch]) -> float:
-    return max(0.0, _inner(dims, branches, branches).real)
+    return max(0.0, _inners(dims, [branches], branches)[0].real)
 
 
 def branch_measure(
@@ -758,12 +847,16 @@ def branch_measure(
     projectors: Sequence[np.ndarray | BranchState],
     rng: np.random.Generator,
     registers: Sequence[int] | None = None,
+    *,
+    diagonal: bool = False,
 ) -> tuple[int, BranchState | None, float]:
     """Born-rule measurement restricted to branch-representable projectors.
 
     Supported projector forms, acting on ``registers`` (all when None):
 
     * square arrays that are diagonal in the computational basis (0/1);
+    * with ``diagonal=True``, their diagonals: 0/1 masks of the measured
+      registers' dims (or flat);
     * 1-D kets when a single register is measured;
     * :class:`BranchState` targets (rank-1 onto a correlated state).
 
@@ -785,7 +878,12 @@ def branch_measure(
     targets: list[BranchState] = []
     masks: list[np.ndarray] = []
     for P in projectors:
-        if isinstance(P, BranchState):
+        if diagonal:
+            m = np.asarray(P)
+            if m.size != sub:
+                raise ValueError(f"mask size {m.size} does not match subspace {sub}")
+            masks.append(m.reshape(sdims))
+        elif isinstance(P, BranchState):
             if P.dims != sdims:
                 raise ValueError("target state layout does not match the measured registers")
             targets.append(P)
@@ -808,9 +906,7 @@ def branch_measure(
                     raise BranchError(
                         "matrix projectors must be diagonal in the computational basis"
                     )
-                if np.max(np.abs(diag * (1 - diag))) > 1e-10:
-                    raise ValueError("diagonal projector entries must be 0 or 1")
-                masks.append(np.real(diag).round().reshape(sdims))
+                masks.append(diag.reshape(sdims))
             else:
                 raise ValueError("unsupported projector object")
     if targets and masks:
@@ -818,16 +914,17 @@ def branch_measure(
 
     # Orthogonality checks.
     if masks:
+        for m in masks:
+            if np.max(np.abs(m * (1 - m))) > 1e-10:
+                raise ValueError("diagonal projector entries must be 0 or 1")
+        masks = [np.real(m).round() for m in masks]
         tot = np.zeros(sdims)
         for m in masks:
             tot += m
         if np.max(tot) > 1 + 1e-9:
             raise ValueError("diagonal projectors overlap")
     if targets:
-        for i in range(len(targets)):
-            for j in range(i + 1, len(targets)):
-                if abs(branch_inner(targets[i], targets[j])) > NORM_TOL:
-                    raise ValueError("measurement targets are not mutually orthogonal")
+        _check_orthogonal(sdims, targets)
 
     outcomes: list[tuple[list[Branch], tuple[int, ...]]] = []
     probs: list[float] = []
@@ -838,9 +935,12 @@ def branch_measure(
             outcomes.append((br, state.dims))
             probs.append(p)
     else:
-        for t in targets:
-            if len(regs) == state.num_registers and regs == sorted(regs):
-                amp = branch_inner(t, state)
+        full = len(regs) == state.num_registers and regs == sorted(regs)
+        if full:
+            amps = _inners(state.dims, [t.branches for t in targets], state.branches)
+        for k, t in enumerate(targets):
+            if full:
+                amp = amps[k]
                 p = float(abs(amp) ** 2)
                 post = [(amp * c, fs) for c, fs in t.branches] if p > 0 else []
                 outcomes.append((post, state.dims))

@@ -1,8 +1,9 @@
 """Command-line front end: run, verify, sweep, and attack scenario files.
 
-Exit codes: 0 success; 1 the scenario is invalid (including an unreadable
-file or a command the scheme does not support); 2 an invariant failed during
-the run, or an internal error stopped it; 3 resource budget exceeded.
+Exit codes: 0 success (``--help`` included); 1 the command line or the
+scenario is invalid (a usage error, an unreadable file, a command the scheme
+does not support); 2 an invariant failed during the run, or an internal error
+stopped it; 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,8 +22,17 @@ EXIT_INVARIANT = 2
 EXIT_BUDGET = 3
 
 
+class _UsageError(Exception):
+    """A command-line usage error (argparse alone would exit 2 for it)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{message}\n{self.format_usage()}".rstrip())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qvote",
         description="Simulate anonymous-voting protocols, group multiplication, and attacks",
     )
@@ -49,7 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         text = args.scenario.read_text(encoding="utf-8")
     except OSError as exc:

@@ -479,10 +479,8 @@ SCHEMES: dict[str, Scheme] = {
 }
 
 ATTACKS: dict[str, AttackKind] = {
-    "cheater": AttackKind(
-        ("anticheat-distributed", "anticheat-traveling"), _cheater,
-        required=("s",), casts_vote=True,
-    ),
+    # run_cheater_attack simulates the distributed ballot only
+    "cheater": AttackKind(("anticheat-distributed",), _cheater, required=("s",), casts_vote=True),
     "swap": AttackKind(("distributed",), _eavesdropper(_swap), tally_room=False),
     "entangling": AttackKind(
         ("distributed",), _eavesdropper(_entangling), required=("pair",), tally_room=False

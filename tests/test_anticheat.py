@@ -324,6 +324,37 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             s.branches = ()
 
+    def test_branch_factors_read_only(self):
+        from qvote.branches import (
+            JointFactor,
+            VecFactor,
+            apply_branch_local,
+            ghz_branches,
+            phase_ghz,
+            shifted_ghz,
+        )
+
+        s = apply_branch_local(ghz_branches(3, 2), 1, np.eye(3)[[1, 2, 0]] @ np.diag([1, 1j, -1]))
+        basis = s.branches[0][1][0]
+        with pytest.raises(AttributeError):
+            basis.label = 2
+        with pytest.raises(AttributeError):
+            del basis.label
+        vec = VecFactor(np.array([0.6, 0.8j, 0.0]))
+        with pytest.raises(AttributeError):
+            vec.amps = np.zeros(3)
+        with pytest.raises(ValueError):
+            vec.amps[0] = 1.0
+        joint = JointFactor((0, 1), np.eye(3) / np.sqrt(3))
+        with pytest.raises(AttributeError):
+            joint.regs = (1, 2)
+        with pytest.raises(ValueError):
+            joint.amps[0, 0] = 1.0
+        # Label families share one factor per label.
+        for fam in (ghz_branches(4, 5), phase_ghz(4, 5, 0.3), shifted_ghz(4, (0, 1, 3))):
+            objects = {id(f) for _, fs in fam.branches for f in fs}
+            assert len(objects) == 4
+
     def test_density_matrix_read_only(self):
         from qvote.states import maximally_mixed
 

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from qvote.backends import BranchBackend
 from qvote.branches import (
     BasisFactor,
     BranchError,
     BranchState,
+    JointFactor,
     VecFactor,
+    _block_vector,
+    _branch_norm_sq,
     apply_branch_local,
     apply_controlled_shift,
     apply_pair_unitary,
@@ -326,6 +332,116 @@ class TestMeasurement:
             seen.add(k)
             assert p == pytest.approx(0.5, abs=1e-12)
         assert seen == {0, 1}
+
+
+class TestChecksStillFire:
+    """The orthogonality and mask checks reject bad families however they are
+    computed."""
+
+    def test_nearby_phase_targets_rejected(self):
+        D, N = 5, 3
+        s = ghz_branches(D, N)
+        targets = [phase_ghz(D, N, 0.4), phase_ghz(D, N, 0.4 + 1e-3)]
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
+            branch_measure(s, targets, np.random.default_rng(0))
+
+    def test_duplicated_target_rejected(self):
+        D, N = 4, 2
+        targets = [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(D)]
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
+            branch_measure(ghz_branches(D, N), targets + targets[1:2], np.random.default_rng(0))
+
+    def test_non_orthogonal_ket_family_rejected(self):
+        kets = [np.array([1, 0, 0], dtype=complex), np.array([1, 1, 0], dtype=complex) / np.sqrt(2)]
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
+            branch_measure(ghz_branches(3, 2), kets, np.random.default_rng(0), registers=[1])
+        # The same family as two-register VecFactor targets, which share no key register.
+        targets = [
+            BranchState((3, 3), [(1.0, (VecFactor(k), VecFactor(k)))], renormalize=False) for k in kets
+        ]
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
+            branch_measure(ghz_branches(3, 2), targets, np.random.default_rng(0))
+
+    def test_masks_checked_as_masks(self):
+        D = 3
+        bk = BranchBackend()
+        s = attach_register(ghz_branches(D, 2), D, phase_state(D, 0.7))
+        agree = np.eye(D)
+        with pytest.raises(ValueError, match="overlap"):
+            bk.measure_diag(s, [0, 2], [agree, agree], np.random.default_rng(0))
+        half = np.ones((D, D)) - agree
+        half[0, 1] = 0.5
+        with pytest.raises(ValueError, match="0 or 1"):
+            bk.measure_diag(s, [0, 2], [agree, half], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="does not match"):
+            bk.measure_diag(s, [0, 2], [np.ones(D)], np.random.default_rng(0))
+
+    def test_masks_and_matrices_agree(self):
+        D = 3
+        s = attach_register(ghz_branches(D, 2), D, phase_state(D, 1.1))
+        masks = [np.roll(np.eye(D), r, axis=0) for r in range(D)]
+        mats = [np.diag(m.reshape(-1)) for m in masks]
+        for seed in range(5):
+            a = BranchBackend().measure_diag(s, [0, 2], masks, np.random.default_rng(seed))
+            b = branch_measure(s, mats, np.random.default_rng(seed), registers=[0, 2])
+            assert a[0] == b[0] and a[2] == b[2]
+            assert np.array_equal(to_dense(a[1]).amps, to_dense(b[1]).amps)
+
+
+@hst.composite
+def _branch_pairs(draw):
+    """Two random branch states on one layout: D <= 4, up to 5 registers, basis
+    and vector factors, at most one joint factor, repeated label rows, and
+    (when ``keyless``) no register that is basis on every branch."""
+    D = draw(hst.integers(2, 4))
+    R = draw(hst.integers(1, 5))
+    keyless = draw(hst.booleans())
+    joint = R >= 2 and draw(hst.booleans())
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    dims = (D,) * R
+    # Per register: basis on every branch, vector on every branch, or mixed.
+    modes = rng.choice(["basis", "vec", "mixed"], size=R)
+
+    def vec():
+        v = rng.normal(size=D) + 1j * rng.normal(size=D)
+        return VecFactor(v / np.linalg.norm(v) * rng.uniform(0.3, 1.0))
+
+    def state():
+        branches = []
+        for _ in range(int(rng.integers(1, 5))):
+            fs = []
+            for r in range(R):
+                basis = modes[r] == "basis" or (modes[r] == "mixed" and rng.random() < 0.5)
+                fs.append(BasisFactor(int(rng.integers(0, D))) if basis else vec())
+            c = complex(rng.normal(), rng.normal())
+            branches.append((c, fs))
+            if rng.random() < 0.4:  # the same label row again, new vector factors
+                branches.append((complex(rng.normal(), rng.normal()),
+                                 [f if isinstance(f, BasisFactor) else vec() for f in fs]))
+        if keyless:
+            for r in range(R):
+                branches[0][1][r] = vec()
+        if joint and rng.random() < 0.7:
+            p, q = sorted(rng.choice(R, size=2, replace=False).tolist())
+            g = JointFactor((p, q), rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
+            branches[-1][1][p] = branches[-1][1][q] = g
+        raw = [(c, tuple(fs)) for c, fs in branches]
+        n = np.linalg.norm(sum(_block_vector(fs, range(R), dims, c) for c, fs in raw))
+        return BranchState(dims, [(c / n, fs) for c, fs in raw], renormalize=False)
+
+    return state(), state()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_branch_pairs())
+def test_label_join_matches_dense(pair):
+    a, b = pair
+    da, db = to_dense(a).amps, to_dense(b).amps
+    assert abs(branch_inner(a, b) - np.vdot(da, db)) <= 1e-12
+    assert abs(branch_inner(b, a) - np.vdot(db, da)) <= 1e-12
+    both = list(a.branches) + [(-c, fs) for c, fs in b.branches]
+    assert abs(_branch_norm_sq(a.dims, both) - np.linalg.norm(da - db) ** 2) <= 1e-12
+    assert abs(_branch_norm_sq(a.dims, list(a.branches)) - 1.0) <= 1e-12
 
 
 class TestTensorAndInner:

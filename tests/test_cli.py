@@ -130,6 +130,12 @@ class TestParse:
         with pytest.raises(ScenarioError, match="anticheat"):
             parse_scenario(bad)
 
+    def test_cheater_rejects_traveling_variant(self):
+        # the cheater simulation runs the distributed ballot only
+        bad = CHEATER.replace("anticheat-distributed", "anticheat-traveling")
+        with pytest.raises(ScenarioError, match="requires scheme 'anticheat-distributed'"):
+            parse_scenario(bad)
+
     def test_anticheat_without_secrets_needs_room(self):
         # drawn secrets need a level gap g with g * N < D, so D > N
         bad = "[protocol]\nscheme = anticheat-distributed\nD = 3\nN = 4\nvotes = 1,1,0,0\n"
@@ -299,6 +305,25 @@ class TestCli:
             execute(parse_scenario(ANTICHEAT), command="sweep")
         assert main(["sweep", str(path)]) == 1
         assert capsys.readouterr().err.startswith("scenario error:")
+
+    def test_cheater_on_traveling_exit_one(self, tmp_path, capsys):
+        path = self._write(tmp_path, CHEATER.replace("anticheat-distributed", "anticheat-traveling"))
+        assert main(["attack", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+
+    def test_usage_error_exit_one(self, tmp_path, capsys):
+        path = self._write(tmp_path, DISTRIBUTED)
+        for argv in (["run", str(path), "--backend", "bogus"], ["run"], ["tally", str(path)], []):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "usage: qvote" in err
+
+    def test_help_exit_zero(self, capsys):
+        for argv in (["--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage: qvote" in capsys.readouterr().out
 
     def test_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
         from qvote import cli
