@@ -337,6 +337,7 @@ def _pair_overlap(
 
 _ALL_BASIS = {BasisFactor}
 _label = attrgetter("label")
+_JOIN_MIN_PAIRS = 32  # branch pairs; measured break-even on 4-register states
 
 
 def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int], list[int]]:
@@ -352,6 +353,8 @@ def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int
 
 
 def _labels(factors: tuple[Factor, ...], key: list[int]) -> tuple[int, ...]:
+    if not key:
+        return ()
     if len(key) == len(factors):
         return tuple(map(_label, factors))
     return tuple([factors[r].label for r in key])
@@ -365,9 +368,13 @@ def _inners(
 
     Pairs whose key labels differ overlap to 0, so the ket branches are
     bucketed once by key labels and only matching pairs are overlapped, over
-    the rest of the registers. An empty key matches every pair.
+    the rest of the registers. An empty key matches every pair; it is used
+    below ``_JOIN_MIN_PAIRS``, where finding the key costs more than it saves.
     """
-    key, rest = _join_key(dims, ket, *bras)
+    if len(ket) * sum(map(len, bras)) < _JOIN_MIN_PAIRS:
+        key, rest = [], range(len(dims))
+    else:
+        key, rest = _join_key(dims, ket, *bras)
     buckets: dict[tuple[int, ...], list[Branch]] = {}
     for b in ket:
         buckets.setdefault(_labels(b[1], key), []).append(b)

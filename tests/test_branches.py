@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from qvote import branches as branches_module
 from qvote.backends import BranchBackend
 from qvote.branches import (
     BasisFactor,
@@ -373,6 +376,8 @@ class TestChecksStillFire:
         half[0, 1] = 0.5
         with pytest.raises(ValueError, match="0 or 1"):
             bk.measure_diag(s, [0, 2], [agree, half], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="0 or 1"):
+            branch_measure(s, [np.diag(half.reshape(-1))], np.random.default_rng(0), registers=[0, 2])
         with pytest.raises(ValueError, match="does not match"):
             bk.measure_diag(s, [0, 2], [np.ones(D)], np.random.default_rng(0))
 
@@ -437,11 +442,14 @@ def _branch_pairs(draw):
 def test_label_join_matches_dense(pair):
     a, b = pair
     da, db = to_dense(a).amps, to_dense(b).amps
-    assert abs(branch_inner(a, b) - np.vdot(da, db)) <= 1e-12
-    assert abs(branch_inner(b, a) - np.vdot(db, da)) <= 1e-12
     both = list(a.branches) + [(-c, fs) for c, fs in b.branches]
-    assert abs(_branch_norm_sq(a.dims, both) - np.linalg.norm(da - db) ** 2) <= 1e-12
-    assert abs(_branch_norm_sq(a.dims, list(a.branches)) - 1.0) <= 1e-12
+    # Small inputs skip the join (empty key); force it on as well.
+    for min_pairs in (0, branches_module._JOIN_MIN_PAIRS):
+        with mock.patch.object(branches_module, "_JOIN_MIN_PAIRS", min_pairs):
+            assert abs(branch_inner(a, b) - np.vdot(da, db)) <= 1e-12
+            assert abs(branch_inner(b, a) - np.vdot(db, da)) <= 1e-12
+            assert abs(_branch_norm_sq(a.dims, both) - np.linalg.norm(da - db) ** 2) <= 1e-12
+            assert abs(_branch_norm_sq(a.dims, list(a.branches)) - 1.0) <= 1e-12
 
 
 class TestTensorAndInner:
