@@ -47,6 +47,7 @@ class DenseBackend:
         return st.apply_joint(state, list(pair), U)
 
     def controlled_shift(self, state, control, target, shifts):
+        st._check_registers([control, target], state.num_registers)
         dc, dt = state.dims[control], state.dims[target]
         U = np.zeros((dc * dt, dc * dt), dtype=complex)
         for c in range(dc):
@@ -54,6 +55,7 @@ class DenseBackend:
         return st.apply_joint(state, [control, target], U)
 
     def swap(self, state, i, j):
+        st._check_registers([i, j], state.num_registers)
         return st.apply_joint(state, [i, j], swap_pair_matrix(state.dims[i]))
 
     def measure_targets(self, state, targets: Sequence[BranchState], rng, registers=None):

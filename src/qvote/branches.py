@@ -4,10 +4,16 @@ Every state the ballot protocols produce is a sum of a few "branches", each a
 product of per-register local states. This module keeps that structure
 explicit so protocols scale past the dense amplitude budget. The operation
 set is deliberately narrow: monomial local unitaries, register attachment and
-swaps, label-controlled shifts, one sanctioned two-register joint unitary
-(for the entangling eavesdropper), diagonal projective measurements, and
-rank-1 measurements whose targets are themselves branch states. Anything
-else must be routed through the dense backend.
+swaps, label-controlled shifts, two-register unitaries (for the entangling
+eavesdropper), diagonal projective measurements, and rank-1 measurements
+whose targets are themselves branch states. Anything else must be routed
+through the dense backend.
+
+Every factor is local to one register. An operation that entangles two
+registers of a branch (a pair unitary, or a diagonal mask over two vector
+factors) splits its two-register block by the Schmidt decomposition into
+one product branch per singular value above 1e-12, so it multiplies that
+branch's count by its Schmidt rank, which is at most the smaller dimension.
 
 Register conventions and tolerances match :mod:`qvote.states`; states are
 compared up to a global phase throughout.
@@ -81,22 +87,7 @@ class VecFactor(_Frozen):
         return f"vec{np.round(self.amps, 3)!r}"
 
 
-class JointFactor(_Frozen):
-    """Two-register factor; ``regs`` is sorted and ``amps`` has one axis per register."""
-
-    __slots__ = ("regs", "amps")
-
-    def __init__(self, regs: tuple[int, int], amps: np.ndarray):
-        if regs[0] >= regs[1]:
-            raise ValueError("joint factor registers must be sorted and distinct")
-        amps = np.asarray(amps, dtype=complex)
-        if amps.ndim != 2:
-            raise ValueError("joint factor amplitudes must be a 2-D array")
-        object.__setattr__(self, "regs", (int(regs[0]), int(regs[1])))
-        object.__setattr__(self, "amps", _read_only(amps))
-
-
-Factor = BasisFactor | VecFactor | JointFactor
+Factor = BasisFactor | VecFactor
 Branch = tuple[complex, tuple[Factor, ...]]
 
 
@@ -134,14 +125,10 @@ class BranchState(_Frozen):
             self._validate_factors(factors, dims)
             coeff = complex(coeff)
             new_factors = []
-            seen_joint: dict[int, JointFactor] = {}
-            for r, f in enumerate(factors):
-                if isinstance(f, JointFactor):
-                    new_factors.append(seen_joint.setdefault(id(f), f))
-                else:
-                    w, g = _tidy_factor(f)
-                    coeff *= w
-                    new_factors.append(g)
+            for f in factors:
+                w, g = _tidy_factor(f)
+                coeff *= w
+                new_factors.append(g)
             if abs(coeff) > _ZERO_TOL:
                 cleaned.append((coeff, tuple(new_factors)))
         if not cleaned:
@@ -164,13 +151,6 @@ class BranchState(_Frozen):
             elif isinstance(f, VecFactor):
                 if f.amps.size != dims[r]:
                     raise ValueError(f"local factor length mismatch on register {r}")
-            elif isinstance(f, JointFactor):
-                if r not in f.regs:
-                    raise ValueError(f"joint factor listed on register {r} it does not span")
-                if factors[f.regs[0]] is not f or factors[f.regs[1]] is not f:
-                    raise ValueError("joint factor must occupy both of its register slots")
-                if f.amps.shape != (dims[f.regs[0]], dims[f.regs[1]]):
-                    raise ValueError("joint factor shape mismatch")
             else:
                 raise TypeError(f"unknown factor type {type(f)!r}")
 
@@ -226,21 +206,7 @@ def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
 
 def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
     """Product of two branch states on disjoint register groups (a's first)."""
-    branches = []
-    for ca, fa in a.branches:
-        for cb, fb in b.branches:
-            shifted = []
-            remap: dict[int, JointFactor] = {}
-            for f in fb:
-                if isinstance(f, JointFactor):
-                    g = remap.setdefault(
-                        id(f),
-                        JointFactor((f.regs[0] + a.num_registers, f.regs[1] + a.num_registers), f.amps),
-                    )
-                    shifted.append(g)
-                else:
-                    shifted.append(f)
-            branches.append((ca * cb, fa + tuple(shifted)))
+    branches = [(ca * cb, fa + fb) for ca, fa in a.branches for cb, fb in b.branches]
     return BranchState(a.dims + b.dims, branches, renormalize=False)
 
 
@@ -248,72 +214,21 @@ def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
 # overlap machinery
 
 
-def _blocks(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence[int]) -> list[tuple[int, ...]]:
-    """Partition ``regs`` into blocks closed under both branches' joint spans."""
-    parent = {r: r for r in regs}
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    def union(p, q):
-        parent[find(p)] = find(q)
-
-    for factors in (fa, fb):
-        for r in regs:
-            f = factors[r]
-            if isinstance(f, JointFactor):
-                p, q = f.regs
-                if p in parent and q in parent:
-                    union(p, q)
-                elif p in parent or q in parent:
-                    raise BranchError(
-                        "joint factor straddles the register subset; route through the dense backend"
-                    )
-    groups: dict[int, list[int]] = {}
-    for r in regs:
-        groups.setdefault(find(r), []).append(r)
-    return [tuple(sorted(g)) for g in sorted(groups.values())]
-
-
 def _block_vector(
-    factors: tuple[Factor, ...], block: Sequence[int], dims: tuple[int, ...], coeff: complex = 1.0 + 0.0j
+    factors: tuple[Factor, ...], regs: Sequence[int], dims: tuple[int, ...], coeff: complex = 1.0 + 0.0j
 ) -> np.ndarray:
-    """coeff times a branch's factors expanded over the block registers, axes in block order."""
+    """coeff times a branch's factors expanded over ``regs``, one axis each, in that order."""
     arr = np.asarray(coeff)
-    axes: list[int] = []
-    done: set[int] = set()
-    for r in block:
-        if r in done:
-            continue
-        f = factors[r]
-        if isinstance(f, JointFactor):
-            arr = np.multiply.outer(arr, f.amps)
-            axes.extend(f.regs)
-            done.update(f.regs)
-        else:
-            arr = np.multiply.outer(arr, _factor_vector(f, dims[r]))
-            axes.append(r)
-            done.add(r)
-    order = [axes.index(r) for r in block]
-    return arr.transpose(order)
+    for r in regs:
+        arr = np.multiply.outer(arr, _factor_vector(factors[r], dims[r]))
+    return arr
 
 
-def _pair_overlap(
-    fa: tuple[Factor, ...], fb: tuple[Factor, ...], dims: tuple[int, ...], regs: Sequence[int]
-) -> complex:
-    """<fa|fb> restricted to ``regs`` (joint factors must not straddle the cut)."""
+def _pair_overlap(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence[int]) -> complex:
+    """<fa|fb> restricted to ``regs``."""
     out = 1.0 + 0.0j
-    plain = []
-    need_blocks = False
     for r in regs:
         a, b = fa[r], fb[r]
-        if isinstance(a, JointFactor) or isinstance(b, JointFactor):
-            need_blocks = True
-            plain.append(r)
-            continue
         if isinstance(a, BasisFactor) and isinstance(b, BasisFactor):
             if a.label != b.label:
                 return 0.0
@@ -325,13 +240,6 @@ def _pair_overlap(
             out *= np.vdot(a.amps, b.amps)
         if out == 0.0:
             return 0.0
-    if need_blocks:
-        for block in _blocks(fa, fb, plain):
-            va = _block_vector(fa, block, dims).reshape(-1)
-            vb = _block_vector(fb, block, dims).reshape(-1)
-            out *= np.vdot(va, vb)
-            if out == 0.0:
-                return 0.0
     return complex(out)
 
 
@@ -386,7 +294,7 @@ def _inners(
                 if not rest:
                     total += np.conj(ca) * cb
                     continue
-                ov = _pair_overlap(fa, fb, dims, rest)
+                ov = _pair_overlap(fa, fb, rest)
                 if ov != 0.0:
                     total += np.conj(ca) * cb * ov
         out.append(complex(total))
@@ -408,7 +316,7 @@ def _check_orthogonal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> 
             for i, ca, fa in col:
                 for j, cb, fb in col:
                     if i < j:
-                        gram[i, j] += np.conj(ca) * cb * _pair_overlap(fa, fb, dims, rest)
+                        gram[i, j] += np.conj(ca) * cb * _pair_overlap(fa, fb, rest)
     else:
         coeffs = np.zeros((len(sides), len(cols)), dtype=complex)
         for k, col in enumerate(cols.values()):
@@ -471,31 +379,21 @@ def apply_branch_local(state: BranchState, register: int, U: np.ndarray) -> Bran
     Monomial unitaries keep basis factors as basis factors; anything else
     promotes the touched factor to a small local vector.
     """
-    if not 0 <= register < state.num_registers:
-        raise ValueError(f"register {register} out of range")
+    _check_registers([register], state.num_registers)
     U = check_unitary(U, state.dims[register])
     mono = _monomial_parts(U)
     branches = []
     for coeff, factors in state.branches:
         f = factors[register]
         new = list(factors)
-        if isinstance(f, BasisFactor):
-            if mono is not None:
-                perm, phases = mono
-                coeff = coeff * phases[f.label]
-                new[register] = BasisFactor(int(perm[f.label]))
-            else:
-                new[register] = VecFactor(U[:, f.label])
-        elif isinstance(f, VecFactor):
+        if isinstance(f, VecFactor):
             new[register] = VecFactor(U @ f.amps)
+        elif mono is not None:
+            perm, phases = mono
+            coeff = coeff * phases[f.label]
+            new[register] = BasisFactor(int(perm[f.label]))
         else:
-            axis = f.regs.index(register)
-            amps = np.tensordot(U, f.amps, axes=([1], [axis]))
-            if axis == 1:
-                amps = amps.T
-            g = JointFactor(f.regs, amps)
-            new[f.regs[0]] = g
-            new[f.regs[1]] = g
+            new[register] = VecFactor(U[:, f.label])
         branches.append((coeff, tuple(new)))
     return BranchState(state.dims, branches, renormalize=False)
 
@@ -523,29 +421,14 @@ def attach_register(state: BranchState, dim: int, initial: int | np.ndarray) -> 
 
 def swap_registers(state: BranchState, i: int, j: int) -> BranchState:
     """Exchange two equal-dimension registers (branchwise factor swap)."""
-    if i == j:
-        raise ValueError("swap registers must be distinct")
+    _check_registers([i, j], state.num_registers)
     if state.dims[i] != state.dims[j]:
         raise ValueError("swap requires equal register dimensions")
-    perm = {i: j, j: i}
     branches = []
     for coeff, factors in state.branches:
-        new: list[Factor | None] = [None] * len(factors)
-        moved: dict[int, JointFactor] = {}
-        for r in range(len(factors)):
-            src = perm.get(r, r)
-            f = factors[src]
-            if isinstance(f, JointFactor):
-                if id(f) not in moved:
-                    p, q = (perm.get(f.regs[0], f.regs[0]), perm.get(f.regs[1], f.regs[1]))
-                    amps = f.amps if p < q else f.amps.T
-                    moved[id(f)] = JointFactor((min(p, q), max(p, q)), amps)
-                g = moved[id(f)]
-                new[g.regs[0]] = g
-                new[g.regs[1]] = g
-            else:
-                new[r] = f
-        branches.append((coeff, tuple(new)))  # type: ignore[arg-type]
+        new = list(factors)
+        new[i], new[j] = factors[j], factors[i]
+        branches.append((coeff, tuple(new)))
     return BranchState(state.dims, branches, renormalize=False)
 
 
@@ -557,8 +440,7 @@ def apply_controlled_shift(
     The control must be a basis factor on every branch (true throughout the
     ballot protocols, whose correlations live in the branch label).
     """
-    if control == target:
-        raise ValueError("control and target must be distinct")
+    _check_registers([control, target], state.num_registers)
     d = state.dims[target]
     if len(shifts) != state.dims[control]:
         raise ValueError("one shift per control label required")
@@ -572,72 +454,55 @@ def apply_controlled_shift(
         new = list(factors)
         if isinstance(f, BasisFactor):
             new[target] = BasisFactor((f.label + s) % d)
-        elif isinstance(f, VecFactor):
-            new[target] = VecFactor(np.roll(f.amps, s))
         else:
-            axis = f.regs.index(target)
-            g = JointFactor(f.regs, np.roll(f.amps, s, axis=axis))
-            new[f.regs[0]] = g
-            new[f.regs[1]] = g
+            new[target] = VecFactor(np.roll(f.amps, s))
         branches.append((coeff, tuple(new)))
     return BranchState(state.dims, branches, renormalize=False)
 
 
-def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray) -> BranchState:
-    """Apply a joint unitary on two registers, producing (at most) one joint factor.
+def _schmidt_split(
+    coeff: complex, factors: tuple[Factor, ...], pair: tuple[int, int], block: np.ndarray
+) -> list[Branch]:
+    """coeff times ``block`` (axes in ``pair`` order) in place of the pair's
+    factors, as one product branch per singular value above 1e-12, largest first."""
+    u, s, vh = np.linalg.svd(block)
+    out = []
+    for k in np.flatnonzero(s > 1e-12):
+        new = list(factors)
+        new[pair[0]] = VecFactor(u[:, k])
+        new[pair[1]] = VecFactor(vh[k])
+        out.append((coeff * s[k], tuple(new)))
+    return out
 
-    This is the sanctioned two-register operation used by the entangling
-    eavesdropper; ``U`` acts on the tensor space ordered as ``pair``.
+
+def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray) -> BranchState:
+    """Apply a joint unitary on two registers; ``U`` acts on the tensor space
+    ordered as ``pair``.
+
+    This is the two-register operation of the entangling eavesdropper. Each
+    branch becomes as many product branches as the Schmidt rank of its result.
     """
-    i, j = pair
-    if i == j:
-        raise ValueError("pair registers must be distinct")
+    i, j = _check_registers(pair, state.num_registers)
     di, dj = state.dims[i], state.dims[j]
     U = check_unitary(U, di * dj)
     lo, hi = min(i, j), max(i, j)
     branches = []
     for coeff, factors in state.branches:
-        fi, fj = factors[i], factors[j]
-        if isinstance(fi, JointFactor) or isinstance(fj, JointFactor):
-            if not (fi is fj and isinstance(fi, JointFactor)):
-                raise BranchError(
-                    "a second joint factor pair is not representable; use the dense backend"
-                )
-            block = fi.amps if (i, j) == fi.regs else fi.amps.T
-            vec = block.reshape(-1)
-        else:
-            vec = np.kron(_factor_vector(fi, di), _factor_vector(fj, dj))
+        vec = np.kron(_factor_vector(factors[i], di), _factor_vector(factors[j], dj))
         out = (U @ vec).reshape(di, dj)
-        amps = out if i < j else out.T  # store axes in sorted register order
-        new = list(factors)
-        # Split back into local factors when the result is still a product.
-        u, s, vh = np.linalg.svd(amps)
-        if s.size == 1 or s[1] <= 1e-12:
-            new[lo] = VecFactor(u[:, 0])
-            new[hi] = VecFactor(vh[0])
-            branches.append((coeff * s[0], tuple(new)))
-        else:
-            g = JointFactor((lo, hi), amps)
-            new[lo] = g
-            new[hi] = g
-            branches.append((coeff, tuple(new)))
+        branches.extend(_schmidt_split(coeff, factors, (lo, hi), out if i < j else out.T))
     return BranchState(state.dims, branches, renormalize=False)
 
 
 def drop_register(state: BranchState, register: int) -> BranchState:
-    """Remove a register whose factor is identical (and local) on every branch."""
+    """Remove a register whose factor is identical on every branch."""
+    _check_registers([register], state.num_registers)
     if state.num_registers == 1:
         raise ValueError("cannot drop the only register")
     d = state.dims[register]
-    ref = state.branches[0][1][register]
-    if isinstance(ref, JointFactor):
-        raise BranchError(f"register {register} is inside a joint factor; cannot drop")
-    ref_vec = _factor_vector(ref, d)
+    ref_vec = _factor_vector(state.branches[0][1][register], d)
     for _, factors in state.branches:
-        f = factors[register]
-        if isinstance(f, JointFactor):
-            raise BranchError(f"register {register} is inside a joint factor; cannot drop")
-        if np.max(np.abs(_factor_vector(f, d) - ref_vec)) > 1e-10:
+        if np.max(np.abs(_factor_vector(factors[register], d) - ref_vec)) > 1e-10:
             raise BranchError(f"register {register} is correlated across branches; cannot drop")
     scale = np.linalg.norm(ref_vec)
     branches = [
@@ -653,50 +518,16 @@ def drop_register(state: BranchState, register: int) -> BranchState:
 
 
 def branch_partial_trace(state: BranchState, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept registers (in the order given)."""
-    keep, kdim = _kept_dim(keep, state.dims)
-    keep_set = set(keep)
-    rho = np.zeros((kdim, kdim), dtype=complex)
-    all_regs = range(state.num_registers)
-    for cket, fket in state.branches:
-        for cbra, fbra in state.branches:
-            scale = cket * np.conj(cbra)
-            mats: list[tuple[list[int], np.ndarray]] = []  # (kept regs, kept-space matrix)
-            dead = False
-            for block in _blocks(fket, fbra, all_regs):
-                kept = [r for r in block if r in keep_set]
-                if not kept:
-                    ov = _pair_overlap(fbra, fket, state.dims, block)
-                    if ov == 0.0:
-                        dead = True
-                        break
-                    scale *= ov
-                    continue
-                traced = [r for r in block if r not in keep_set]
-                order = kept + traced
-                vk = _block_vector(fket, tuple(order), state.dims)
-                vb = _block_vector(fbra, tuple(order), state.dims)
-                kd = int(np.prod([state.dims[r] for r in kept]))
-                vk = vk.reshape(kd, -1)
-                vb = vb.reshape(kd, -1)
-                mats.append((kept, vk @ vb.conj().T))
-            if dead:
-                continue
-            # Assemble the tensor product of block matrices in keep order.
-            arr = np.asarray(scale)
-            row_axes: dict[int, int] = {}
-            col_axes: dict[int, int] = {}
-            pos = 0
-            for kept, M in mats:
-                shape = [state.dims[r] for r in kept]
-                arr = np.multiply.outer(arr, M.reshape(shape + shape))
-                for k, r in enumerate(kept):
-                    row_axes[r] = pos + k
-                    col_axes[r] = pos + len(kept) + k
-                pos += 2 * len(kept)
-            perm = [row_axes[r] for r in keep] + [col_axes[r] for r in keep]
-            rho += arr.transpose(perm).reshape(kdim, kdim)
-    return DensityMatrix(rho)
+    """Reduced density matrix on the kept registers (in the order given): the
+    sum over branch pairs (a, b) of c_a conj(c_b) <b|a>_traced |a_kept><b_kept|."""
+    keep, _ = _kept_dim(keep, state.dims)
+    traced = [r for r in range(state.num_registers) if r not in keep]
+    factors = [fs for _, fs in state.branches]
+    coeffs = np.array([c for c, _ in state.branches])
+    overlaps = np.array([[_pair_overlap(fb, fa, traced) for fb in factors] for fa in factors])
+    weights = coeffs[:, None] * coeffs.conj()[None, :] * overlaps
+    kept = np.array([_block_vector(fs, keep, state.dims).reshape(-1) for fs in factors])
+    return DensityMatrix(kept.T @ weights @ kept.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -710,65 +541,36 @@ def _apply_diag_mask(
     out: list[Branch] = []
     for coeff, factors in state.branches:
         sub = mask
-        free: list[tuple[str, int, int | None]] = []  # (kind, register, joint axis)
+        free: list[int] = []
         for r in regs:
             f = factors[r]
             if isinstance(f, BasisFactor):
                 sub = np.take(sub, f.label, axis=len(free))
-            elif isinstance(f, VecFactor):
-                free.append(("vec", r, None))
             else:
-                free.append(("joint", r, f.regs.index(r)))
+                free.append(r)
         # ``sub`` now has one axis per free register, in their order within regs.
         if not free:
             w = complex(sub)
             if abs(w) > _ZERO_TOL:
                 out.append((coeff * w, factors))
-            continue
-        if len(free) == 1:
-            kind, r, axis = free[0]
-            weights = np.asarray(sub, dtype=complex).reshape(-1)
-            new = list(factors)
-            f = factors[r]
-            if kind == "vec":
-                amps = f.amps * weights
-                if np.linalg.norm(amps) <= _ZERO_TOL:
-                    continue
-                w2, g = _tidy_factor(VecFactor(amps))
-                new[r] = g
-                out.append((coeff * w2, tuple(new)))
-            else:
-                shaped = [1, 1]
-                shaped[axis] = weights.size
-                amps = f.amps * weights.reshape(shaped)
-                if np.linalg.norm(amps) <= _ZERO_TOL:
-                    continue
-                g = JointFactor(f.regs, amps)
-                new[f.regs[0]] = g
-                new[f.regs[1]] = g
-                out.append((coeff, tuple(new)))
-            continue
-        # Two free registers are only allowed when they form one joint factor.
-        if len(free) == 2 and free[0][0] == "joint" and free[1][0] == "joint":
-            f0 = factors[free[0][1]]
-            if f0 is factors[free[1][1]]:
-                axes = (free[0][2], free[1][2])
-                w2 = np.asarray(sub, dtype=complex)
-                if axes == (1, 0):
-                    w2 = w2.T
-                amps = f0.amps * w2
-                if np.linalg.norm(amps) <= _ZERO_TOL:
-                    continue
-                new = list(factors)
-                g = JointFactor(f0.regs, amps)
-                new[g.regs[0]] = g
-                new[g.regs[1]] = g
-                out.append((coeff, tuple(new)))
+        elif len(free) == 1:
+            r = free[0]
+            amps = factors[r].amps * np.asarray(sub, dtype=complex).reshape(-1)
+            if np.linalg.norm(amps) <= _ZERO_TOL:
                 continue
-        raise BranchError(
-            "diagonal projection couples two independent non-basis registers; "
-            "use the dense backend"
-        )
+            w2, g = _tidy_factor(VecFactor(amps))
+            new = list(factors)
+            new[r] = g
+            out.append((coeff * w2, tuple(new)))
+        elif len(free) == 2:
+            p, q = free
+            block = np.multiply.outer(factors[p].amps, factors[q].amps) * sub
+            out.extend(_schmidt_split(coeff, factors, (p, q), block))
+        else:
+            raise BranchError(
+                "diagonal projection couples more than two non-basis registers; "
+                "use the dense backend"
+            )
     return out
 
 
@@ -777,71 +579,21 @@ def _collapse_onto(
 ) -> tuple[list[Branch], list[int]]:
     """Branches of <target|_regs |state>, a state over the remaining registers."""
     rest = [r for r in range(state.num_registers) if r not in regs]
-    reg_set = set(regs)
     out: list[Branch] = []
     for tc, tf in target.branches:
-        for f in tf:
-            if isinstance(f, JointFactor):
-                raise BranchError("measurement targets must have local factors only")
+        tvecs = [_factor_vector(f, d) for f, d in zip(tf, target.dims)]
         for c, factors in state.branches:
-            # Scalar part plus possible leftover vectors from straddling joints.
             scal = np.conj(tc) * c
-            leftovers: dict[int, np.ndarray] = {}
-            dead = False
-            handled: set[int] = set()
-            for k, r in enumerate(regs):
-                if r in handled:
-                    continue
-                tvec = _factor_vector(tf[k], target.dims[k])
+            for tvec, r in zip(tvecs, regs):
                 f = factors[r]
-                if isinstance(f, JointFactor):
-                    other = f.regs[0] if f.regs[1] == r else f.regs[1]
-                    axis = f.regs.index(r)
-                    reduced = np.tensordot(np.conj(tvec), f.amps, axes=([0], [axis]))
-                    if other in reg_set:
-                        ko = regs.index(other)
-                        scal *= np.conj(_factor_vector(tf[ko], target.dims[ko])) @ reduced
-                        handled.add(other)
-                    else:
-                        leftovers[other] = reduced
-                elif isinstance(f, BasisFactor):
+                if isinstance(f, BasisFactor):
                     scal *= np.conj(tvec[f.label])
                 else:
                     scal *= np.vdot(tvec, f.amps)
-                handled.add(r)
                 if scal == 0.0:
-                    dead = True
                     break
-            if dead or abs(scal) <= _ZERO_TOL:
-                continue
-            new_factors: list[Factor] = []
-            joint_remap: dict[int, JointFactor] = {}
-            for r in rest:
-                if r in leftovers:
-                    v = leftovers[r]
-                    n = np.linalg.norm(v)
-                    if n <= _ZERO_TOL:
-                        dead = True
-                        break
-                    scal *= n
-                    w, g = _tidy_factor(VecFactor(v / n))
-                    scal *= w
-                    new_factors.append(g)
-                else:
-                    f = factors[r]
-                    if isinstance(f, JointFactor):
-                        g = joint_remap.setdefault(
-                            id(f),
-                            JointFactor(
-                                (rest.index(f.regs[0]), rest.index(f.regs[1])), f.amps
-                            ),
-                        )
-                        new_factors.append(g)
-                    else:
-                        new_factors.append(f)
-            if dead:
-                continue
-            out.append((scal, tuple(new_factors)))
+            if abs(scal) > _ZERO_TOL:
+                out.append((scal, tuple(factors[r] for r in rest)))
     return out, rest
 
 
@@ -993,23 +745,12 @@ def _assemble_subset_product(
     dims: tuple[int, ...],
 ) -> BranchState:
     """Reassemble target (on ``regs``) x rest into the full register order."""
+    order = np.argsort(regs + rest)
     branches = []
     for tc, tf in t.branches:
         for rc, rf in rest_state.branches:
-            slots: list[Factor | None] = [None] * len(dims)
-            for k, r in enumerate(regs):
-                slots[r] = tf[k]
-            remap: dict[int, JointFactor] = {}
-            for k, r in enumerate(rest):
-                f = rf[k]
-                if isinstance(f, JointFactor):
-                    g = remap.setdefault(
-                        id(f), JointFactor((rest[f.regs[0]], rest[f.regs[1]]), f.amps)
-                    )
-                    slots[r] = g
-                else:
-                    slots[r] = f
-            branches.append((tc * rc, tuple(slots)))  # type: ignore[arg-type]
+            joined = tf + rf
+            branches.append((tc * rc, tuple(joined[k] for k in order)))
     return BranchState(dims, branches, renormalize=False)
 
 
@@ -1017,7 +758,7 @@ def project_diag(
     state: BranchState, registers: Sequence[int], mask: np.ndarray
 ) -> tuple[float, BranchState | None]:
     """Deterministic projection onto a diagonal 0/1 mask over the registers."""
-    regs = list(registers)
+    regs = _check_registers(registers, state.num_registers)
     sdims = tuple(state.dims[r] for r in regs)
     mask = np.asarray(mask, dtype=float).reshape(sdims)
     br_list = _apply_diag_mask(state, regs, mask)
@@ -1034,6 +775,7 @@ def project_ket(
     state: BranchState, register: int, ket: np.ndarray
 ) -> tuple[float, BranchState | None]:
     """Deterministic rank-1 projection of one register onto a normalized ket."""
+    _check_registers([register], state.num_registers)
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     target = BranchState((state.dims[register],), [(1.0, (VecFactor(ket),))], renormalize=False)
     chi, rest = _collapse_onto(state, target, [register])
@@ -1046,25 +788,20 @@ def project_ket(
 
 
 def _remainder_post_state(state, outcomes, regs):
-    """(I - sum_k P_k)|state>, normalized; None when it is not representable."""
-    try:
-        branches: list[Branch] = list(state.branches)
-        for payload, dims_or_none in outcomes:
-            if dims_or_none is not None:
-                branches.extend((-c, fs) for c, fs in payload)
-            else:
-                chi, t, rest = payload
-                if not chi:
-                    continue
-                rest_state = BranchState(
-                    tuple(state.dims[r] for r in rest), chi, renormalize=False
-                )
-                assembled = _assemble_subset_product(t, rest_state, regs, rest, state.dims)
-                branches.extend((-c, fs) for c, fs in assembled.branches)
-        n2 = _branch_norm_sq(state.dims, branches)
-        if n2 <= _ZERO_TOL:
-            return None
-        n = np.sqrt(n2)
-        return BranchState(state.dims, [(c / n, fs) for c, fs in branches], renormalize=False)
-    except BranchError:
+    """(I - sum_k P_k)|state>, normalized; None when it has zero norm."""
+    branches: list[Branch] = list(state.branches)
+    for payload, dims_or_none in outcomes:
+        if dims_or_none is not None:
+            branches.extend((-c, fs) for c, fs in payload)
+        else:
+            chi, t, rest = payload
+            if not chi:
+                continue
+            rest_state = BranchState(tuple(state.dims[r] for r in rest), chi, renormalize=False)
+            assembled = _assemble_subset_product(t, rest_state, regs, rest, state.dims)
+            branches.extend((-c, fs) for c, fs in assembled.branches)
+    n2 = _branch_norm_sq(state.dims, branches)
+    if n2 <= _ZERO_TOL:
         return None
+    n = np.sqrt(n2)
+    return BranchState(state.dims, [(c / n, fs) for c, fs in branches], renormalize=False)

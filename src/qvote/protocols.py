@@ -99,6 +99,35 @@ def _snapshot(backend, state, transcript, record_states, label):
         transcript.states.append({"label": label, "state": state, "backend": backend.name})
 
 
+def _run_tally(config, votes, backend, rng, record_privacy, record_states,
+               registers, vote_register, vote_op, targets) -> TallyResult:
+    """A ``registers``-register correlated ballot: each yes vote of voter k
+    applies ``vote_op`` to ``vote_register(k)``; the tally is one measurement
+    against ``targets``."""
+    config.require_tally_room()
+    votes = _check_votes(votes, config.N)
+    bk = get_backend(backend)
+    rng = rng if rng is not None else config.rng()
+    t = Transcript()
+    D = config.D
+
+    state = bk.ghz(D, registers)
+    _snapshot(bk, state, t, record_states, "ballot")
+    if record_privacy:
+        _privacy_checkpoint(bk, state, range(registers), D, t, step=0)
+    for k, v in enumerate(votes):
+        if v:
+            state = bk.apply_local(state, vote_register(k), vote_op)
+        t.hidden.append({"voter": k, "vote": v})
+        _snapshot(bk, state, t, record_states, f"after-voter-{k}")
+        if record_privacy:
+            _privacy_checkpoint(bk, state, range(registers), D, t, step=k + 1)
+    outcome, state, p = bk.measure_targets(state, targets, rng)
+    t.public.append({"event": "tally", "m": int(outcome), "probability": p})
+    _snapshot(bk, state, t, record_states, "post-measurement")
+    return TallyResult(m=int(outcome), transcript=t)
+
+
 def run_traveling(
     config: ProtocolConfig,
     votes,
@@ -108,29 +137,10 @@ def run_traveling(
     record_states: bool = False,
 ) -> TallyResult:
     """Traveling two-register ballot; each yes vote shifts the moving register."""
-    config.require_tally_room()
-    votes = _check_votes(votes, config.N)
-    bk = get_backend(backend)
-    rng = rng if rng is not None else config.rng()
-    t = Transcript()
     D = config.D
-
-    state = bk.ghz(D, 2)
-    _snapshot(bk, state, t, record_states, "ballot")
-    if record_privacy:
-        _privacy_checkpoint(bk, state, [0, 1], D, t, step=0)
-    for k, v in enumerate(votes):
-        if v:
-            state = bk.apply_local(state, 1, shift_matrix(D))
-        t.hidden.append({"voter": k, "vote": v})
-        _snapshot(bk, state, t, record_states, f"after-voter-{k}")
-        if record_privacy:
-            _privacy_checkpoint(bk, state, [0, 1], D, t, step=k + 1)
     targets = [shifted_ghz(D, (0, m)) for m in range(D)]
-    outcome, state, p = bk.measure_targets(state, targets, rng)
-    t.public.append({"event": "tally", "m": int(outcome), "probability": p})
-    _snapshot(bk, state, t, record_states, "post-measurement")
-    return TallyResult(m=int(outcome), transcript=t)
+    return _run_tally(config, votes, backend, rng, record_privacy, record_states,
+                      2, lambda k: 1, shift_matrix(D), targets)
 
 
 def run_distributed(
@@ -142,29 +152,22 @@ def run_distributed(
     record_states: bool = False,
 ) -> TallyResult:
     """Distributed N-register ballot; each yes vote applies the diagonal phase."""
-    config.require_tally_room()
-    votes = _check_votes(votes, config.N)
-    bk = get_backend(backend)
-    rng = rng if rng is not None else config.rng()
-    t = Transcript()
     D, N = config.D, config.N
-
-    state = bk.ghz(D, N)
-    _snapshot(bk, state, t, record_states, "ballot")
-    if record_privacy:
-        _privacy_checkpoint(bk, state, range(N), D, t, step=0)
-    for k, v in enumerate(votes):
-        if v:
-            state = bk.apply_local(state, k, phase_vote_matrix(D))
-        t.hidden.append({"voter": k, "vote": v})
-        _snapshot(bk, state, t, record_states, f"after-voter-{k}")
-        if record_privacy:
-            _privacy_checkpoint(bk, state, range(N), D, t, step=k + 1)
     targets = [phase_ghz(D, N, 2 * np.pi * m / D) for m in range(D)]
-    outcome, state, p = bk.measure_targets(state, targets, rng)
-    t.public.append({"event": "tally", "m": int(outcome), "probability": p})
-    _snapshot(bk, state, t, record_states, "post-measurement")
-    return TallyResult(m=int(outcome), transcript=t)
+    return _run_tally(config, votes, backend, rng, record_privacy, record_states,
+                      N, lambda k: k, phase_vote_matrix(D), targets)
+
+
+def _announce(bk, state, rng, t, D, N):
+    """Every register is measured in the Fourier-conjugate basis and its
+    outcome announced; returns the announced values and the post-state."""
+    announced = []
+    kets = fourier_basis_kets(D)
+    for k in range(N):
+        x, state, _ = bk.measure_local_kets(state, k, kets, rng)
+        announced.append(int(x))
+        t.public.append({"event": "announce", "voter": k, "value": int(x)})
+    return announced, state
 
 
 def run_dolev(
@@ -199,12 +202,7 @@ def run_dolev(
         if record_privacy:
             _privacy_checkpoint(bk, state, range(N), D, t, step=k + 1)
     _snapshot(bk, state, t, record_states, "pre-announcement")
-    announced = []
-    kets = fourier_basis_kets(D)
-    for k in range(N):
-        x, state, _ = bk.measure_local_kets(state, k, kets, rng)
-        announced.append(int(x))
-        t.public.append({"event": "announce", "voter": k, "value": int(x)})
+    announced, state = _announce(bk, state, rng, t, D, N)
     _snapshot(bk, state, t, record_states, "post-announcement")
     tally = sum(announced) % D
     hidden_labels = [(x - v) % D for x, v in zip(announced, votes)]
@@ -236,12 +234,7 @@ def run_broadcast(
         state = bk.apply_local(state, sender, phase_vote_matrix(D, -message))
     t.hidden.append({"sender": sender, "message": message})
     _snapshot(bk, state, t, record_states, "pre-announcement")
-    announced = []
-    kets = fourier_basis_kets(D)
-    for k in range(N):
-        x, state, _ = bk.measure_local_kets(state, k, kets, rng)
-        announced.append(int(x))
-        t.public.append({"event": "announce", "voter": k, "value": int(x)})
+    announced, state = _announce(bk, state, rng, t, D, N)
     reconstructed = sum(announced) % D
     t.public.append({"event": "reconstructed", "m": reconstructed})
     return TallyResult(m=reconstructed, transcript=t)

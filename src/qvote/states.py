@@ -111,8 +111,9 @@ class DenseState:
         return f"DenseState(dims={self.dims})"
 
 
-def _as_matrix(state: DenseState, registers: list[int]) -> tuple[np.ndarray, list[int]]:
+def _as_matrix(state: DenseState, registers: Sequence[int]) -> tuple[np.ndarray, list[int]]:
     """Amplitudes as a (registers, rest) matrix, and the axis permutation used."""
+    registers = _check_registers(registers, state.num_registers)
     perm = registers + [r for r in range(state.num_registers) if r not in registers]
     sub = int(np.prod([state.dims[r] for r in registers]))
     return state.tensor().transpose(perm).reshape(sub, -1), perm
@@ -226,7 +227,7 @@ def apply_local(state: DenseState, register: int, U: np.ndarray) -> DenseState:
 
 def apply_joint(state: DenseState, registers: Sequence[int], U: np.ndarray) -> DenseState:
     """Apply a unitary on the joint space of the listed registers."""
-    mat, perm = _as_matrix(state, _check_registers(registers, state.num_registers))
+    mat, perm = _as_matrix(state, registers)
     return _from_matrix(state, check_unitary(U, mat.shape[0]) @ mat, perm)
 
 
@@ -369,7 +370,7 @@ def measure_projective(
     """
     if registers is None:
         registers = range(state.num_registers)
-    mat, perm = _as_matrix(state, _check_registers(registers, state.num_registers))
+    mat, perm = _as_matrix(state, registers)
     fam, needs_remainder = _as_projector_family(projectors, mat.shape[0])
 
     projected: list[np.ndarray] = []
@@ -406,7 +407,7 @@ def project_diag(
     Returns (probability, normalized post-state or None when the probability
     vanishes). The Born-analysis companion to measure_projective.
     """
-    mat, perm = _as_matrix(state, list(registers))
+    mat, perm = _as_matrix(state, registers)
     weights = np.asarray(mask, dtype=float).reshape(-1)
     if weights.size != mat.shape[0]:
         raise ValueError("mask size does not match the measured subspace")

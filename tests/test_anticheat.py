@@ -326,7 +326,6 @@ class TestImmutability:
 
     def test_branch_factors_read_only(self):
         from qvote.branches import (
-            JointFactor,
             VecFactor,
             apply_branch_local,
             ghz_branches,
@@ -345,11 +344,6 @@ class TestImmutability:
             vec.amps = np.zeros(3)
         with pytest.raises(ValueError):
             vec.amps[0] = 1.0
-        joint = JointFactor((0, 1), np.eye(3) / np.sqrt(3))
-        with pytest.raises(AttributeError):
-            joint.regs = (1, 2)
-        with pytest.raises(ValueError):
-            joint.amps[0, 0] = 1.0
         # Label families share one factor per label.
         for fam in (ghz_branches(4, 5), phase_ghz(4, 5, 0.3), shifted_ghz(4, (0, 1, 3))):
             objects = {id(f) for _, fs in fam.branches for f in fs}

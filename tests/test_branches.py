@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from qvote import branches as branches_module
-from qvote.backends import BranchBackend
+from qvote.backends import BranchBackend, DenseBackend
 from qvote.branches import (
     BasisFactor,
     BranchError,
     BranchState,
-    JointFactor,
     VecFactor,
     _block_vector,
     _branch_norm_sq,
@@ -204,7 +203,13 @@ class TestPartialTrace:
             assert np.max(np.abs(rb.matrix - rd.matrix)) <= 1e-12
 
 
-class TestPairUnitaryAndJointFactors:
+def haar_unitary(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestPairUnitary:
     def test_entangling_map_matches_dense(self):
         D = 3
         rng = np.random.default_rng(11)
@@ -216,7 +221,7 @@ class TestPairUnitaryAndJointFactors:
         dense = apply_joint(to_dense(s), [3, 0], U)
         assert np.max(np.abs(to_dense(out).amps - dense.amps)) <= 1e-12
 
-    def test_partial_trace_through_joint_factor(self):
+    def test_partial_trace_through_entangled_pair(self):
         D = 2
         rng = np.random.default_rng(5)
         s = attach_register(ghz_branches(D, 3), D, 0)
@@ -230,7 +235,7 @@ class TestPairUnitaryAndJointFactors:
             rd = partial_trace(dense, keep)
             assert np.max(np.abs(rb.matrix - rd.matrix)) <= 1e-12
 
-    def test_second_joint_pair_rejected(self):
+    def test_two_entangled_pairs_match_dense(self):
         D = 2
         s = attach_register(attach_register(ghz_branches(D, 2), D, 0), D, 0)
         # CNOT (control = first pair slot) after a Hadamard on it entangles
@@ -239,13 +244,25 @@ class TestPairUnitaryAndJointFactors:
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
         U = cnot @ np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
-        ent = apply_pair_unitary(s, (2, 0), U)  # creates a joint factor on (0, 2)
-        assert any(
-            fs[0] is fs[2] and not isinstance(fs[0], (BasisFactor, VecFactor))
-            for _, fs in ent.branches
-        )
-        with pytest.raises(BranchError):
-            apply_pair_unitary(ent, (3, 0), U)
+        ent = apply_pair_unitary(s, (2, 0), U)
+        assert len(ent.branches) == 2 * len(s.branches)  # Schmidt rank 2 per branch
+        ent2 = apply_pair_unitary(ent, (3, 0), U)
+        dense = apply_joint(apply_joint(to_dense(s), [2, 0], U), [3, 0], U)
+        assert np.max(np.abs(to_dense(ent2).amps - dense.amps)) <= 1e-12
+
+    def test_pair_check_on_entangled_pair_matches_dense(self):
+        D = 3
+        s = attach_register(ghz_branches(D, 3), D, 0)
+        s = apply_pair_unitary(s, (3, 0), haar_unitary(D * D, np.random.default_rng(17)))
+        d = to_dense(s)
+        agree = np.eye(D)
+        masks = [agree, 1 - agree]
+        for seed in range(8):
+            kb, post_b, pb = BranchBackend().measure_diag(s, [3, 0], masks, np.random.default_rng(seed))
+            kd, post_d, pd = DenseBackend().measure_diag(d, [3, 0], masks, np.random.default_rng(seed))
+            assert kb == kd
+            assert abs(pb - pd) <= 1e-12
+            assert np.max(np.abs(to_dense(post_b).amps - post_d.amps)) <= 1e-12
 
 
 class TestMeasurement:
@@ -396,12 +413,11 @@ class TestChecksStillFire:
 @hst.composite
 def _branch_pairs(draw):
     """Two random branch states on one layout: D <= 4, up to 5 registers, basis
-    and vector factors, at most one joint factor, repeated label rows, and
-    (when ``keyless``) no register that is basis on every branch."""
+    and vector factors, repeated label rows, and (when ``keyless``) no
+    register that is basis on every branch."""
     D = draw(hst.integers(2, 4))
     R = draw(hst.integers(1, 5))
     keyless = draw(hst.booleans())
-    joint = R >= 2 and draw(hst.booleans())
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     dims = (D,) * R
     # Per register: basis on every branch, vector on every branch, or mixed.
@@ -426,10 +442,6 @@ def _branch_pairs(draw):
         if keyless:
             for r in range(R):
                 branches[0][1][r] = vec()
-        if joint and rng.random() < 0.7:
-            p, q = sorted(rng.choice(R, size=2, replace=False).tolist())
-            g = JointFactor((p, q), rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
-            branches[-1][1][p] = branches[-1][1][q] = g
         raw = [(c, tuple(fs)) for c, fs in branches]
         n = np.linalg.norm(sum(_block_vector(fs, range(R), dims, c) for c, fs in raw))
         return BranchState(dims, [(c / n, fs) for c, fs in raw], renormalize=False)
@@ -495,3 +507,108 @@ def test_oracle_equivalence_protocol_sequences():
         d = apply_joint(d, [0, N], U)
         assert len(b.branches) <= D
         assert np.max(np.abs(to_dense(b).amps - d.amps)) <= 1e-12
+
+
+_REGISTER_OPS = {
+    "drop": lambda bk, s, r: bk.drop(s, r),
+    "swap": lambda bk, s, r: bk.swap(s, r, 0),
+    "swap-second": lambda bk, s, r: bk.swap(s, 0, r),
+    "controlled-shift": lambda bk, s, r: bk.controlled_shift(s, r, 1, [0, 1, 2]),
+    "controlled-shift-target": lambda bk, s, r: bk.controlled_shift(s, 0, r, [0, 1, 2]),
+    "pair": lambda bk, s, r: bk.apply_pair(s, (r, 0), np.eye(9)),
+    "project-diag": lambda bk, s, r: bk.project_diag(s, [r], np.ones(3)),
+    "project-ket": lambda bk, s, r: bk.project_ket(s, r, np.eye(3)[0]),
+}
+
+
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+@pytest.mark.parametrize("op", sorted(_REGISTER_OPS))
+@pytest.mark.parametrize("register", [-1, 3])
+def test_register_index_validated(backend, op, register):
+    # Register 2 is a product ancilla, so a drop of it would succeed.
+    s = backend.attach(backend.ghz(3, 2), 3, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        _REGISTER_OPS[op](backend, s, register)
+
+
+_SEQUENCE_OPS = ("monomial", "local", "shift", "swap", "attach", "drop", "pair", "measure", "reduced")
+_MAX_REGISTERS = 4
+_MAX_BRANCHES = 40  # pair unitaries multiply the branch count by up to D
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=hst.integers(2, 3),
+    N=hst.integers(1, 3),
+    ops=hst.lists(hst.sampled_from(_SEQUENCE_OPS), max_size=10),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_operation_sequences_match_dense(D, N, ops, seed):
+    """Random protocol-legal operation sequences give the same amplitudes,
+    reduced states and measurement outcomes on both backends."""
+    rng = np.random.default_rng(seed)
+    dense_rng, branch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    dk, bk = DenseBackend(), BranchBackend()
+    d, b = dk.ghz(D, N), bk.ghz(D, N)
+    for op in ops:
+        R = len(b.dims)
+        regs = [int(r) for r in rng.permutation(R)]
+        if op == "monomial":
+            U = np.eye(D)[rng.permutation(D)] @ np.diag(np.exp(2j * np.pi * rng.random(D)))
+            d, b = dk.apply_local(d, regs[0], U), bk.apply_local(b, regs[0], U)
+        elif op == "local":
+            U = haar_unitary(D, rng)
+            d, b = dk.apply_local(d, regs[0], U), bk.apply_local(b, regs[0], U)
+        elif op == "shift":
+            # The control must hold a basis factor on every branch.
+            controls = [r for r in regs if all(isinstance(fs[r], BasisFactor) for _, fs in b.branches)]
+            if R < 2 or not controls:
+                continue
+            c = controls[0]
+            t = next(r for r in regs if r != c)
+            shifts = rng.integers(0, D, size=D)
+            d, b = dk.controlled_shift(d, c, t, shifts), bk.controlled_shift(b, c, t, shifts)
+        elif op == "swap":
+            if R < 2:
+                continue
+            d, b = dk.swap(d, regs[0], regs[1]), bk.swap(b, regs[0], regs[1])
+        elif op == "attach":
+            if R == _MAX_REGISTERS:
+                continue
+            if rng.random() < 0.5:
+                initial = int(rng.integers(0, D))
+            else:
+                initial = haar_unitary(D, rng)[:, 0]
+            d, b = dk.attach(d, D, initial), bk.attach(b, D, initial)
+        elif op == "drop":
+            # Only a register whose factor is the same on every branch drops.
+            if R < 2:
+                continue
+            try:
+                b2 = bk.drop(b, regs[0])
+            except BranchError:
+                continue
+            d, b = dk.drop(d, regs[0]), b2
+        elif op == "pair":
+            if R < 2 or len(b.branches) * D > _MAX_BRANCHES:
+                continue
+            U = haar_unitary(D * D, rng)
+            d, b = dk.apply_pair(d, regs[:2], U), bk.apply_pair(b, regs[:2], U)
+        elif op == "measure":
+            measured = regs[: int(rng.integers(1, min(R, 2) + 1))]
+            if len(measured) == R:  # the branch backend measures all registers in order
+                measured.sort()
+            size = D ** len(measured)
+            parts = rng.integers(0, 3, size=size)  # part 2 is left to the remainder
+            masks = [(parts == k).astype(float) for k in range(2) if (parts == k).any()]
+            if not masks:
+                continue
+            kd, d, pd = dk.measure_diag(d, measured, masks, dense_rng)
+            kb, b, pb = bk.measure_diag(b, measured, masks, branch_rng)
+            assert kd == kb
+            assert abs(pd - pb) <= 1e-12
+        else:
+            keep = regs[: int(rng.integers(1, min(R, 2) + 1))]
+            assert np.max(np.abs(dk.reduced(d, keep) - bk.reduced(b, keep))) <= 1e-12
+        # The dense drop fixes the global phase afresh, so compare up to it.
+        assert states_close(dk.amplitudes(d), bk.amplitudes(b), tol=1e-12)
