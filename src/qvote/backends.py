@@ -34,6 +34,8 @@ class DenseBackend:
 
     def attach(self, state: DenseState, dim: int, initial) -> DenseState:
         if isinstance(initial, (int, np.integer)):
+            if not 0 <= int(initial) < dim:
+                raise ValueError(f"initial label {initial} out of range for dimension {dim}")
             vec = np.zeros(dim, dtype=complex)
             vec[int(initial)] = 1.0
         else:
@@ -139,10 +141,10 @@ class BranchBackend:
         return state.dims
 
     def project_diag(self, state, registers, mask):
-        return br.project_diag(state, registers, mask)
+        return br.branch_project(state, registers, mask, diagonal=True)
 
     def project_ket(self, state, register, ket):
-        return br.project_ket(state, register, ket)
+        return br.branch_project(state, [register], ket)
 
     def target_probability(self, state, target: BranchState) -> float:
         return float(abs(br.branch_inner(target, state)) ** 2)

@@ -10,10 +10,15 @@ whose targets are themselves branch states. Anything else must be routed
 through the dense backend.
 
 Every factor is local to one register. An operation that entangles two
-registers of a branch (a pair unitary, or a diagonal mask over two vector
-factors) splits its two-register block by the Schmidt decomposition into
-one product branch per singular value above 1e-12, so it multiplies that
-branch's count by its Schmidt rank, which is at most the smaller dimension.
+registers (a pair unitary, or a diagonal mask over two vector factors) splits
+each two-register block by the Schmidt decomposition into one product branch
+per singular value above 1e-12, at most the smaller dimension. A pair unitary
+first sums the blocks of branches that agree off the pair.
+
+Every measurement form (0/1 masks, diagonal matrices, one-register kets and
+branch-state targets, on registers in any order) goes through one parse and
+check step and one projection step, which the sampled measurements and the
+deterministic projections of the attack models share.
 
 Register conventions and tolerances match :mod:`qvote.states`; states are
 compared up to a global phase throughout.
@@ -21,7 +26,7 @@ compared up to a global phase throughout.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from operator import attrgetter
 
 import numpy as np
@@ -479,17 +484,29 @@ def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray)
     """Apply a joint unitary on two registers; ``U`` acts on the tensor space
     ordered as ``pair``.
 
-    This is the two-register operation of the entangling eavesdropper. Each
-    branch becomes as many product branches as the Schmidt rank of its result.
+    This is the two-register operation of the entangling eavesdropper.
+    Branches whose factors agree off the pair (by label or amplitude bytes)
+    are summed into one two-register block, and each block becomes as many
+    product branches as its Schmidt rank.
     """
     i, j = _check_registers(pair, state.num_registers)
     di, dj = state.dims[i], state.dims[j]
     U = check_unitary(U, di * dj)
     lo, hi = min(i, j), max(i, j)
+    groups: dict[tuple, list[Branch]] = {}
+    for b in state.branches:
+        off = [f.label if isinstance(f, BasisFactor) else f.amps.tobytes()
+               for r, f in enumerate(b[1]) if r != i and r != j]
+        groups.setdefault(tuple(off), []).append(b)
+
+    def block(fs):
+        return (U @ np.kron(_factor_vector(fs[i], di), _factor_vector(fs[j], dj))).reshape(di, dj)
+
     branches = []
-    for coeff, factors in state.branches:
-        vec = np.kron(_factor_vector(factors[i], di), _factor_vector(factors[j], dj))
-        out = (U @ vec).reshape(di, dj)
+    for (coeff, factors), *others in groups.values():
+        out = block(factors)
+        if others:  # a lone branch is split unscaled: its factors ignore its coefficient
+            out, coeff = coeff * out + sum(c * block(fs) for c, fs in others), 1.0
         branches.extend(_schmidt_split(coeff, factors, (lo, hi), out if i < j else out.T))
     return BranchState(state.dims, branches, renormalize=False)
 
@@ -534,9 +551,7 @@ def branch_partial_trace(state: BranchState, keep: Sequence[int]) -> DensityMatr
 # measurement
 
 
-def _apply_diag_mask(
-    state: BranchState, regs: list[int], mask: np.ndarray
-) -> list[Branch]:
+def _apply_diag_mask(state: BranchState, regs: list[int], mask: np.ndarray) -> list[Branch]:
     """Project branchwise with a diagonal (computational-basis) 0/1 mask."""
     out: list[Branch] = []
     for coeff, factors in state.branches:
@@ -567,18 +582,15 @@ def _apply_diag_mask(
             block = np.multiply.outer(factors[p].amps, factors[q].amps) * sub
             out.extend(_schmidt_split(coeff, factors, (p, q), block))
         else:
-            raise BranchError(
-                "diagonal projection couples more than two non-basis registers; "
-                "use the dense backend"
-            )
+            raise BranchError("diagonal projection couples more than two non-basis "
+                              "registers; use the dense backend")
     return out
 
 
 def _collapse_onto(
-    state: BranchState, target: BranchState, regs: list[int]
-) -> tuple[list[Branch], list[int]]:
-    """Branches of <target|_regs |state>, a state over the remaining registers."""
-    rest = [r for r in range(state.num_registers) if r not in regs]
+    state: BranchState, target: BranchState, regs: list[int], rest: list[int]
+) -> list[Branch]:
+    """Branches of <target|_regs |state>, a state over the ``rest`` registers."""
     out: list[Branch] = []
     for tc, tf in target.branches:
         tvecs = [_factor_vector(f, d) for f, d in zip(tf, target.dims)]
@@ -594,43 +606,22 @@ def _collapse_onto(
                     break
             if abs(scal) > _ZERO_TOL:
                 out.append((scal, tuple(factors[r] for r in rest)))
-    return out, rest
+    return out
 
 
 def _branch_norm_sq(dims: tuple[int, ...], branches: list[Branch]) -> float:
     return max(0.0, _inners(dims, [branches], branches)[0].real)
 
 
-def branch_measure(
-    state: BranchState,
-    projectors: Sequence[np.ndarray | BranchState],
-    rng: np.random.Generator,
-    registers: Sequence[int] | None = None,
-    *,
-    diagonal: bool = False,
-) -> tuple[int, BranchState | None, float]:
-    """Born-rule measurement restricted to branch-representable projectors.
-
-    Supported projector forms, acting on ``registers`` (all when None):
-
-    * square arrays that are diagonal in the computational basis (0/1);
-    * with ``diagonal=True``, their diagonals: 0/1 masks of the measured
-      registers' dims (or flat);
-    * 1-D kets when a single register is measured;
-    * :class:`BranchState` targets (rank-1 onto a correlated state).
-
-    Projectors must be mutually orthogonal; when they do not resolve the
-    identity a remainder outcome with index ``len(projectors)`` is
-    synthesized. The remainder's post-state may exceed the usual branch
-    count; it is returned as-is (or None if it cannot be normalized).
-    """
+def _parse_family(
+    state: BranchState, projectors: Sequence, registers: Sequence[int] | None, diagonal: bool
+) -> tuple[list[int], list[np.ndarray], list[BranchState]]:
+    """Check a projector family on ``registers`` (all when None) and return
+    the registers with the family as 0/1 masks or as rank-1 targets."""
     if len(projectors) == 0:
         raise ValueError("projector list must not be empty")
-    if registers is None:
-        registers = range(state.num_registers)
-    regs = _check_registers(registers, state.num_registers)
-    if len(regs) == state.num_registers and regs != sorted(regs):
-        raise ValueError("full-space measurement requires registers in ascending order")
+    n_regs = state.num_registers
+    regs = _check_registers(range(n_regs) if registers is None else registers, n_regs)
     sdims = tuple(state.dims[r] for r in regs)
     sub = int(np.prod(sdims))
 
@@ -650,10 +641,8 @@ def branch_measure(
             P = np.asarray(P, dtype=complex)
             if P.ndim == 1:
                 if len(regs) != 1:
-                    raise BranchError(
-                        "raw kets are only supported on a single register; "
-                        "pass a BranchState for multi-register targets"
-                    )
+                    raise BranchError("raw kets are only supported on a single register; "
+                                      "pass a BranchState for multi-register targets")
                 if P.size != sub or abs(np.linalg.norm(P) - 1.0) > NORM_TOL:
                     raise ValueError("rank-1 projector ket must be normalized and match the register")
                 targets.append(BranchState(sdims, [(1.0, (VecFactor(P),))], renormalize=False))
@@ -662,146 +651,110 @@ def branch_measure(
                     raise ValueError(f"projector shape {P.shape} does not match subspace {sub}")
                 diag = np.diagonal(P)
                 if np.max(np.abs(P - np.diag(diag))) > 1e-12:
-                    raise BranchError(
-                        "matrix projectors must be diagonal in the computational basis"
-                    )
+                    raise BranchError("matrix projectors must be diagonal in the "
+                                      "computational basis")
                 masks.append(diag.reshape(sdims))
             else:
                 raise ValueError("unsupported projector object")
     if targets and masks:
         raise ValueError("do not mix diagonal and rank-1 projectors in one measurement")
 
-    # Orthogonality checks.
     if masks:
-        for m in masks:
-            if np.max(np.abs(m * (1 - m))) > 1e-10:
-                raise ValueError("diagonal projector entries must be 0 or 1")
+        if any(np.max(np.abs(m * (1 - m))) > 1e-10 for m in masks):
+            raise ValueError("diagonal projector entries must be 0 or 1")
         masks = [np.real(m).round() for m in masks]
-        tot = np.zeros(sdims)
-        for m in masks:
-            tot += m
-        if np.max(tot) > 1 + 1e-9:
+        if np.max(sum(masks, np.zeros(sdims))) > 1 + 1e-9:
             raise ValueError("diagonal projectors overlap")
-    if targets:
-        _check_orthogonal(sdims, targets)
-
-    outcomes: list[tuple[list[Branch], tuple[int, ...]]] = []
-    probs: list[float] = []
-    if masks:
-        for m in masks:
-            br = _apply_diag_mask(state, regs, m)
-            p = _branch_norm_sq(state.dims, br) if br else 0.0
-            outcomes.append((br, state.dims))
-            probs.append(p)
     else:
-        full = len(regs) == state.num_registers and regs == sorted(regs)
-        if full:
-            amps = _inners(state.dims, [t.branches for t in targets], state.branches)
-        for k, t in enumerate(targets):
-            if full:
-                amp = amps[k]
-                p = float(abs(amp) ** 2)
-                post = [(amp * c, fs) for c, fs in t.branches] if p > 0 else []
-                outcomes.append((post, state.dims))
-                probs.append(p)
-            else:
-                chi, rest = _collapse_onto(state, t, regs)
-                rdims = tuple(state.dims[r] for r in rest)
-                p = _branch_norm_sq(rdims, chi) if chi else 0.0
-                outcomes.append(((chi, t, rest), None))  # assembled lazily below
-                probs.append(p)
+        _check_orthogonal(sdims, targets)
+    return regs, masks, targets
 
+
+def _project(
+    state: BranchState, regs: list[int], masks: list[np.ndarray], targets: list[BranchState]
+) -> tuple[list[float], Callable[[int, float], list[Branch]]]:
+    """Born weight of each projector of a checked family, and ``post(k, n)``:
+    outcome k's post-state branches in the state's register order, divided by n.
+
+    A full-register family is scored by one label join over the state's
+    factors permuted into the measured order; a subset family collapses the
+    state onto each target and keeps the target's factors in their slots.
+    """
+    if masks:
+        projected = [_apply_diag_mask(state, regs, m) for m in masks]
+        probs = [_branch_norm_sq(state.dims, br) for br in projected]
+        return probs, lambda k, n: [(c / n, fs) for c, fs in projected[k]]
+    if len(regs) == state.num_registers:
+        ket = state.branches
+        if regs != sorted(regs):
+            ket = [(c, tuple(fs[r] for r in regs)) for c, fs in ket]
+        sdims = tuple(state.dims[r] for r in regs)
+        amps = _inners(sdims, [t.branches for t in targets], ket)
+        slots = np.argsort(regs)
+        return [float(abs(a) ** 2) for a in amps], lambda k, n: [
+            ((amps[k] * c) / n, tuple(tf[i] for i in slots)) for c, tf in targets[k].branches
+        ]
+    rest = [r for r in range(state.num_registers) if r not in regs]
+    rdims = tuple(state.dims[r] for r in rest)
+    chis = [_collapse_onto(state, t, regs, rest) for t in targets]
+    slots = np.argsort(regs + rest)
+    return [_branch_norm_sq(rdims, chi) for chi in chis], lambda k, n: [
+        (tc * (c / n), tuple((tf + rf)[i] for i in slots))
+        for tc, tf in targets[k].branches
+        for c, rf in chis[k]
+    ]
+
+
+def branch_measure(
+    state: BranchState,
+    projectors: Sequence[np.ndarray | BranchState],
+    rng: np.random.Generator,
+    registers: Sequence[int] | None = None,
+    *,
+    diagonal: bool = False,
+) -> tuple[int, BranchState | None, float]:
+    """Born-rule measurement restricted to branch-representable projectors.
+
+    Supported projector forms, acting on ``registers`` (all when None, in
+    any order):
+
+    * square arrays that are diagonal in the computational basis (0/1);
+    * with ``diagonal=True``, their diagonals: 0/1 masks of the measured
+      registers' dims (or flat);
+    * 1-D kets when a single register is measured;
+    * :class:`BranchState` targets (rank-1 onto a correlated state).
+
+    Projectors must be mutually orthogonal; when they do not resolve the
+    identity a remainder outcome with index ``len(projectors)`` is
+    synthesized. Its post-state is the state's branches minus every projected
+    branch, so it may exceed the usual branch count; it is returned as-is (or
+    None if it cannot be normalized).
+    """
+    regs, masks, targets = _parse_family(state, projectors, registers, diagonal)
+    probs, post = _project(state, regs, masks, targets)
     total = float(sum(probs))
     remainder = 1.0 - total
-    has_remainder = remainder > 1e-10
     if total > 1.0 + 1e-8:
         raise ValueError("projector probabilities exceed 1; family is not orthogonal")
-    plist = probs + ([remainder] if has_remainder else [])
-    k = sample_index(plist, rng)
-    if k == len(probs):
-        post = _remainder_post_state(state, outcomes, regs)
-        return k, post, remainder
-
-    p = probs[k]
-    payload, dims_or_none = outcomes[k]
-    if dims_or_none is not None:
-        branches = [(c / np.sqrt(p), fs) for c, fs in payload]
-        return k, BranchState(state.dims, branches, renormalize=False), p
-    chi, t, rest = payload
-    rest_state = BranchState(
-        tuple(state.dims[r] for r in rest),
-        [(c / np.sqrt(p), fs) for c, fs in chi],
-        renormalize=False,
-    )
-    assembled = _assemble_subset_product(t, rest_state, regs, rest, state.dims)
-    return k, assembled, p
-
-
-def _assemble_subset_product(
-    t: BranchState,
-    rest_state: BranchState,
-    regs: list[int],
-    rest: list[int],
-    dims: tuple[int, ...],
-) -> BranchState:
-    """Reassemble target (on ``regs``) x rest into the full register order."""
-    order = np.argsort(regs + rest)
-    branches = []
-    for tc, tf in t.branches:
-        for rc, rf in rest_state.branches:
-            joined = tf + rf
-            branches.append((tc * rc, tuple(joined[k] for k in order)))
-    return BranchState(dims, branches, renormalize=False)
-
-
-def project_diag(
-    state: BranchState, registers: Sequence[int], mask: np.ndarray
-) -> tuple[float, BranchState | None]:
-    """Deterministic projection onto a diagonal 0/1 mask over the registers."""
-    regs = _check_registers(registers, state.num_registers)
-    sdims = tuple(state.dims[r] for r in regs)
-    mask = np.asarray(mask, dtype=float).reshape(sdims)
-    br_list = _apply_diag_mask(state, regs, mask)
-    p = _branch_norm_sq(state.dims, br_list) if br_list else 0.0
-    if p <= 1e-14:
-        return p, None
-    post = BranchState(
-        state.dims, [(c / np.sqrt(p), fs) for c, fs in br_list], renormalize=False
-    )
-    return p, post
-
-
-def project_ket(
-    state: BranchState, register: int, ket: np.ndarray
-) -> tuple[float, BranchState | None]:
-    """Deterministic rank-1 projection of one register onto a normalized ket."""
-    _check_registers([register], state.num_registers)
-    ket = np.asarray(ket, dtype=complex).reshape(-1)
-    target = BranchState((state.dims[register],), [(1.0, (VecFactor(ket),))], renormalize=False)
-    chi, rest = _collapse_onto(state, target, [register])
-    rdims = tuple(state.dims[r] for r in rest)
-    p = _branch_norm_sq(rdims, chi) if chi else 0.0
-    if p <= 1e-14:
-        return p, None
-    rest_state = BranchState(rdims, [(c / np.sqrt(p), fs) for c, fs in chi], renormalize=False)
-    return p, _assemble_subset_product(target, rest_state, [register], rest, state.dims)
-
-
-def _remainder_post_state(state, outcomes, regs):
-    """(I - sum_k P_k)|state>, normalized; None when it has zero norm."""
-    branches: list[Branch] = list(state.branches)
-    for payload, dims_or_none in outcomes:
-        if dims_or_none is not None:
-            branches.extend((-c, fs) for c, fs in payload)
-        else:
-            chi, t, rest = payload
-            if not chi:
-                continue
-            rest_state = BranchState(tuple(state.dims[r] for r in rest), chi, renormalize=False)
-            assembled = _assemble_subset_product(t, rest_state, regs, rest, state.dims)
-            branches.extend((-c, fs) for c, fs in assembled.branches)
-    n2 = _branch_norm_sq(state.dims, branches)
+    k = sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
+    if k < len(probs):
+        return k, BranchState(state.dims, post(k, np.sqrt(probs[k])), renormalize=False), probs[k]
+    left = list(state.branches) + [(-c, fs) for j in range(len(probs)) for c, fs in post(j, 1.0)]
+    n2 = _branch_norm_sq(state.dims, left)
     if n2 <= _ZERO_TOL:
-        return None
+        return k, None, remainder
     n = np.sqrt(n2)
-    return BranchState(state.dims, [(c / n, fs) for c, fs in branches], renormalize=False)
+    return k, BranchState(state.dims, [(c / n, fs) for c, fs in left], renormalize=False), remainder
+
+
+def branch_project(
+    state: BranchState, registers: Sequence[int], projector, *, diagonal: bool = False
+) -> tuple[float, BranchState | None]:
+    """Deterministic projection onto one projector of any :func:`branch_measure`
+    form: (probability, normalized post-state or None when it vanishes)."""
+    regs, masks, targets = _parse_family(state, [projector], registers, diagonal)
+    probs, post = _project(state, regs, masks, targets)
+    p = probs[0]
+    if p <= 1e-14:
+        return p, None
+    return p, BranchState(state.dims, post(0, np.sqrt(p)), renormalize=False)

@@ -411,6 +411,8 @@ def project_diag(
     weights = np.asarray(mask, dtype=float).reshape(-1)
     if weights.size != mat.shape[0]:
         raise ValueError("mask size does not match the measured subspace")
+    if np.max(np.abs(weights * (1 - weights))) > 1e-10:
+        raise ValueError("diagonal projector entries must be 0 or 1")
     post = mat * weights[:, None]
     p = float(np.real(np.vdot(post, post)))
     if p <= 1e-14:
@@ -423,6 +425,8 @@ def project_ket(
 ) -> tuple[float, DenseState | None]:
     """Deterministic rank-1 projection of one register onto a normalized ket."""
     ket = np.asarray(ket, dtype=complex).reshape(-1)
+    if abs(np.linalg.norm(ket) - 1.0) > NORM_TOL:
+        raise ValueError("rank-1 projector ket must be normalized")
     mat, perm = _as_matrix(state, [register])
     row = ket.conj() @ mat
     p = float(np.real(np.vdot(row, row)))

@@ -250,6 +250,19 @@ class TestPairUnitary:
         dense = apply_joint(apply_joint(to_dense(s), [2, 0], U), [3, 0], U)
         assert np.max(np.abs(to_dense(ent2).amps - dense.amps)) <= 1e-12
 
+    def test_repeated_pair_unitaries_merge_branches(self):
+        # Branches that agree off the pair are split together, so the count
+        # stays at the pair's Schmidt rank per GHZ label (3 x 3), not 3 ** k.
+        D = 3
+        rng = np.random.default_rng(23)
+        s = attach_register(ghz_branches(D, 3), D, 0)
+        d = to_dense(s)
+        for _ in range(3):
+            U = haar_unitary(D * D, rng)
+            s, d = apply_pair_unitary(s, (3, 0), U), apply_joint(d, [3, 0], U)
+            assert len(s.branches) <= 9
+            assert np.max(np.abs(to_dense(s).amps - d.amps)) <= 1e-12
+
     def test_pair_check_on_entangled_pair_matches_dense(self):
         D = 3
         s = attach_register(ghz_branches(D, 3), D, 0)
@@ -531,14 +544,43 @@ def test_register_index_validated(backend, op, register):
         _REGISTER_OPS[op](backend, s, register)
 
 
-_SEQUENCE_OPS = ("monomial", "local", "shift", "swap", "attach", "drop", "pair", "measure", "reduced")
-_MAX_REGISTERS = 4
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+@pytest.mark.parametrize("initial", [-1, 3])
+def test_attach_label_validated(backend, initial):
+    with pytest.raises(ValueError, match="initial label .* out of range"):
+        backend.attach(backend.ghz(3, 2), 3, initial)
+
+
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+def test_projections_share_the_measurement_checks(backend):
+    s = backend.ghz(3, 2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        backend.project_diag(s, [0], np.array([1, 0.5, 0]))
+    with pytest.raises(ValueError, match="must be normalized"):
+        backend.project_ket(s, 1, np.array([1, 1, 0]))
+
+
+_SEQUENCE_OPS = ("monomial", "local", "shift", "swap", "attach", "drop", "pair", "measure",
+                 "target", "project", "reduced")
+_MAX_REGISTERS = 5
 _MAX_BRANCHES = 40  # pair unitaries multiply the branch count by up to D
+
+
+def _target_family(D, m, rng):
+    """An orthonormal family of BranchState targets on m registers, possibly
+    incomplete: phase-GHZ (any m) or shifted-GHZ (m = 2) members."""
+    if m == 2 and rng.random() < 0.5:
+        family = [shifted_ghz(D, [0, s]) for s in range(D)]
+    else:
+        theta = 2 * np.pi * rng.random()
+        family = [phase_ghz(D, m, theta + 2 * np.pi * q / D) for q in range(D)]
+    keep = rng.permutation(D)[: int(rng.integers(1, D + 1))]
+    return [family[q] for q in keep]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    D=hst.integers(2, 3),
+    D=hst.integers(2, 4),
     N=hst.integers(1, 3),
     ops=hst.lists(hst.sampled_from(_SEQUENCE_OPS), max_size=10),
     seed=hst.integers(0, 2**32 - 1),
@@ -553,6 +595,8 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
     for op in ops:
         R = len(b.dims)
         regs = [int(r) for r in rng.permutation(R)]
+        # One or two registers in random order; all of them, unsorted, is possible when R <= 2.
+        measured = regs[: int(rng.integers(1, min(R, 2) + 1))]
         if op == "monomial":
             U = np.eye(D)[rng.permutation(D)] @ np.diag(np.exp(2j * np.pi * rng.random(D)))
             d, b = dk.apply_local(d, regs[0], U), bk.apply_local(b, regs[0], U)
@@ -595,9 +639,6 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
             U = haar_unitary(D * D, rng)
             d, b = dk.apply_pair(d, regs[:2], U), bk.apply_pair(b, regs[:2], U)
         elif op == "measure":
-            measured = regs[: int(rng.integers(1, min(R, 2) + 1))]
-            if len(measured) == R:  # the branch backend measures all registers in order
-                measured.sort()
             size = D ** len(measured)
             parts = rng.integers(0, 3, size=size)  # part 2 is left to the remainder
             masks = [(parts == k).astype(float) for k in range(2) if (parts == k).any()]
@@ -607,8 +648,33 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
             kb, b, pb = bk.measure_diag(b, measured, masks, branch_rng)
             assert kd == kb
             assert abs(pd - pb) <= 1e-12
+        elif op == "target":
+            # A remainder post-state keeps every projected branch, so bound the input.
+            if len(b.branches) > 8:
+                continue
+            if len(measured) == 1 and rng.random() < 0.5:
+                kets = haar_unitary(D, rng)[:, : int(rng.integers(1, D + 1))].T
+                kd, d, pd = dk.measure_local_kets(d, measured[0], kets, dense_rng)
+                kb, b, pb = bk.measure_local_kets(b, measured[0], kets, branch_rng)
+            else:
+                targets = _target_family(D, len(measured), rng)
+                kd, d, pd = dk.measure_targets(d, targets, dense_rng, registers=measured)
+                kb, b, pb = bk.measure_targets(b, targets, branch_rng, registers=measured)
+            assert kd == kb
+            assert abs(pd - pb) <= 1e-12
+        elif op == "project":
+            if rng.random() < 0.5:
+                mask = rng.integers(0, 2, size=D ** len(measured)).astype(float)
+                pd, d2 = dk.project_diag(d, measured, mask)
+                pb, b2 = bk.project_diag(b, measured, mask)
+            else:
+                ket = haar_unitary(D, rng)[:, 0]
+                pd, d2 = dk.project_ket(d, regs[0], ket)
+                pb, b2 = bk.project_ket(b, regs[0], ket)
+            assert abs(pd - pb) <= 1e-12
+            if pd > 1e-9:
+                d, b = d2, b2
         else:
-            keep = regs[: int(rng.integers(1, min(R, 2) + 1))]
-            assert np.max(np.abs(dk.reduced(d, keep) - bk.reduced(b, keep))) <= 1e-12
+            assert np.max(np.abs(dk.reduced(d, measured) - bk.reduced(b, measured))) <= 1e-12
         # The dense drop fixes the global phase afresh, so compare up to it.
         assert states_close(dk.amplitudes(d), bk.amplitudes(b), tol=1e-12)
