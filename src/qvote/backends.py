@@ -65,8 +65,7 @@ class DenseBackend:
         return st.measure_projective(state, kets, rng, registers=registers)
 
     def measure_diag(self, state, registers, masks: Sequence[np.ndarray], rng):
-        projs = [np.diag(np.asarray(m, dtype=complex).reshape(-1)) for m in masks]
-        return st.measure_projective(state, projs, rng, registers=registers)
+        return st.measure_projective(state, list(masks), rng, registers=registers, diagonal=True)
 
     def measure_local_kets(self, state, register, kets, rng):
         return st.measure_projective(state, list(kets), rng, registers=[register])
@@ -84,10 +83,10 @@ class DenseBackend:
         return state.dims
 
     def project_diag(self, state, registers, mask):
-        return st.project_diag(state, registers, mask)
+        return st.project(state, registers, mask, diagonal=True)
 
     def project_ket(self, state, register, ket):
-        return st.project_ket(state, register, ket)
+        return st.project(state, [register], ket)
 
     def target_probability(self, state, target: BranchState) -> float:
         return float(abs(np.vdot(br.to_dense(target).amps, state.amps)) ** 2)

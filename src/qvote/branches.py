@@ -18,7 +18,9 @@ first sums the blocks of branches that agree off the pair.
 Every measurement form (0/1 masks, diagonal matrices, one-register kets and
 branch-state targets, on registers in any order) goes through one parse and
 check step and one projection step, which the sampled measurements and the
-deterministic projections of the attack models share.
+deterministic projections of the attack models share. The array forms are
+parsed and checked by the dense backend's :func:`qvote.states._parse_family`,
+so both backends accept and reject the same families.
 
 Register conventions and tolerances match :mod:`qvote.states`; states are
 compared up to a global phase throughout.
@@ -39,6 +41,7 @@ from .states import (
     DensityMatrix,
     _check_registers,
     _kept_dim,
+    _parse_family as _parse_arrays,
     check_unitary,
     sample_index,
 )
@@ -465,6 +468,22 @@ def apply_controlled_shift(
     return BranchState(state.dims, branches, renormalize=False)
 
 
+def _row_key(factors: tuple[Factor, ...], regs: Sequence[int]) -> tuple:
+    """What identifies a branch's factors on ``regs``: basis labels and
+    vector amplitude bytes."""
+    return tuple(f.label if isinstance(f, BasisFactor) else f.amps.tobytes()
+                 for f in map(factors.__getitem__, regs))
+
+
+def _merge_rows(branches: Sequence[Branch]) -> list[Branch]:
+    """Sum the coefficients of branches with equal factor rows, in first-seen order."""
+    rows: dict[tuple, Branch] = {}
+    for c, fs in branches:
+        key = _row_key(fs, range(len(fs)))
+        rows[key] = (rows[key][0] + c, fs) if key in rows else (c, fs)
+    return list(rows.values())
+
+
 def _schmidt_split(
     coeff: complex, factors: tuple[Factor, ...], pair: tuple[int, int], block: np.ndarray
 ) -> list[Branch]:
@@ -493,11 +512,10 @@ def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray)
     di, dj = state.dims[i], state.dims[j]
     U = check_unitary(U, di * dj)
     lo, hi = min(i, j), max(i, j)
+    off = [r for r in range(state.num_registers) if r != i and r != j]
     groups: dict[tuple, list[Branch]] = {}
     for b in state.branches:
-        off = [f.label if isinstance(f, BasisFactor) else f.amps.tobytes()
-               for r, f in enumerate(b[1]) if r != i and r != j]
-        groups.setdefault(tuple(off), []).append(b)
+        groups.setdefault(_row_key(b[1], off), []).append(b)
 
     def block(fs):
         return (U @ np.kron(_factor_vector(fs[i], di), _factor_vector(fs[j], dj))).reshape(di, dj)
@@ -617,57 +635,26 @@ def _parse_family(
     state: BranchState, projectors: Sequence, registers: Sequence[int] | None, diagonal: bool
 ) -> tuple[list[int], list[np.ndarray], list[BranchState]]:
     """Check a projector family on ``registers`` (all when None) and return
-    the registers with the family as 0/1 masks or as rank-1 targets."""
-    if len(projectors) == 0:
-        raise ValueError("projector list must not be empty")
+    the registers with the family as 0/1 masks or as rank-1 targets.
+
+    A family of :class:`BranchState` targets is checked here, by layout and
+    one Gram matrix. Every other family goes through the dense backend's
+    parse and check, and its kets become one-register targets.
+    """
     n_regs = state.num_registers
     regs = _check_registers(range(n_regs) if registers is None else registers, n_regs)
     sdims = tuple(state.dims[r] for r in regs)
-    sub = int(np.prod(sdims))
-
-    targets: list[BranchState] = []
-    masks: list[np.ndarray] = []
-    for P in projectors:
-        if diagonal:
-            m = np.asarray(P)
-            if m.size != sub:
-                raise ValueError(f"mask size {m.size} does not match subspace {sub}")
-            masks.append(m.reshape(sdims))
-        elif isinstance(P, BranchState):
-            if P.dims != sdims:
-                raise ValueError("target state layout does not match the measured registers")
-            targets.append(P)
-        else:
-            P = np.asarray(P, dtype=complex)
-            if P.ndim == 1:
-                if len(regs) != 1:
-                    raise BranchError("raw kets are only supported on a single register; "
-                                      "pass a BranchState for multi-register targets")
-                if P.size != sub or abs(np.linalg.norm(P) - 1.0) > NORM_TOL:
-                    raise ValueError("rank-1 projector ket must be normalized and match the register")
-                targets.append(BranchState(sdims, [(1.0, (VecFactor(P),))], renormalize=False))
-            elif P.ndim == 2:
-                if P.shape != (sub, sub):
-                    raise ValueError(f"projector shape {P.shape} does not match subspace {sub}")
-                diag = np.diagonal(P)
-                if np.max(np.abs(P - np.diag(diag))) > 1e-12:
-                    raise BranchError("matrix projectors must be diagonal in the "
-                                      "computational basis")
-                masks.append(diag.reshape(sdims))
-            else:
-                raise ValueError("unsupported projector object")
-    if targets and masks:
-        raise ValueError("do not mix diagonal and rank-1 projectors in one measurement")
-
-    if masks:
-        if any(np.max(np.abs(m * (1 - m))) > 1e-10 for m in masks):
-            raise ValueError("diagonal projector entries must be 0 or 1")
-        masks = [np.real(m).round() for m in masks]
-        if np.max(sum(masks, np.zeros(sdims))) > 1 + 1e-9:
-            raise ValueError("diagonal projectors overlap")
-    else:
-        _check_orthogonal(sdims, targets)
-    return regs, masks, targets
+    if diagonal or len(projectors) == 0 or not all(isinstance(P, BranchState) for P in projectors):
+        masks, kets = _parse_arrays(projectors, sdims, diagonal)
+        if kets and len(regs) != 1:
+            raise BranchError("raw kets are only supported on a single register; "
+                              "pass a BranchState for multi-register targets")
+        targets = [BranchState(sdims, [(1.0, (VecFactor(k),))], renormalize=False) for k in kets]
+        return regs, masks, targets
+    if any(P.dims != sdims for P in projectors):
+        raise ValueError("target state layout does not match the measured registers")
+    _check_orthogonal(sdims, projectors)
+    return regs, [], list(projectors)
 
 
 def _project(
@@ -727,8 +714,8 @@ def branch_measure(
     Projectors must be mutually orthogonal; when they do not resolve the
     identity a remainder outcome with index ``len(projectors)`` is
     synthesized. Its post-state is the state's branches minus every projected
-    branch, so it may exceed the usual branch count; it is returned as-is (or
-    None if it cannot be normalized).
+    branch, with the coefficients of equal factor rows summed, so it may
+    exceed the usual branch count; it is None if it cannot be normalized.
     """
     regs, masks, targets = _parse_family(state, projectors, registers, diagonal)
     probs, post = _project(state, regs, masks, targets)
@@ -739,7 +726,8 @@ def branch_measure(
     k = sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
     if k < len(probs):
         return k, BranchState(state.dims, post(k, np.sqrt(probs[k])), renormalize=False), probs[k]
-    left = list(state.branches) + [(-c, fs) for j in range(len(probs)) for c, fs in post(j, 1.0)]
+    projected = [(-c, fs) for j in range(len(probs)) for c, fs in post(j, 1.0)]
+    left = _merge_rows(list(state.branches) + projected)
     n2 = _branch_norm_sq(state.dims, left)
     if n2 <= _ZERO_TOL:
         return k, None, remainder

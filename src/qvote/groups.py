@@ -129,32 +129,6 @@ BUILTIN_GROUPS = {
 }
 
 
-def load_cayley_table(text: str) -> FiniteGroup:
-    """Parse the plain-text table format: first line order, then table rows."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty Cayley table document")
-    try:
-        order = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the group order, got {lines[0]!r}") from None
-    rows = lines[1:]
-    if len(rows) != order:
-        raise ValueError(f"expected {order} table rows, got {len(rows)}")
-    table = []
-    for i, row in enumerate(rows):
-        entries = row.split()
-        if len(entries) != order:
-            raise ValueError(f"row {i} has {len(entries)} entries, expected {order}")
-        table.append([int(x) for x in entries])
-    return FiniteGroup(table)
-
-
-def format_cayley_table(group: FiniteGroup) -> str:
-    rows = [" ".join(str(int(x)) for x in row) for row in group.table]
-    return "\n".join([str(group.order)] + rows) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # representations
 

@@ -4,6 +4,10 @@ This is the exact, brute-force backend: full complex amplitude vectors,
 unitary application, partial trace, and projective measurement. Register 0
 is the most significant digit of the flattened amplitude index, i.e.
 ``amps.reshape(dims)[j0, j1, ...]`` is the amplitude of ``|j0 j1 ...>``.
+
+Both backends parse and check measurement families (0/1 masks, diagonal
+matrices, kets) with :func:`_parse_family`. The dense side projects masks by
+scaling rows and kets by contraction, without building projector matrices.
 """
 
 from __future__ import annotations
@@ -286,60 +290,67 @@ def states_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
 # measurement
 
 
-def _as_projector_family(
-    projectors: Sequence[np.ndarray], dim: int
-) -> tuple[list[tuple[str, np.ndarray]], bool]:
-    """Validate a family of orthogonal projectors given as matrices or kets.
+def _parse_family(
+    projectors: Sequence[np.ndarray], sdims: tuple[int, ...], diagonal: bool
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Check a projector family on a subspace of dims ``sdims`` and return it
+    as 0/1 masks shaped ``sdims`` or as unit kets (the other list empty).
 
-    Returns the normalized family plus a flag telling whether a remainder
-    outcome has to be synthesized to complete the family to the identity.
+    With ``diagonal`` every projector is a mask (shaped ``sdims`` or flat).
+    Otherwise a projector is a ket, or a square matrix that must be diagonal
+    in the computational basis and is reduced to its diagonal.
     """
     if len(projectors) == 0:
         raise ValueError("projector list must not be empty")
-    fam: list[tuple[str, np.ndarray]] = []
-    vecs = []
-    weight = 0.0  # total rank mass, needs to stay <= dim
+    sub = int(np.prod(sdims))
+    masks, kets = [], []
     for P in projectors:
-        P = np.asarray(P, dtype=complex)
-        if P.ndim == 1:
-            if P.size != dim:
-                raise ValueError(f"projector ket has length {P.size}, expected {dim}")
+        P = np.asarray(P)
+        if diagonal:
+            if P.size != sub:
+                raise ValueError(f"mask size {P.size} does not match subspace {sub}")
+            masks.append(P.reshape(sdims))
+        elif P.ndim == 1:
             n = np.linalg.norm(P)
-            if abs(n - 1.0) > NORM_TOL:
-                raise ValueError("rank-1 projector ket must be normalized")
-            fam.append(("ket", P / n))
-            vecs.append(P / n)
-            weight += 1.0
+            if P.size != sub or abs(n - 1.0) > NORM_TOL:
+                raise ValueError("rank-1 projector ket must be normalized and match the register")
+            kets.append(P / n)
         elif P.ndim == 2:
-            if P.shape != (dim, dim):
-                raise ValueError(f"projector has shape {P.shape}, expected {(dim, dim)}")
-            if np.max(np.abs(P - P.conj().T)) > NORM_TOL:
-                raise ValueError("projector is not Hermitian")
-            if np.max(np.abs(P @ P - P)) > NORM_TOL:
-                raise ValueError("operator is not idempotent (P^2 != P)")
-            fam.append(("mat", P))
-            weight += float(np.real(np.trace(P)))
+            if P.shape != (sub, sub):
+                raise ValueError(f"projector shape {P.shape} does not match subspace {sub}")
+            diag = np.diagonal(P)
+            if np.max(np.abs(P - np.diag(diag))) > 1e-12:
+                raise ValueError("matrix projectors must be diagonal in the computational basis")
+            masks.append(diag.reshape(sdims))
         else:
-            raise ValueError("projectors must be matrices or kets")
-    # Mutual orthogonality. Kets are checked pairwise via their Gram matrix;
-    # a matrix entry is checked against everything by multiplication.
-    if vecs:
-        V = np.asarray(vecs)
-        gram = V.conj() @ V.T
-        if np.max(np.abs(gram - np.eye(len(vecs)))) > NORM_TOL:
+            raise ValueError("unsupported projector object")
+    if kets and masks:
+        raise ValueError("do not mix diagonal and rank-1 projectors in one measurement")
+    if masks:
+        if any(np.max(np.abs(m * (1 - m))) > 1e-10 for m in masks):
+            raise ValueError("diagonal projector entries must be 0 or 1")
+        masks = [np.real(m).round() for m in masks]
+        if np.max(sum(masks, np.zeros(sdims))) > 1 + 1e-9:
+            raise ValueError("diagonal projectors overlap")
+    else:
+        V = np.asarray(kets)
+        if np.max(np.abs(V.conj() @ V.T - np.eye(len(kets)))) > NORM_TOL:
             raise ValueError("projector kets are not mutually orthogonal")
-    mats = [P for kind, P in fam if kind == "mat"]
-    for i, P in enumerate(mats):
-        for Q in mats[i + 1 :]:
-            if np.max(np.abs(P @ Q)) > NORM_TOL:
-                raise ValueError("projectors are not mutually orthogonal")
-        for v in vecs:
-            if np.linalg.norm(P @ v) > NORM_TOL:
-                raise ValueError("projectors are not mutually orthogonal")
-    if weight > dim + NORM_TOL * len(fam):
-        raise ValueError("projector family is overcomplete")
-    needs_remainder = weight < dim - 0.5
-    return fam, needs_remainder
+    return masks, kets
+
+
+def _projected(
+    state: DenseState, registers: Sequence[int] | None, projectors: Sequence[np.ndarray], diagonal: bool
+) -> tuple[np.ndarray, list[int], float, list[np.ndarray]]:
+    """The state as a (registers, rest) matrix (all registers when None), its
+    axis permutation, the rank of the checked family and the matrix projected
+    by each member: masks scale rows, kets contract them."""
+    n = state.num_registers
+    registers = _check_registers(range(n) if registers is None else registers, n)
+    mat, perm = _as_matrix(state, registers)
+    masks, kets = _parse_family(projectors, tuple(state.dims[r] for r in registers), diagonal)
+    projected = [mat * m.reshape(-1, 1) for m in masks] + [np.outer(k, k.conj() @ mat) for k in kets]
+    return mat, perm, sum(map(np.sum, masks)) + len(kets), projected
 
 
 def sample_index(probs: Sequence[float], rng: np.random.Generator) -> int:
@@ -357,82 +368,45 @@ def measure_projective(
     projectors: Sequence[np.ndarray],
     rng: np.random.Generator,
     registers: Sequence[int] | None = None,
+    *,
+    diagonal: bool = False,
 ) -> tuple[int, DenseState, float]:
     """Sample a projective measurement with Born probabilities.
 
     Projectors act on the joint space of ``registers`` (all registers when
-    None) and may be given as matrices or as normalized kets (rank-1). They
-    must be mutually orthogonal; if they do not sum to the identity a
-    remainder projector is synthesized as the final outcome index
+    None, in any order) and take the forms both backends accept: normalized
+    kets (rank-1), square matrices diagonal in the computational basis, and
+    with ``diagonal=True`` 0/1 masks of the measured registers' dims (or
+    flat). They must be mutually orthogonal; if they do not sum to the
+    identity a remainder projector is synthesized as the final outcome index
     ``len(projectors)``.
 
     Returns (outcome index, post-measurement state, outcome probability).
     """
-    if registers is None:
-        registers = range(state.num_registers)
-    mat, perm = _as_matrix(state, registers)
-    fam, needs_remainder = _as_projector_family(projectors, mat.shape[0])
-
-    projected: list[np.ndarray] = []
-    probs: list[float] = []
-    for kind, P in fam:
-        if kind == "ket":
-            row = P.conj() @ mat  # amplitudes over the unmeasured factor
-            post = np.outer(P, row)
-        else:
-            post = P @ mat
-        projected.append(post)
-        probs.append(float(np.real(np.vdot(post, post))))
-    if needs_remainder:
-        post = mat - sum(projected)
-        projected.append(post)
-        probs.append(float(np.real(np.vdot(post, post))))
+    mat, perm, rank, projected = _projected(state, registers, projectors, diagonal)
+    if rank < mat.shape[0]:
+        projected.append(mat - sum(projected))
+    probs = [float(np.real(np.vdot(post, post))) for post in projected]
     total = sum(probs)
     if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"projector family does not resolve the identity on the state "
-            f"(probabilities sum to {total!r})"
-        )
-
+        raise ValueError(f"projector family does not resolve the identity on the state "
+                         f"(probabilities sum to {total!r})")
     outcome = sample_index(probs, rng)
     p = probs[outcome]
     return outcome, _from_matrix(state, projected[outcome] / np.sqrt(p), perm), p
 
 
-def project_diag(
-    state: DenseState, registers: Sequence[int], mask: np.ndarray
+def project(
+    state: DenseState, registers: Sequence[int], projector: np.ndarray, *, diagonal: bool = False
 ) -> tuple[float, DenseState | None]:
-    """Deterministic projection onto a diagonal 0/1 mask over the given registers.
-
-    Returns (probability, normalized post-state or None when the probability
-    vanishes). The Born-analysis companion to measure_projective.
-    """
-    mat, perm = _as_matrix(state, registers)
-    weights = np.asarray(mask, dtype=float).reshape(-1)
-    if weights.size != mat.shape[0]:
-        raise ValueError("mask size does not match the measured subspace")
-    if np.max(np.abs(weights * (1 - weights))) > 1e-10:
-        raise ValueError("diagonal projector entries must be 0 or 1")
-    post = mat * weights[:, None]
+    """Deterministic projection onto one projector of any
+    :func:`measure_projective` form: (probability, normalized post-state or
+    None when the probability vanishes)."""
+    _, perm, _, (post,) = _projected(state, registers, [projector], diagonal)
     p = float(np.real(np.vdot(post, post)))
     if p <= 1e-14:
         return p, None
     return p, _from_matrix(state, post / np.sqrt(p), perm)
-
-
-def project_ket(
-    state: DenseState, register: int, ket: np.ndarray
-) -> tuple[float, DenseState | None]:
-    """Deterministic rank-1 projection of one register onto a normalized ket."""
-    ket = np.asarray(ket, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(ket) - 1.0) > NORM_TOL:
-        raise ValueError("rank-1 projector ket must be normalized")
-    mat, perm = _as_matrix(state, [register])
-    row = ket.conj() @ mat
-    p = float(np.real(np.vdot(row, row)))
-    if p <= 1e-14:
-        return p, None
-    return p, _from_matrix(state, np.outer(ket, row / np.sqrt(p)), perm)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from qvote.states import (
     apply_local,
     make_uniform_ghz,
     maximally_mixed,
+    measure_projective,
     partial_trace,
     states_close,
     trace_distance,
@@ -366,6 +367,18 @@ class TestMeasurement:
             assert p == pytest.approx(0.5, abs=1e-12)
         assert seen == {0, 1}
 
+    def test_target_remainder_merges_equal_rows(self):
+        # Two targets leave a remainder of 4 state branches and 2 x 16 projected
+        # ones over 16 distinct factor rows; equal rows are summed.
+        s = ghz_branches(4, 3)
+        targets = [phase_ghz(4, 2, 0.0), phase_ghz(4, 2, np.pi / 2)]
+        k, post, p = branch_measure(s, targets, np.random.default_rng(0), registers=[0, 1])
+        dk = DenseBackend()
+        kd, dpost, pd = dk.measure_targets(dk.ghz(4, 3), targets, np.random.default_rng(0), registers=[0, 1])
+        assert k == kd == 2 and abs(p - pd) <= 1e-12
+        assert len(post.branches) <= 16
+        assert np.max(np.abs(to_dense(post).amps - dpost.amps)) <= 1e-12
+
 
 class TestChecksStillFire:
     """The orthogonality and mask checks reject bad families however they are
@@ -551,13 +564,46 @@ def test_attach_label_validated(backend, initial):
         backend.attach(backend.ghz(3, 2), 3, initial)
 
 
+def _bad_families(backend, s):
+    """Families both backends reject, as (call, message fragment) on a state
+    of three dim-3 registers."""
+    rng = np.random.default_rng(0)
+    measure = measure_projective if backend.name == "dense" else branch_measure
+    plus = np.ones(3) / np.sqrt(3)
+    agree = np.eye(3)
+    half = np.ones((3, 3)) - agree
+    half[0, 1] = 0.5
+    e0, e1 = np.eye(3)[:2]
+    return {
+        "non-diagonal matrix": (lambda: measure(s, [np.outer(plus, plus)], rng, registers=[1]),
+                                "must be diagonal in the computational basis"),
+        "matrix and ket": (lambda: backend.measure_local_kets(s, 1, [np.diag(e0), e1], rng),
+                           "do not mix diagonal and rank-1 projectors"),
+        "overlap": (lambda: backend.measure_diag(s, [0, 2], [agree, agree], rng),
+                    "diagonal projectors overlap"),
+        "half entry": (lambda: backend.measure_diag(s, [0, 2], [agree, half], rng),
+                       "entries must be 0 or 1"),
+        "mask size": (lambda: backend.measure_diag(s, [0, 2], [np.ones(3)], rng),
+                      "mask size 3 does not match subspace 9"),
+        "non-orthogonal kets": (lambda: backend.measure_local_kets(s, 1, [e0, (e0 + e1) / np.sqrt(2)], rng),
+                                "not mutually orthogonal"),
+        "empty": (lambda: backend.measure_diag(s, [0, 2], [], rng), "must not be empty"),
+    }
+
+
 @pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
 def test_projections_share_the_measurement_checks(backend):
+    """Projections and measurements on both backends reject the same families
+    with the same words."""
     s = backend.ghz(3, 2)
     with pytest.raises(ValueError, match="0 or 1"):
         backend.project_diag(s, [0], np.array([1, 0.5, 0]))
     with pytest.raises(ValueError, match="must be normalized"):
         backend.project_ket(s, 1, np.array([1, 1, 0]))
+    s = backend.attach(s, 3, phase_state(3, 0.7))
+    for call, fragment in _bad_families(backend, s).values():
+        with pytest.raises(ValueError, match=fragment):
+            call()
 
 
 _SEQUENCE_OPS = ("monomial", "local", "shift", "swap", "attach", "drop", "pair", "measure",
@@ -649,9 +695,6 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
             assert kd == kb
             assert abs(pd - pb) <= 1e-12
         elif op == "target":
-            # A remainder post-state keeps every projected branch, so bound the input.
-            if len(b.branches) > 8:
-                continue
             if len(measured) == 1 and rng.random() < 0.5:
                 kets = haar_unitary(D, rng)[:, : int(rng.integers(1, D + 1))].T
                 kd, d, pd = dk.measure_local_kets(d, measured[0], kets, dense_rng)

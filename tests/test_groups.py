@@ -13,10 +13,8 @@ from qvote.groups import (
     check_protocol_ready,
     cyclic_group,
     direct_product,
-    format_cayley_table,
     klein4,
     klein_four_group,
-    load_cayley_table,
     regular_representation,
     run_abelian_distributed,
     run_group_traveling,
@@ -60,20 +58,6 @@ class TestFiniteGroup:
                     [4, 3, 1, 2, 0],
                 ]
             )
-
-    def test_table_text_round_trip(self):
-        g = symmetric_group_3()
-        text = format_cayley_table(g)
-        g2 = load_cayley_table(text)
-        assert np.array_equal(g.table, g2.table)
-
-    def test_table_parse_errors(self):
-        with pytest.raises(ValueError):
-            load_cayley_table("")
-        with pytest.raises(ValueError):
-            load_cayley_table("2\n0 1\n")
-        with pytest.raises(ValueError):
-            load_cayley_table("2\n0 1 0\n1 0\n")
 
 
 class TestRepresentations:
