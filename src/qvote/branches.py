@@ -29,6 +29,7 @@ compared up to a global phase throughout.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -116,8 +117,27 @@ def _tidy_factor(f: Factor) -> tuple[complex, Factor]:
     return 1.0 + 0.0j, f
 
 
+def _tidy_row(coeff: complex, factors: tuple[Factor, ...], regs: Sequence[int]) -> Branch:
+    """The branch coeff * factors with the factors on ``regs`` (ascending)
+    tidied and their weights moved into the coefficient; an already tidy row
+    keeps its tuple, so states can share rows."""
+    coeff = complex(coeff)
+    row = None
+    for r in regs:
+        w, g = _tidy_factor(factors[r])
+        if g is not factors[r]:
+            row = row or list(factors)
+            row[r] = g
+            coeff *= w
+    return coeff, factors if row is None else tuple(row)
+
+
 class BranchState(_Frozen):
-    """Superposition of product-form branches over a fixed register layout."""
+    """Superposition of product-form branches over a fixed register layout.
+
+    The public constructor validates and tidies every factor. Operations whose
+    output is valid and tidy by construction use :meth:`_trusted` instead.
+    """
 
     __slots__ = ("dims", "branches")
 
@@ -131,24 +151,33 @@ class BranchState(_Frozen):
             if len(factors) != len(dims):
                 raise ValueError("each branch needs one factor slot per register")
             self._validate_factors(factors, dims)
-            coeff = complex(coeff)
-            new_factors = []
-            for f in factors:
-                w, g = _tidy_factor(f)
-                coeff *= w
-                new_factors.append(g)
-            if abs(coeff) > _ZERO_TOL:
-                cleaned.append((coeff, tuple(new_factors)))
-        if not cleaned:
-            raise ValueError("branch state must have at least one branch")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "branches", tuple(cleaned))
+            cleaned.append(_tidy_row(coeff, factors, range(len(dims))))
+        self._fill(dims, cleaned)
         if renormalize:
             n = self.norm()
             if abs(n - 1.0) > NORM_TOL:
                 raise ValueError(f"branch state norm {n!r} deviates from 1 beyond {NORM_TOL}")
             if n != 1.0:
-                object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in cleaned))
+                object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in self.branches))
+
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...], branches: Sequence[Branch]) -> BranchState:
+        """A state from branches whose factors are already valid and tidy:
+        only branches with vanishing coefficients are dropped."""
+        state = object.__new__(cls)
+        state._fill(dims, branches)
+        return state
+
+    def _fill(self, dims: tuple[int, ...], branches: Sequence[Branch]) -> None:
+        kept = []
+        for c, fs in branches:
+            c = complex(c)
+            if abs(c) > _ZERO_TOL:
+                kept.append((c, fs))
+        if not kept:
+            raise ValueError("branch state must have at least one branch")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "branches", tuple(kept))
 
     @staticmethod
     def _validate_factors(factors: tuple[Factor, ...], dims: tuple[int, ...]) -> None:
@@ -177,33 +206,58 @@ class BranchState(_Frozen):
 # construction helpers
 
 
+_FAMILY_CACHE = 512  # states; holds every readout family of a D = 49 round and more
+
+
+def _check_ghz(D: int, N: int) -> None:
+    if D < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {D}")
+    if N < 1:
+        raise ValueError(f"register count must be >= 1, got {N}")
+
+
 def _basis_row(D: int) -> list[BasisFactor]:
     """One shared factor per label, so a D-branch family over N registers
     holds D factor objects rather than D * N."""
     return [BasisFactor(j) for j in range(D)]
 
 
+@lru_cache(maxsize=64)
+def _ghz_rows(D: int, N: int) -> tuple[tuple[BasisFactor, ...], ...]:
+    """The factor row (|j>,) * N of each label j, shared by every state built
+    on it: a family of D phase-GHZ states holds D rows rather than D * D."""
+    _check_ghz(D, N)
+    return tuple((f,) * N for f in _basis_row(D))
+
+
 def ghz_branches(D: int, N: int) -> BranchState:
     """The uniform correlated ballot state as D basis branches."""
-    if D < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {D}")
-    if N < 1:
-        raise ValueError(f"register count must be >= 1, got {N}")
+    rows = _ghz_rows(D, N)
     c = 1.0 / np.sqrt(D)
-    return BranchState((D,) * N, [(c, (f,) * N) for f in _basis_row(D)])
+    return BranchState((D,) * N, [(c, row) for row in rows])
 
 
+@lru_cache(maxsize=_FAMILY_CACHE)
 def phase_ghz(D: int, N: int, theta: float) -> BranchState:
-    """(1/sqrt(D)) sum_j e^{i j theta} |j>^(x N)."""
+    """(1/sqrt(D)) sum_j e^{i j theta} |j>^(x N).
+
+    Cached by value, as the readout families are the same every round; the
+    state is immutable, so callers share it.
+    """
+    rows = _ghz_rows(D, N)
     c = 1.0 / np.sqrt(D)
-    return BranchState(
-        (D,) * N,
-        [(c * np.exp(1j * j * theta), (f,) * N) for j, f in enumerate(_basis_row(D))],
-    )
+    return BranchState((D,) * N, [(c * np.exp(1j * j * theta), row) for j, row in enumerate(rows)])
 
 
 def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
-    """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D."""
+    """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D,
+    cached by value as :func:`phase_ghz` is."""
+    return _shifted_ghz(D, tuple(int(o) for o in offsets))
+
+
+@lru_cache(maxsize=_FAMILY_CACHE)
+def _shifted_ghz(D: int, offsets: tuple[int, ...]) -> BranchState:
+    _check_ghz(D, len(offsets))
     c = 1.0 / np.sqrt(D)
     basis = _basis_row(D)
     return BranchState(
@@ -215,7 +269,7 @@ def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
 def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
     """Product of two branch states on disjoint register groups (a's first)."""
     branches = [(ca * cb, fa + fb) for ca, fa in a.branches for cb, fb in b.branches]
-    return BranchState(a.dims + b.dims, branches, renormalize=False)
+    return BranchState._trusted(a.dims + b.dims, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +448,14 @@ def apply_branch_local(state: BranchState, register: int, U: np.ndarray) -> Bran
     for coeff, factors in state.branches:
         f = factors[register]
         new = list(factors)
-        if isinstance(f, VecFactor):
-            new[register] = VecFactor(U @ f.amps)
-        elif mono is not None:
+        if mono is not None and isinstance(f, BasisFactor):
             perm, phases = mono
-            coeff = coeff * phases[f.label]
             new[register] = BasisFactor(int(perm[f.label]))
+            branches.append((coeff * phases[f.label], tuple(new)))
         else:
-            new[register] = VecFactor(U[:, f.label])
-        branches.append((coeff, tuple(new)))
-    return BranchState(state.dims, branches, renormalize=False)
+            new[register] = VecFactor(U @ f.amps if isinstance(f, VecFactor) else U[:, f.label])
+            branches.append(_tidy_row(coeff, tuple(new), [register]))
+    return BranchState._trusted(state.dims, branches)
 
 
 def attach_register(state: BranchState, dim: int, initial: int | np.ndarray) -> BranchState:
@@ -415,16 +467,16 @@ def attach_register(state: BranchState, dim: int, initial: int | np.ndarray) -> 
     if isinstance(initial, (int, np.integer)):
         if not 0 <= int(initial) < dim:
             raise ValueError(f"initial label {initial} out of range for dimension {dim}")
-        make = lambda: BasisFactor(int(initial))
+        w, f = 1.0 + 0.0j, BasisFactor(int(initial))
     else:
         amps = np.asarray(initial, dtype=complex).reshape(-1)
         if amps.size != dim:
             raise ValueError("initial vector length does not match the register dimension")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ValueError("attached register state must be normalized")
-        make = lambda: VecFactor(amps)
-    branches = [(c, fs + (make(),)) for c, fs in state.branches]
-    return BranchState(state.dims + (dim,), branches, renormalize=False)
+        w, f = _tidy_factor(VecFactor(amps))
+    branches = [(c * w, fs + (f,)) for c, fs in state.branches]
+    return BranchState._trusted(state.dims + (int(dim),), branches)
 
 
 def swap_registers(state: BranchState, i: int, j: int) -> BranchState:
@@ -437,7 +489,7 @@ def swap_registers(state: BranchState, i: int, j: int) -> BranchState:
         new = list(factors)
         new[i], new[j] = factors[j], factors[i]
         branches.append((coeff, tuple(new)))
-    return BranchState(state.dims, branches, renormalize=False)
+    return BranchState._trusted(state.dims, branches)
 
 
 def apply_controlled_shift(
@@ -463,9 +515,9 @@ def apply_controlled_shift(
         if isinstance(f, BasisFactor):
             new[target] = BasisFactor((f.label + s) % d)
         else:
-            new[target] = VecFactor(np.roll(f.amps, s))
+            new[target] = VecFactor(np.roll(f.amps, s))  # as tidy as f
         branches.append((coeff, tuple(new)))
-    return BranchState(state.dims, branches, renormalize=False)
+    return BranchState._trusted(state.dims, branches)
 
 
 def _row_key(factors: tuple[Factor, ...], regs: Sequence[int]) -> tuple:
@@ -495,7 +547,7 @@ def _schmidt_split(
         new = list(factors)
         new[pair[0]] = VecFactor(u[:, k])
         new[pair[1]] = VecFactor(vh[k])
-        out.append((coeff * s[k], tuple(new)))
+        out.append(_tidy_row(coeff * s[k], tuple(new), sorted(pair)))
     return out
 
 
@@ -526,7 +578,7 @@ def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray)
         if others:  # a lone branch is split unscaled: its factors ignore its coefficient
             out, coeff = coeff * out + sum(c * block(fs) for c, fs in others), 1.0
         branches.extend(_schmidt_split(coeff, factors, (lo, hi), out if i < j else out.T))
-    return BranchState(state.dims, branches, renormalize=False)
+    return BranchState._trusted(state.dims, branches)
 
 
 def drop_register(state: BranchState, register: int) -> BranchState:
@@ -545,7 +597,7 @@ def drop_register(state: BranchState, register: int) -> BranchState:
         for c, fs in state.branches
     ]
     dims = tuple(d for r, d in enumerate(state.dims) if r != register)
-    return BranchState(dims, branches, renormalize=False)
+    return BranchState._trusted(dims, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +643,9 @@ def _apply_diag_mask(state: BranchState, regs: list[int], mask: np.ndarray) -> l
             amps = factors[r].amps * np.asarray(sub, dtype=complex).reshape(-1)
             if np.linalg.norm(amps) <= _ZERO_TOL:
                 continue
-            w2, g = _tidy_factor(VecFactor(amps))
             new = list(factors)
-            new[r] = g
-            out.append((coeff * w2, tuple(new)))
+            new[r] = VecFactor(amps)
+            out.append(_tidy_row(coeff, tuple(new), [r]))
         elif len(free) == 2:
             p, q = free
             block = np.multiply.outer(factors[p].amps, factors[q].amps) * sub
@@ -725,14 +776,14 @@ def branch_measure(
         raise ValueError("projector probabilities exceed 1; family is not orthogonal")
     k = sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
     if k < len(probs):
-        return k, BranchState(state.dims, post(k, np.sqrt(probs[k])), renormalize=False), probs[k]
+        return k, BranchState._trusted(state.dims, post(k, np.sqrt(probs[k]))), probs[k]
     projected = [(-c, fs) for j in range(len(probs)) for c, fs in post(j, 1.0)]
     left = _merge_rows(list(state.branches) + projected)
     n2 = _branch_norm_sq(state.dims, left)
     if n2 <= _ZERO_TOL:
         return k, None, remainder
     n = np.sqrt(n2)
-    return k, BranchState(state.dims, [(c / n, fs) for c, fs in left], renormalize=False), remainder
+    return k, BranchState._trusted(state.dims, [(c / n, fs) for c, fs in left]), remainder
 
 
 def branch_project(
@@ -745,4 +796,4 @@ def branch_project(
     p = probs[0]
     if p <= 1e-14:
         return p, None
-    return p, BranchState(state.dims, post(0, np.sqrt(p)), renormalize=False)
+    return p, BranchState._trusted(state.dims, post(0, np.sqrt(p)))

@@ -353,14 +353,21 @@ def _projected(
     return mat, perm, sum(map(np.sum, masks)) + len(kets), projected
 
 
-def sample_index(probs: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw an index by inverse CDF; shared by both backends for seed parity."""
+def sample_index(
+    probs: Sequence[float], rng: np.random.Generator, size: int | None = None
+) -> int | np.ndarray:
+    """Draw an index by inverse CDF; shared by both backends for seed parity.
+
+    With ``size``, an array of that many indices, drawn from the same stream
+    as ``size`` single draws.
+    """
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     cum = np.cumsum(probs)
     if cum[-1] <= 0.0:
         raise ValueError("all outcome probabilities vanish")
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1))
+    u = rng.random(size) * cum[-1]
+    index = np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1)
+    return int(index) if size is None else index
 
 
 def measure_projective(

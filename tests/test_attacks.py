@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from qvote import attacks
 from qvote.anticheat import AuthoritySecrets
 from qvote.attacks import (
     AttackReport,
@@ -33,7 +35,7 @@ from qvote.attacks import (
 from qvote.backends import get_backend
 from qvote.matrices import phase_state, phase_vote_matrix, swap_pair_matrix
 from qvote.protocols import ProtocolConfig
-from qvote.states import trace_distance
+from qvote.states import sample_index, trace_distance
 
 SECRETS = AuthoritySecrets(yes_level=1, no_level=0, offset=0.3)
 
@@ -352,6 +354,43 @@ class TestSwapAttack:
         from qvote.states import states_close
 
         assert states_close(state.amps, expect, tol=1e-12)
+
+
+def _per_trial_counts(trials, draw):
+    """Reference for ``attacks._batched_counts``: one draw per trial, in order."""
+    for _ in range(trials):
+        yield draw(1)[0].item(), 1
+
+
+class TestBatchedSampling:
+    CHUNK = attacks._DRAW_CHUNK
+
+    def test_batched_draws_are_the_single_draw_stream(self):
+        probs = [0.1, 0.0, 0.55, 0.35]
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        batched = sample_index(probs, a, 1000)
+        assert batched.tolist() == [sample_index(probs, b) for _ in range(1000)]
+        assert a.random(7).tolist() == [b.random() for _ in range(7)]
+
+    @pytest.mark.parametrize("trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("attack", ["swap", "entangling"])
+    def test_reports_equal_the_per_trial_loop(self, attack, trials):
+        cfg = ProtocolConfig(D=3, N=3, scheme="distributed", seed=0)
+
+        def run(rng):
+            if attack == "swap":
+                return run_swap_attack(cfg, [1, 0, 1], 0, (0, 1), rng, trials=trials)
+            return run_entangling_attack(cfg, [1, 0, 1], 0, swap_pair_matrix(3), (0, 1), rng,
+                                         trials=trials)
+
+        batched_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+        batched = run(batched_rng)
+        with mock.patch.object(attacks, "_batched_counts", _per_trial_counts):
+            loop = run(loop_rng)
+        assert batched == loop
+        assert list(batched.outcome_histogram.items()) == list(loop.outcome_histogram.items())
+        assert sum(batched.outcome_histogram.values()) == trials
+        assert batched_rng.random() == loop_rng.random()
 
 
 class TestEntangling:

@@ -18,6 +18,7 @@ from qvote.branches import (
     VecFactor,
     _block_vector,
     _branch_norm_sq,
+    _row_key,
     apply_branch_local,
     apply_controlled_shift,
     apply_pair_unitary,
@@ -83,6 +84,41 @@ class TestConstruction:
         raw = BranchState((2,), [(1.0, (BasisFactor(0),)), (1.0, (plus,))], renormalize=False)
         expected = np.linalg.norm([1 + 1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert raw.norm() == pytest.approx(expected, abs=1e-12)
+
+
+class TestFamilyCache:
+    @pytest.mark.parametrize("build", [
+        lambda: phase_ghz(1, 2, 0.3),
+        lambda: phase_ghz(3, 0, 0.3),
+        lambda: shifted_ghz(1, (0, 0)),
+        lambda: shifted_ghz(3, ()),
+        lambda: ghz_branches(3, 0),
+    ])
+    def test_degenerate_families_rejected(self, build):
+        with pytest.raises(ValueError, match="must be >= "):
+            build()
+
+    def test_second_call_returns_the_same_immutable_state(self):
+        a = phase_ghz(5, 3, 0.25)
+        assert phase_ghz(5, 3, 0.25) is a
+        assert shifted_ghz(5, [0, 2]) is shifted_ghz(5, (0, np.int64(2)))
+        with pytest.raises(AttributeError, match="immutable"):
+            a.branches = ()
+
+    def test_cached_state_equals_a_fresh_build_bitwise(self):
+        D, N, theta = 7, 4, 2 * np.pi * 3 / 7
+        fresh = phase_ghz.__wrapped__(D, N, theta)
+        cached = phase_ghz(D, N, theta)
+        assert [c for c, _ in cached.branches] == [c for c, _ in fresh.branches]
+        assert np.array([c for c, _ in cached.branches]).tobytes() == \
+            np.array([c for c, _ in fresh.branches]).tobytes()
+
+    def test_whole_d49_family_stays_cached_on_shared_rows(self):
+        D, N = 49, 48
+        family = [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(D)]
+        assert all(phase_ghz(D, N, 2 * np.pi * q / D) is s for q, s in enumerate(family))
+        rows = {id(fs) for s in family for _, fs in s.branches}
+        assert len(rows) == D
 
 
 class TestLocalOps:
@@ -606,10 +642,34 @@ def test_projections_share_the_measurement_checks(backend):
             call()
 
 
-_SEQUENCE_OPS = ("monomial", "local", "shift", "swap", "attach", "drop", "pair", "measure",
-                 "target", "project", "reduced")
+_SEQUENCE_OPS = ("monomial", "local", "block", "shift", "swap", "attach", "drop", "pair",
+                 "measure", "target", "project", "reduced")
 _MAX_REGISTERS = 5
 _MAX_BRANCHES = 40  # pair unitaries multiply the branch count by up to D
+
+
+def _block_unitary(n, rng):
+    """A Hadamard on two random labels and the identity elsewhere: not
+    monomial, yet it maps the other labels, and twice applied every label,
+    to one-hot columns."""
+    a, b = rng.permutation(n)[:2]
+    U = np.eye(n, dtype=complex)
+    U[np.ix_([a, b], [a, b])] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return U
+
+
+def _monomial_unitary(n, rng):
+    return np.eye(n)[rng.permutation(n)] @ np.diag(np.exp(2j * np.pi * rng.random(n)))
+
+
+def _assert_as_constructed(state):
+    """Operations build states without the public constructor's checks; it
+    must find nothing to change: no factor to tidy and no branch to drop."""
+    again = BranchState(state.dims, state.branches, renormalize=False)
+    assert len(again.branches) == len(state.branches)
+    for (c, fs), (c2, fs2) in zip(state.branches, again.branches):
+        assert np.array(c).tobytes() == np.array(c2).tobytes()
+        assert _row_key(fs, range(len(fs))) == _row_key(fs2, range(len(fs2)))
 
 
 def _target_family(D, m, rng):
@@ -643,11 +703,9 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
         regs = [int(r) for r in rng.permutation(R)]
         # One or two registers in random order; all of them, unsorted, is possible when R <= 2.
         measured = regs[: int(rng.integers(1, min(R, 2) + 1))]
-        if op == "monomial":
-            U = np.eye(D)[rng.permutation(D)] @ np.diag(np.exp(2j * np.pi * rng.random(D)))
-            d, b = dk.apply_local(d, regs[0], U), bk.apply_local(b, regs[0], U)
-        elif op == "local":
-            U = haar_unitary(D, rng)
+        if op in ("monomial", "local", "block"):
+            make = {"monomial": _monomial_unitary, "local": haar_unitary, "block": _block_unitary}
+            U = make[op](D, rng)
             d, b = dk.apply_local(d, regs[0], U), bk.apply_local(b, regs[0], U)
         elif op == "shift":
             # The control must hold a basis factor on every branch.
@@ -682,7 +740,8 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
         elif op == "pair":
             if R < 2 or len(b.branches) * D > _MAX_BRANCHES:
                 continue
-            U = haar_unitary(D * D, rng)
+            # A monomial pair unitary gives one-hot Schmidt vectors on basis factors.
+            U = (haar_unitary if rng.random() < 0.5 else _monomial_unitary)(D * D, rng)
             d, b = dk.apply_pair(d, regs[:2], U), bk.apply_pair(b, regs[:2], U)
         elif op == "measure":
             size = D ** len(measured)
@@ -721,3 +780,4 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
             assert np.max(np.abs(dk.reduced(d, measured) - bk.reduced(b, measured))) <= 1e-12
         # The dense drop fixes the global phase afresh, so compare up to it.
         assert states_close(dk.amplitudes(d), bk.amplitudes(b), tol=1e-12)
+        _assert_as_constructed(b)
