@@ -2,7 +2,9 @@
 
 Protocol code is written once against this surface; measurement targets are
 described as :class:`BranchState` values (the natural language for every
-correlated state the protocols use) and the dense backend expands them.
+correlated state the protocols use); the dense backend scores them by
+contraction with its amplitudes and expands only the targets of the drawn
+outcome.
 Both backends consume randomness through the same inverse-CDF sampler, so a
 shared seed yields identical outcome sequences whenever the Born
 probabilities agree.
@@ -61,8 +63,28 @@ class DenseBackend:
         return st.apply_joint(state, [i, j], swap_pair_matrix(state.dims[i]))
 
     def measure_targets(self, state, targets: Sequence[BranchState], rng, registers=None):
-        kets = [br.to_dense(t).amps for t in targets]
-        return st.measure_projective(state, kets, rng, registers=registers)
+        """Targets are scored by contraction with the state. Only the drawn
+        outcome's target (every target for the remainder) is expanded and
+        parsed as a ket, and its post-state and probability are computed as
+        :func:`st.measure_projective` computes them for kets."""
+        regs, _, targets = br._parse_family(state, targets, registers, False)
+        mat, perm = st._as_matrix(state, regs)
+        sdims = tuple(state.dims[r] for r in regs)
+        tensor = mat.reshape(sdims + (-1,))
+        amps = (br._contract_target(t, tensor) for t in targets)
+        probs = [float(np.real(np.vdot(a, a))) for a in amps]
+        total = sum(probs)
+        if total > 1.0 + st.NORM_TOL or (len(targets) == mat.shape[0] and abs(total - 1.0) > st.NORM_TOL):
+            raise ValueError(f"projector family does not resolve the identity on the state "
+                             f"(probabilities sum to {total!r})")
+        remainder = 1.0 - total
+        k = st.sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
+        drawn = targets[k:k + 1] if k < len(targets) else targets
+        _, kets = st._parse_family([br.to_dense(t).amps for t in drawn], sdims, False)
+        projected = [np.outer(v, v.conj() @ mat) for v in kets]
+        post = projected[0] if k < len(targets) else mat - sum(projected)
+        p = float(np.real(np.vdot(post, post)))
+        return k, st._from_matrix(state, post / np.sqrt(p), perm), p
 
     def measure_diag(self, state, registers, masks: Sequence[np.ndarray], rng):
         return st.measure_projective(state, list(masks), rng, registers=registers, diagonal=True)
@@ -89,7 +111,10 @@ class DenseBackend:
         return st.project(state, [register], ket)
 
     def target_probability(self, state, target: BranchState) -> float:
-        return float(abs(np.vdot(br.to_dense(target).amps, state.amps)) ** 2)
+        if target.dims != state.dims:
+            raise ValueError(f"layout mismatch: {target.dims} vs {state.dims}")
+        br._check_orthonormal(target.dims, [target])
+        return float(abs(br._contract_target(target, state.tensor())) ** 2)
 
 
 class BranchBackend:

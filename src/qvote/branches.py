@@ -363,9 +363,9 @@ def _inners(
     return out
 
 
-def _check_orthogonal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> None:
-    """Raise unless the targets are mutually orthogonal, from one Gram matrix
-    over the label join: targets as rows, distinct key-label rows as columns."""
+def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> None:
+    """Raise unless the targets are orthonormal, from one Gram matrix over the
+    label join: targets as rows, distinct key-label rows as columns."""
     sides = [t.branches for t in targets]
     key, rest = _join_key(dims, *sides)
     cols: dict[tuple[int, ...], list[tuple[int, complex, tuple[Factor, ...]]]] = {}
@@ -377,16 +377,20 @@ def _check_orthogonal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> 
         for col in cols.values():
             for i, ca, fa in col:
                 for j, cb, fb in col:
-                    if i < j:
+                    if i <= j:
                         gram[i, j] += np.conj(ca) * cb * _pair_overlap(fa, fb, rest)
     else:
         coeffs = np.zeros((len(sides), len(cols)), dtype=complex)
         for k, col in enumerate(cols.values()):
             for i, c, _ in col:
                 coeffs[i, k] += c
-        gram = np.triu(coeffs.conj() @ coeffs.T, 1)
+        gram = coeffs.conj() @ coeffs.T
+    gram.flat[:: len(sides) + 1] -= 1.0  # the deviation from the identity
     if np.max(np.abs(gram)) > NORM_TOL:
-        raise ValueError("measurement targets are not mutually orthogonal")
+        if np.max(np.abs(np.triu(gram, 1))) > NORM_TOL:
+            raise ValueError("measurement targets are not mutually orthogonal")
+        raise ValueError(f"measurement targets must be normalized (squared norm off by "
+                         f"{np.max(np.abs(np.diagonal(gram))):.3e})")
 
 
 def branch_inner(a: BranchState, b: BranchState) -> complex:
@@ -401,7 +405,9 @@ def branch_inner(a: BranchState, b: BranchState) -> complex:
 
 
 def to_dense(state: BranchState) -> DenseState:
-    """Exact expansion into the dense backend (one-way)."""
+    """Exact expansion into the dense backend (one-way): each branch is
+    scattered into the slice of its basis labels, expanded over its vector
+    factors only."""
     total = 1
     for d in state.dims:
         total *= d
@@ -411,8 +417,29 @@ def to_dense(state: BranchState) -> DenseState:
             )
     out = np.zeros(state.dims, dtype=complex)
     for coeff, factors in state.branches:
-        out += _block_vector(factors, range(len(state.dims)), state.dims, coeff)
+        vec = [r for r, f in enumerate(factors) if isinstance(f, VecFactor)]
+        out[_slice(factors)] += _block_vector(factors, vec, state.dims, coeff)
     return DenseState(state.dims, out.reshape(-1))
+
+
+def _slice(factors: tuple[Factor, ...]) -> tuple[int | slice, ...]:
+    """Index of a branch in a tensor with one axis per register: its label on
+    each basis factor, the whole axis on each vector factor."""
+    return tuple(slice(None) if isinstance(f, VecFactor) else f.label for f in factors)
+
+
+def _contract_target(target: BranchState, tensor: np.ndarray) -> np.ndarray:
+    """<target| contracted with the leading axes of ``tensor``, one per target
+    register: per branch a gather of its basis labels, a contraction of each
+    vector axis with the conjugated amplitudes, and the weight conj(c)."""
+    out = np.zeros(tensor.shape[target.num_registers:], dtype=complex)
+    for coeff, factors in target.branches:
+        block = tensor[_slice(factors)]
+        for f in factors:
+            if isinstance(f, VecFactor):
+                block = np.tensordot(f.amps.conj(), block, axes=(0, 0))
+        out += np.conj(coeff) * block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +667,14 @@ def _apply_diag_mask(state: BranchState, regs: list[int], mask: np.ndarray) -> l
                 out.append((coeff * w, factors))
         elif len(free) == 1:
             r = free[0]
+            on = np.flatnonzero(sub)
+            if on.size == 1:  # one label passes: the factor becomes its basis factor
+                a = factors[r].amps[on[0]]
+                if abs(a) > _ZERO_TOL:
+                    new = list(factors)
+                    new[r] = BasisFactor(int(on[0]))
+                    out.append((complex(coeff) * complex(a), tuple(new)))
+                continue
             amps = factors[r].amps * np.asarray(sub, dtype=complex).reshape(-1)
             if np.linalg.norm(amps) <= _ZERO_TOL:
                 continue
@@ -683,14 +718,15 @@ def _branch_norm_sq(dims: tuple[int, ...], branches: list[Branch]) -> float:
 
 
 def _parse_family(
-    state: BranchState, projectors: Sequence, registers: Sequence[int] | None, diagonal: bool
+    state: BranchState | DenseState, projectors: Sequence, registers: Sequence[int] | None, diagonal: bool
 ) -> tuple[list[int], list[np.ndarray], list[BranchState]]:
-    """Check a projector family on ``registers`` (all when None) and return
-    the registers with the family as 0/1 masks or as rank-1 targets.
+    """Check a projector family on ``registers`` (all when None) of a state
+    of either backend and return the registers with the family as 0/1 masks
+    or as rank-1 targets.
 
     A family of :class:`BranchState` targets is checked here, by layout and
-    one Gram matrix. Every other family goes through the dense backend's
-    parse and check, and its kets become one-register targets.
+    one Gram matrix against the identity. Every other family goes through the
+    dense backend's parse and check, and its kets become one-register targets.
     """
     n_regs = state.num_registers
     regs = _check_registers(range(n_regs) if registers is None else registers, n_regs)
@@ -704,7 +740,7 @@ def _parse_family(
         return regs, masks, targets
     if any(P.dims != sdims for P in projectors):
         raise ValueError("target state layout does not match the measured registers")
-    _check_orthogonal(sdims, projectors)
+    _check_orthonormal(sdims, projectors)
     return regs, [], list(projectors)
 
 

@@ -43,6 +43,7 @@ from qvote.matrices import (
     swap_pair_matrix,
 )
 from qvote.states import (
+    DenseState,
     apply_joint,
     apply_local,
     make_uniform_ghz,
@@ -781,3 +782,98 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
         # The dense drop fixes the global phase afresh, so compare up to it.
         assert states_close(dk.amplitudes(d), bk.amplitudes(b), tol=1e-12)
         _assert_as_constructed(b)
+
+
+def _old_dense_measure(state, targets, rng, registers):
+    """The dense measurement of BranchState targets before contraction: every
+    target expanded and measured as a ket."""
+    return measure_projective(state, [to_dense(t).amps for t in targets], rng, registers=registers)
+
+
+@hst.composite
+def _dense_target_cases(draw):
+    """A random dense state, registers to measure (all or a subset, in any
+    order) and an orthonormal, possibly incomplete, family of BranchState
+    targets on them: phase-GHZ or shifted-GHZ members, some with vector
+    factors from a shared local unitary."""
+    D = draw(hst.integers(2, 4))
+    n = draw(hst.integers(1, 4 if D < 4 else 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=D**n) + 1j * rng.normal(size=D**n)
+    if rng.random() < 0.3:  # a sparse state, where whole target branches miss it
+        amps = make_uniform_ghz(D, n).amps
+    measured = [int(r) for r in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    m = len(measured)
+    if m >= 2 and rng.random() < 0.5:
+        offsets = [0, 0] + [int(o) for o in rng.integers(0, D, size=m - 2)]
+        family = [shifted_ghz(D, [0, s] + offsets[2:]) for s in range(D)]
+    else:
+        theta = 2 * np.pi * rng.random()
+        family = [phase_ghz(D, m, theta + 2 * np.pi * q / D) for q in range(D)]
+    for r in rng.permutation(m)[: int(rng.integers(0, m + 1))]:
+        U = haar_unitary(D, rng)
+        family = [apply_branch_local(t, int(r), U) for t in family]
+    keep = rng.permutation(D)[: int(rng.integers(1, D + 1))]
+    state = DenseState((D,) * n, amps / np.linalg.norm(amps))
+    return state, measured, [family[q] for q in keep], int(rng.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_target_cases())
+def test_dense_target_contraction_matches_expansion(case):
+    """Scoring targets by contraction draws the outcome the expanded kets
+    drew, and reports the same probability and post-state to the bit."""
+    state, measured, targets, seed = case
+    k, post, p = DenseBackend().measure_targets(state, targets, np.random.default_rng(seed), measured)
+    k0, post0, p0 = _old_dense_measure(state, targets, np.random.default_rng(seed), measured)
+    assert k == k0
+    assert np.array(p).tobytes() == np.array(p0).tobytes()
+    assert post.amps.tobytes() == post0.amps.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_branch_pairs())
+def test_to_dense_scatter_matches_full_expansion(pair):
+    """Scattering each branch into its label slice gives, to the bit, the
+    sum of every branch expanded over all registers."""
+    for s in pair:
+        out = np.zeros(s.dims, dtype=complex)
+        for coeff, factors in s.branches:
+            out += _block_vector(factors, range(len(s.dims)), s.dims, coeff)
+        assert to_dense(s).amps.tobytes() == DenseState(s.dims, out.reshape(-1)).amps.tobytes()
+
+
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+def test_unnormalized_targets_rejected(backend):
+    """Both backends check target norms through the Gram diagonal."""
+    half = BranchState((3, 3), [(0.5, (BasisFactor(0), BasisFactor(0)))], renormalize=False)
+    s = backend.ghz(3, 2)
+    with pytest.raises(ValueError, match="must be normalized"):
+        backend.measure_targets(s, [half, shifted_ghz(3, (0, 1))], np.random.default_rng(0))
+    if backend.name == "dense":
+        with pytest.raises(ValueError, match="must be normalized"):
+            backend.target_probability(s, half)
+
+
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+def test_target_probability_layout_checked(backend):
+    s = backend.ghz(3, 2)
+    with pytest.raises(ValueError, match=r"layout mismatch: \(3, 3, 3\) vs \(3, 3\)"):
+        backend.target_probability(s, phase_ghz(3, 3, 0.0))
+    assert backend.target_probability(s, phase_ghz(3, 2, 0.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_one_label_mask_rows_match_the_vector_route():
+    """A mask row that passes one label of a vector factor gives, to the bit,
+    the branch that masking the vector and tidying it gives."""
+    D = 3
+    s = attach_register(ghz_branches(D, 2), D, phase_state(D, 0.7))
+    for label in range(D):
+        mask = np.zeros((D, D))
+        mask[:, label] = 1.0
+        got = branches_module._apply_diag_mask(s, [0, 2], mask)
+        one_hot = np.eye(D, dtype=complex)[label]
+        want = [branches_module._tidy_row(c, fs[:2] + (VecFactor(fs[2].amps * one_hot),), [2])
+                for c, fs in s.branches]
+        assert [np.array(c).tobytes() for c, _ in got] == [np.array(c).tobytes() for c, _ in want]
+        assert [_row_key(fs, range(3)) for _, fs in got] == [_row_key(fs, range(3)) for _, fs in want]
