@@ -667,16 +667,17 @@ def run_classical_eavesdrop(
         analytic_detection=0.0,
         seed=seed,
     )
-    for _ in range(trials):
-        labels = sample_zero_sum_ballots(N, 1, rng)[0]
-        before = int(labels[target])
-        marked = [(int(l) + v) % D for l, v in zip(labels, votes)]
-        after = marked[target]
-        leak = (after - before) % D
-        report.leak_attempts += 1
+
+    def draw(n):  # each trial's (leak, tally) as leak * D + tally
+        labels = sample_zero_sum_ballots(N, n, rng)
+        marked = (labels + votes) % D
+        return (marked[:, target] - labels[:, target]) % D * D + marked.sum(axis=1) % D
+
+    for outcome, count in _batched_counts(trials, draw):
+        leak, tally = divmod(outcome, D)
+        report.leak_attempts += count
         if leak == votes[target]:
-            report.leak_correct += 1
-        tally = sum(marked) % D
-        report._bump(f"tally={tally}")
+            report.leak_correct += count
+        report._bump(f"tally={tally}", count)
     report.statistics["expected_tally"] = sum(votes)
     return report

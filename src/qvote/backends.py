@@ -73,12 +73,7 @@ class DenseBackend:
         tensor = mat.reshape(sdims + (-1,))
         amps = (br._contract_target(t, tensor) for t in targets)
         probs = [float(np.real(np.vdot(a, a))) for a in amps]
-        total = sum(probs)
-        if total > 1.0 + st.NORM_TOL or (len(targets) == mat.shape[0] and abs(total - 1.0) > st.NORM_TOL):
-            raise ValueError(f"projector family does not resolve the identity on the state "
-                             f"(probabilities sum to {total!r})")
-        remainder = 1.0 - total
-        k = st.sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
+        k = st._draw_outcome(probs, len(targets), mat.shape[0], rng)
         drawn = targets[k:k + 1] if k < len(targets) else targets
         _, kets = st._parse_family([br.to_dense(t).amps for t in drawn], sdims, False)
         projected = [np.outer(v, v.conj() @ mat) for v in kets]
@@ -113,7 +108,7 @@ class DenseBackend:
     def target_probability(self, state, target: BranchState) -> float:
         if target.dims != state.dims:
             raise ValueError(f"layout mismatch: {target.dims} vs {state.dims}")
-        br._check_orthonormal(target.dims, [target])
+        br._check_norm_offset(abs(br._branch_norm_sq(target.dims, target.branches) - 1.0))
         return float(abs(br._contract_target(target, state.tensor())) ** 2)
 
 
@@ -171,7 +166,9 @@ class BranchBackend:
         return br.branch_project(state, [register], ket)
 
     def target_probability(self, state, target: BranchState) -> float:
-        return float(abs(br.branch_inner(target, state)) ** 2)
+        amp = br.branch_inner(target, state)  # checks the layout
+        br._check_norm_offset(abs(br._branch_norm_sq(target.dims, target.branches) - 1.0))
+        return float(abs(amp) ** 2)
 
 
 _BACKENDS = {"dense": DenseBackend(), "branch": BranchBackend()}

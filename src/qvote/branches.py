@@ -9,18 +9,24 @@ eavesdropper), diagonal projective measurements, and rank-1 measurements
 whose targets are themselves branch states. Anything else must be routed
 through the dense backend.
 
-Every factor is local to one register. An operation that entangles two
-registers (a pair unitary, or a diagonal mask over two vector factors) splits
-each two-register block by the Schmidt decomposition into one product branch
-per singular value above 1e-12, at most the smaller dimension. A pair unitary
-first sums the blocks of branches that agree off the pair.
+Every factor is local to one register: a basis label, stored as a plain
+Python ``int``, or a :class:`VecFactor`. The correlations of the ballot
+states sit in the labels alone, so overlaps join branches on their label
+rows, and a row that is all labels is its own join key.
+
+An operation that entangles two registers (a pair unitary, or a diagonal
+mask over two vector factors) splits each two-register block by the Schmidt
+decomposition into one product branch per singular value above 1e-12, at most
+the smaller dimension. A pair unitary first sums the blocks of branches that
+agree off the pair.
 
 Every measurement form (0/1 masks, diagonal matrices, one-register kets and
 branch-state targets, on registers in any order) goes through one parse and
 check step and one projection step, which the sampled measurements and the
 deterministic projections of the attack models share. The array forms are
 parsed and checked by the dense backend's :func:`qvote.states._parse_family`,
-so both backends accept and reject the same families.
+and outcomes are drawn by :func:`qvote.states._draw_outcome`, so both
+backends accept and reject the same families and sample them alike.
 
 Register conventions and tolerances match :mod:`qvote.states`; states are
 compared up to a global phase throughout.
@@ -30,21 +36,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
 from .states import (
     DENSE_AMP_BUDGET,
     NORM_TOL,
+    VANISHING_PROB,
     DenseBudgetError,
     DenseState,
     DensityMatrix,
     _check_registers,
+    _draw_outcome,
     _kept_dim,
     _parse_family as _parse_arrays,
     check_unitary,
-    sample_index,
 )
 
 _ZERO_TOL = 1e-14
@@ -72,16 +78,6 @@ def _read_only(amps: np.ndarray) -> np.ndarray:
     return view
 
 
-class BasisFactor(_Frozen):
-    __slots__ = ("label",)
-
-    def __init__(self, label: int):
-        object.__setattr__(self, "label", int(label))
-
-    def __repr__(self) -> str:
-        return f"|{self.label}>"
-
-
 class VecFactor(_Frozen):
     __slots__ = ("amps",)
 
@@ -96,24 +92,25 @@ class VecFactor(_Frozen):
         return f"vec{np.round(self.amps, 3)!r}"
 
 
-Factor = BasisFactor | VecFactor
+Factor = int | VecFactor
+_FACTOR_TYPES = {int, VecFactor}
 Branch = tuple[complex, tuple[Factor, ...]]
 
 
 def _factor_vector(f: Factor, dim: int) -> np.ndarray:
-    if isinstance(f, BasisFactor):
-        v = np.zeros(dim, dtype=complex)
-        v[f.label] = 1.0
-        return v
-    return f.amps
+    if isinstance(f, VecFactor):
+        return f.amps
+    v = np.zeros(dim, dtype=complex)
+    v[f] = 1.0
+    return v
 
 
 def _tidy_factor(f: Factor) -> tuple[complex, Factor]:
-    """Canonicalize: a one-hot vector becomes a basis factor; weight moves out."""
+    """Canonicalize: a one-hot vector becomes its label; weight moves out."""
     if isinstance(f, VecFactor):
         nz = np.flatnonzero(np.abs(f.amps) > _ZERO_TOL)
         if nz.size == 1:
-            return complex(f.amps[nz[0]]), BasisFactor(int(nz[0]))
+            return complex(f.amps[nz[0]]), int(nz[0])
     return 1.0 + 0.0j, f
 
 
@@ -150,7 +147,7 @@ class BranchState(_Frozen):
             factors = tuple(factors)
             if len(factors) != len(dims):
                 raise ValueError("each branch needs one factor slot per register")
-            self._validate_factors(factors, dims)
+            factors = self._validate_factors(factors, dims)
             cleaned.append(_tidy_row(coeff, factors, range(len(dims))))
         self._fill(dims, cleaned)
         if renormalize:
@@ -180,16 +177,20 @@ class BranchState(_Frozen):
         object.__setattr__(self, "branches", tuple(kept))
 
     @staticmethod
-    def _validate_factors(factors: tuple[Factor, ...], dims: tuple[int, ...]) -> None:
+    def _validate_factors(factors: tuple[Factor, ...], dims: tuple[int, ...]) -> tuple[Factor, ...]:
+        """The row with every integer label (numpy integers and bools too) as
+        a Python int; a row that already is one comes back as the same tuple."""
         for r, f in enumerate(factors):
-            if isinstance(f, BasisFactor):
-                if not 0 <= f.label < dims[r]:
-                    raise ValueError(f"basis label {f.label} out of range for register {r}")
-            elif isinstance(f, VecFactor):
+            if isinstance(f, VecFactor):
                 if f.amps.size != dims[r]:
                     raise ValueError(f"local factor length mismatch on register {r}")
-            else:
+            elif not isinstance(f, (int, np.integer)):
                 raise TypeError(f"unknown factor type {type(f)!r}")
+            elif not 0 <= f < dims[r]:
+                raise ValueError(f"basis label {f} out of range for register {r}")
+        if set(map(type, factors)) <= _FACTOR_TYPES:
+            return factors
+        return tuple(f if isinstance(f, VecFactor) else int(f) for f in factors)
 
     @property
     def num_registers(self) -> int:
@@ -216,18 +217,12 @@ def _check_ghz(D: int, N: int) -> None:
         raise ValueError(f"register count must be >= 1, got {N}")
 
 
-def _basis_row(D: int) -> list[BasisFactor]:
-    """One shared factor per label, so a D-branch family over N registers
-    holds D factor objects rather than D * N."""
-    return [BasisFactor(j) for j in range(D)]
-
-
 @lru_cache(maxsize=64)
-def _ghz_rows(D: int, N: int) -> tuple[tuple[BasisFactor, ...], ...]:
-    """The factor row (|j>,) * N of each label j, shared by every state built
+def _ghz_rows(D: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """The label row (j,) * N of each label j, shared by every state built
     on it: a family of D phase-GHZ states holds D rows rather than D * D."""
     _check_ghz(D, N)
-    return tuple((f,) * N for f in _basis_row(D))
+    return tuple((j,) * N for j in range(D))
 
 
 def ghz_branches(D: int, N: int) -> BranchState:
@@ -259,10 +254,9 @@ def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
 def _shifted_ghz(D: int, offsets: tuple[int, ...]) -> BranchState:
     _check_ghz(D, len(offsets))
     c = 1.0 / np.sqrt(D)
-    basis = _basis_row(D)
     return BranchState(
         (D,) * len(offsets),
-        [(c, tuple(basis[(j + o) % D] for o in offsets)) for j in range(D)],
+        [(c, tuple((j + o) % D for o in offsets)) for j in range(D)],
     )
 
 
@@ -291,13 +285,13 @@ def _pair_overlap(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence
     out = 1.0 + 0.0j
     for r in regs:
         a, b = fa[r], fb[r]
-        if isinstance(a, BasisFactor) and isinstance(b, BasisFactor):
-            if a.label != b.label:
+        if type(a) is int and type(b) is int:
+            if a != b:
                 return 0.0
-        elif isinstance(a, BasisFactor):
-            out *= b.amps[a.label]
-        elif isinstance(b, BasisFactor):
-            out *= np.conj(a.amps[b.label])
+        elif type(a) is int:
+            out *= b.amps[a]
+        elif type(b) is int:
+            out *= np.conj(a.amps[b])
         else:
             out *= np.vdot(a.amps, b.amps)
         if out == 0.0:
@@ -305,29 +299,29 @@ def _pair_overlap(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence
     return complex(out)
 
 
-_ALL_BASIS = {BasisFactor}
-_label = attrgetter("label")
+_ALL_BASIS = {int}
 _JOIN_MIN_PAIRS = 32  # branch pairs; measured break-even on 4-register states
 
 
 def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int], list[int]]:
-    """Split the registers into the join key, those holding a basis factor on
+    """Split the registers into the join key, those holding a label on
     every branch of every side, and the rest."""
     key = list(range(len(dims)))
     for side in sides:
         for _, fs in side:
             if set(map(type, fs)) != _ALL_BASIS:
-                key = [r for r in key if type(fs[r]) is BasisFactor]
+                key = [r for r in key if type(fs[r]) is int]
     keyed = set(key)
     return key, [r for r in range(len(dims)) if r not in keyed]
 
 
 def _labels(factors: tuple[Factor, ...], key: list[int]) -> tuple[int, ...]:
+    """The labels on the key registers; a key over every register is the row itself."""
     if not key:
         return ()
     if len(key) == len(factors):
-        return tuple(map(_label, factors))
-    return tuple([factors[r].label for r in key])
+        return factors
+    return tuple([factors[r] for r in key])
 
 
 def _inners(
@@ -389,8 +383,13 @@ def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) ->
     if np.max(np.abs(gram)) > NORM_TOL:
         if np.max(np.abs(np.triu(gram, 1))) > NORM_TOL:
             raise ValueError("measurement targets are not mutually orthogonal")
-        raise ValueError(f"measurement targets must be normalized (squared norm off by "
-                         f"{np.max(np.abs(np.diagonal(gram))):.3e})")
+        _check_norm_offset(np.max(np.abs(np.diagonal(gram))))
+
+
+def _check_norm_offset(off: float) -> None:
+    """Raise unless a target's squared norm is off from 1 by at most ``NORM_TOL``."""
+    if off > NORM_TOL:
+        raise ValueError(f"measurement targets must be normalized (squared norm off by {off:.3e})")
 
 
 def branch_inner(a: BranchState, b: BranchState) -> complex:
@@ -424,8 +423,8 @@ def to_dense(state: BranchState) -> DenseState:
 
 def _slice(factors: tuple[Factor, ...]) -> tuple[int | slice, ...]:
     """Index of a branch in a tensor with one axis per register: its label on
-    each basis factor, the whole axis on each vector factor."""
-    return tuple(slice(None) if isinstance(f, VecFactor) else f.label for f in factors)
+    each label slot, the whole axis on each vector factor."""
+    return tuple(slice(None) if isinstance(f, VecFactor) else f for f in factors)
 
 
 def _contract_target(target: BranchState, tensor: np.ndarray) -> np.ndarray:
@@ -449,24 +448,20 @@ def _contract_target(target: BranchState, tensor: np.ndarray) -> np.ndarray:
 def _monomial_parts(U: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Decompose U = permutation * phases; None when U is not monomial."""
     d = U.shape[0]
-    perm = np.full(d, -1, dtype=int)
-    phases = np.zeros(d, dtype=complex)
-    for col in range(d):
-        nz = np.flatnonzero(np.abs(U[:, col]) > 1e-12)
-        if nz.size != 1:
-            return None
-        perm[col] = nz[0]
-        phases[col] = U[nz[0], col]
+    nz = np.abs(U) > 1e-12
+    if np.any(nz.sum(axis=0) != 1):
+        return None
+    perm = nz.argmax(axis=0)
     if len(set(perm.tolist())) != d:
         return None
-    return perm, phases
+    return perm, U[perm, np.arange(d)]
 
 
 def apply_branch_local(state: BranchState, register: int, U: np.ndarray) -> BranchState:
     """Apply a single-register unitary branchwise.
 
-    Monomial unitaries keep basis factors as basis factors; anything else
-    promotes the touched factor to a small local vector.
+    Monomial unitaries keep labels as labels; anything else promotes the
+    touched factor to a small local vector.
     """
     _check_registers([register], state.num_registers)
     U = check_unitary(U, state.dims[register])
@@ -475,12 +470,12 @@ def apply_branch_local(state: BranchState, register: int, U: np.ndarray) -> Bran
     for coeff, factors in state.branches:
         f = factors[register]
         new = list(factors)
-        if mono is not None and isinstance(f, BasisFactor):
+        if mono is not None and type(f) is int:
             perm, phases = mono
-            new[register] = BasisFactor(int(perm[f.label]))
-            branches.append((coeff * phases[f.label], tuple(new)))
+            new[register] = int(perm[f])
+            branches.append((coeff * phases[f], tuple(new)))
         else:
-            new[register] = VecFactor(U @ f.amps if isinstance(f, VecFactor) else U[:, f.label])
+            new[register] = VecFactor(U @ f.amps if isinstance(f, VecFactor) else U[:, f])
             branches.append(_tidy_row(coeff, tuple(new), [register]))
     return BranchState._trusted(state.dims, branches)
 
@@ -494,7 +489,7 @@ def attach_register(state: BranchState, dim: int, initial: int | np.ndarray) -> 
     if isinstance(initial, (int, np.integer)):
         if not 0 <= int(initial) < dim:
             raise ValueError(f"initial label {initial} out of range for dimension {dim}")
-        w, f = 1.0 + 0.0j, BasisFactor(int(initial))
+        w, f = 1.0 + 0.0j, int(initial)
     else:
         amps = np.asarray(initial, dtype=complex).reshape(-1)
         if amps.size != dim:
@@ -524,8 +519,8 @@ def apply_controlled_shift(
 ) -> BranchState:
     """Cyclic-shift the target register by an amount selected by the control label.
 
-    The control must be a basis factor on every branch (true throughout the
-    ballot protocols, whose correlations live in the branch label).
+    The control must hold a label on every branch (true throughout the
+    ballot protocols, whose correlations live in the branch labels).
     """
     _check_registers([control, target], state.num_registers)
     d = state.dims[target]
@@ -534,13 +529,13 @@ def apply_controlled_shift(
     branches = []
     for coeff, factors in state.branches:
         c = factors[control]
-        if not isinstance(c, BasisFactor):
+        if type(c) is not int:
             raise BranchError("controlled shift requires a basis-factor control register")
-        s = int(shifts[c.label]) % d
+        s = int(shifts[c]) % d
         f = factors[target]
         new = list(factors)
-        if isinstance(f, BasisFactor):
-            new[target] = BasisFactor((f.label + s) % d)
+        if type(f) is int:
+            new[target] = (f + s) % d
         else:
             new[target] = VecFactor(np.roll(f.amps, s))  # as tidy as f
         branches.append((coeff, tuple(new)))
@@ -548,10 +543,9 @@ def apply_controlled_shift(
 
 
 def _row_key(factors: tuple[Factor, ...], regs: Sequence[int]) -> tuple:
-    """What identifies a branch's factors on ``regs``: basis labels and
-    vector amplitude bytes."""
-    return tuple(f.label if isinstance(f, BasisFactor) else f.amps.tobytes()
-                 for f in map(factors.__getitem__, regs))
+    """What identifies a branch's factors on ``regs``: labels and vector
+    amplitude bytes."""
+    return tuple(f if type(f) is int else f.amps.tobytes() for f in map(factors.__getitem__, regs))
 
 
 def _merge_rows(branches: Sequence[Branch]) -> list[Branch]:
@@ -656,8 +650,8 @@ def _apply_diag_mask(state: BranchState, regs: list[int], mask: np.ndarray) -> l
         free: list[int] = []
         for r in regs:
             f = factors[r]
-            if isinstance(f, BasisFactor):
-                sub = np.take(sub, f.label, axis=len(free))
+            if type(f) is int:
+                sub = np.take(sub, f, axis=len(free))
             else:
                 free.append(r)
         # ``sub`` now has one axis per free register, in their order within regs.
@@ -668,11 +662,11 @@ def _apply_diag_mask(state: BranchState, regs: list[int], mask: np.ndarray) -> l
         elif len(free) == 1:
             r = free[0]
             on = np.flatnonzero(sub)
-            if on.size == 1:  # one label passes: the factor becomes its basis factor
+            if on.size == 1:  # one label passes: the factor becomes that label
                 a = factors[r].amps[on[0]]
                 if abs(a) > _ZERO_TOL:
                     new = list(factors)
-                    new[r] = BasisFactor(int(on[0]))
+                    new[r] = int(on[0])
                     out.append((complex(coeff) * complex(a), tuple(new)))
                 continue
             amps = factors[r].amps * np.asarray(sub, dtype=complex).reshape(-1)
@@ -702,8 +696,8 @@ def _collapse_onto(
             scal = np.conj(tc) * c
             for tvec, r in zip(tvecs, regs):
                 f = factors[r]
-                if isinstance(f, BasisFactor):
-                    scal *= np.conj(tvec[f.label])
+                if type(f) is int:
+                    scal *= np.conj(tvec[f])
                 else:
                     scal *= np.vdot(tvec, f.amps)
                 if scal == 0.0:
@@ -806,13 +800,11 @@ def branch_measure(
     """
     regs, masks, targets = _parse_family(state, projectors, registers, diagonal)
     probs, post = _project(state, regs, masks, targets)
-    total = float(sum(probs))
-    remainder = 1.0 - total
-    if total > 1.0 + 1e-8:
-        raise ValueError("projector probabilities exceed 1; family is not orthogonal")
-    k = sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
+    rank = sum(map(np.sum, masks)) + len(targets)
+    k = _draw_outcome(probs, rank, int(np.prod([state.dims[r] for r in regs])), rng)
     if k < len(probs):
         return k, BranchState._trusted(state.dims, post(k, np.sqrt(probs[k]))), probs[k]
+    remainder = 1.0 - float(sum(probs))
     projected = [(-c, fs) for j in range(len(probs)) for c, fs in post(j, 1.0)]
     left = _merge_rows(list(state.branches) + projected)
     n2 = _branch_norm_sq(state.dims, left)
@@ -830,6 +822,6 @@ def branch_project(
     regs, masks, targets = _parse_family(state, [projector], registers, diagonal)
     probs, post = _project(state, regs, masks, targets)
     p = probs[0]
-    if p <= 1e-14:
+    if p <= VANISHING_PROB:
         return p, None
     return p, BranchState._trusted(state.dims, post(0, np.sqrt(p)))

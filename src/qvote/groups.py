@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .backends import get_backend
-from .branches import BasisFactor, BranchState, VecFactor, phase_ghz
+from .branches import BranchState, VecFactor, phase_ghz
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
 from .states import check_unitary, maximally_mixed, trace_distance
 
@@ -248,11 +248,9 @@ def _target_states(rep: Representation) -> list[BranchState]:
             col = M[:, j]
             nz = np.flatnonzero(np.abs(col) > 1e-12)
             if nz.size == 1:
-                branches.append(
-                    (c * col[nz[0]], (BasisFactor(j), BasisFactor(int(nz[0]))))
-                )
+                branches.append((c * col[nz[0]], (j, int(nz[0]))))
             else:
-                branches.append((c, (BasisFactor(j), VecFactor(col))))
+                branches.append((c, (j, VecFactor(col))))
         targets.append(BranchState((dim, dim), branches, renormalize=False))
     return targets
 

@@ -21,6 +21,7 @@ import numpy as np
 DENSE_AMP_BUDGET = 1 << 22
 
 NORM_TOL = 1e-10
+VANISHING_PROB = 1e-14  # a projection this unlikely has no post-state
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -370,6 +371,18 @@ def sample_index(
     return int(index) if size is None else index
 
 
+def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Generator) -> int:
+    """Check the Born weights of a family of total rank ``rank`` on a measured
+    space of dimension ``dim`` and draw an outcome for either backend; index
+    ``len(probs)`` is the remainder, drawn when 1 - sum(probs) exceeds 1e-10."""
+    total = sum(probs)
+    if total > 1.0 + NORM_TOL or (rank == dim and abs(total - 1.0) > NORM_TOL):
+        raise ValueError(f"projector family does not resolve the identity on the state "
+                         f"(probabilities sum to {total!r})")
+    remainder = 1.0 - total
+    return sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
+
+
 def measure_projective(
     state: DenseState,
     projectors: Sequence[np.ndarray],
@@ -391,14 +404,11 @@ def measure_projective(
     Returns (outcome index, post-measurement state, outcome probability).
     """
     mat, perm, rank, projected = _projected(state, registers, projectors, diagonal)
-    if rank < mat.shape[0]:
-        projected.append(mat - sum(projected))
     probs = [float(np.real(np.vdot(post, post))) for post in projected]
-    total = sum(probs)
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"projector family does not resolve the identity on the state "
-                         f"(probabilities sum to {total!r})")
-    outcome = sample_index(probs, rng)
+    outcome = _draw_outcome(probs, rank, mat.shape[0], rng)
+    if outcome == len(projected):
+        projected.append(mat - sum(projected))
+        probs.append(float(np.real(np.vdot(projected[-1], projected[-1]))))
     p = probs[outcome]
     return outcome, _from_matrix(state, projected[outcome] / np.sqrt(p), perm), p
 
@@ -411,7 +421,7 @@ def project(
     None when the probability vanishes)."""
     _, perm, _, (post,) = _projected(state, registers, [projector], diagonal)
     p = float(np.real(np.vdot(post, post)))
-    if p <= 1e-14:
+    if p <= VANISHING_PROB:
         return p, None
     return p, _from_matrix(state, post / np.sqrt(p), perm)
 

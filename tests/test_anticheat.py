@@ -333,21 +333,19 @@ class TestImmutability:
             shifted_ghz,
         )
 
+        # A basis-state slot holds its label as a Python int, immutable by type.
         s = apply_branch_local(ghz_branches(3, 2), 1, np.eye(3)[[1, 2, 0]] @ np.diag([1, 1j, -1]))
-        basis = s.branches[0][1][0]
-        with pytest.raises(AttributeError):
-            basis.label = 2
-        with pytest.raises(AttributeError):
-            del basis.label
+        assert all(type(f) is int for _, fs in s.branches for f in fs)
         vec = VecFactor(np.array([0.6, 0.8j, 0.0]))
         with pytest.raises(AttributeError):
             vec.amps = np.zeros(3)
         with pytest.raises(ValueError):
             vec.amps[0] = 1.0
-        # Label families share one factor per label.
+        # Label families hold int labels; the GHZ families share one row per label.
         for fam in (ghz_branches(4, 5), phase_ghz(4, 5, 0.3), shifted_ghz(4, (0, 1, 3))):
-            objects = {id(f) for _, fs in fam.branches for f in fs}
-            assert len(objects) == 4
+            assert all(type(f) is int for _, fs in fam.branches for f in fs)
+        assert {id(fs) for _, fs in ghz_branches(4, 5).branches} == \
+            {id(fs) for _, fs in phase_ghz(4, 5, 0.3).branches}
 
     def test_density_matrix_read_only(self):
         from qvote.states import maximally_mixed

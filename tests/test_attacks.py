@@ -34,7 +34,7 @@ from qvote.attacks import (
 )
 from qvote.backends import get_backend
 from qvote.matrices import phase_state, phase_vote_matrix, swap_pair_matrix
-from qvote.protocols import ProtocolConfig
+from qvote.protocols import ProtocolConfig, sample_zero_sum_ballots
 from qvote.states import sample_index, trace_distance
 
 SECRETS = AuthoritySecrets(yes_level=1, no_level=0, offset=0.3)
@@ -506,6 +506,24 @@ class TestClassicalEavesdrop:
             assert rep.leak_accuracy == 1.0
             assert rep.detected_count == 0
             assert rep.outcome_histogram == {f"tally={sum(votes)}": 25}
+
+    @pytest.mark.parametrize("trials", [0, 1, 5000])
+    def test_chunked_draws_match_the_per_trial_loop(self, trials):
+        """The report equals that of one zero-sum draw per trial, including
+        over more than one draw chunk."""
+        N, votes, target = 4, [1, 0, 1, 1], 2
+        rep = run_classical_eavesdrop(N, votes, target, np.random.default_rng(4), trials=trials, seed=4)
+        want = attacks.AttackReport(kind="classical-eavesdrop", trials=trials,
+                                    analytic_detection=0.0, seed=4)
+        rng = np.random.default_rng(4)
+        for _ in range(trials):
+            labels = sample_zero_sum_ballots(N, 1, rng)[0]
+            marked = [(int(x) + v) % (N + 1) for x, v in zip(labels, votes)]
+            want.leak_attempts += 1
+            want.leak_correct += (marked[target] - int(labels[target])) % (N + 1) == votes[target]
+            want._bump(f"tally={sum(marked) % (N + 1)}")
+        want.statistics["expected_tally"] = sum(votes)
+        assert rep == want
 
 
 def test_histogram_counts_sum_to_trials():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as hst
 from qvote import branches as branches_module
 from qvote.backends import BranchBackend, DenseBackend
 from qvote.branches import (
-    BasisFactor,
     BranchError,
     BranchState,
     VecFactor,
@@ -66,7 +66,7 @@ def pair_agree_mask(D):
 class TestConstruction:
     def test_ghz_branches_labels(self):
         s = ghz_branches(2, 3)
-        labels = sorted(tuple(f.label for f in fs) for _, fs in s.branches)
+        labels = sorted(fs for _, fs in s.branches)
         assert labels == [(0, 0, 0), (1, 1, 1)]
         assert all(abs(c - 1 / np.sqrt(2)) < 1e-12 for c, _ in s.branches)
 
@@ -82,9 +82,26 @@ class TestConstruction:
         assert s.norm() == pytest.approx(1.0, abs=1e-12)
         # Non-orthogonal branches: (|0> + |+>)/norm on a single register.
         plus = VecFactor(np.array([1, 1]) / np.sqrt(2))
-        raw = BranchState((2,), [(1.0, (BasisFactor(0),)), (1.0, (plus,))], renormalize=False)
+        raw = BranchState((2,), [(1.0, (0,)), (1.0, (plus,))], renormalize=False)
         expected = np.linalg.norm([1 + 1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert raw.norm() == pytest.approx(expected, abs=1e-12)
+
+    def test_labels_stored_as_python_ints(self):
+        s = BranchState((3, 2), [(0.6, (np.int64(2), True)), (0.8, (np.uint8(0), np.int32(0)))])
+        assert [fs for _, fs in s.branches] == [(2, 1), (0, 0)]
+        assert all(type(f) is int for _, fs in s.branches for f in fs)
+        row = (1, 0)
+        assert BranchState((3, 2), [(1.0, row)]).branches[0][1] is row
+
+    @pytest.mark.parametrize("label, error, words", [
+        (3, ValueError, "basis label 3 out of range for register 0"),
+        (np.int64(-1), ValueError, "basis label -1 out of range for register 0"),
+        (1.0, TypeError, "unknown factor type <class 'float'>"),
+        (None, TypeError, "unknown factor type <class 'NoneType'>"),
+    ])
+    def test_bad_labels_rejected(self, label, error, words):
+        with pytest.raises(error, match=re.escape(words)):
+            BranchState((3, 2), [(1.0, (label, 0))])
 
 
 class TestFamilyCache:
@@ -127,14 +144,14 @@ class TestLocalOps:
         D, N = 5, 3
         s = apply_branch_local(ghz_branches(D, N), 1, phase_vote_matrix(D))
         for c, fs in s.branches:
-            j = fs[0].label
+            j = fs[0]
             assert c == pytest.approx(np.exp(2j * np.pi * j / D) / np.sqrt(D))
 
     def test_shift_moves_labels(self):
         D = 4
         s = apply_branch_local(ghz_branches(D, 2), 1, shift_matrix(D))
         for _, fs in s.branches:
-            assert fs[1].label == (fs[0].label + 1) % D
+            assert fs[1] == (fs[0] + 1) % D
 
     def test_identity_noop(self):
         s = ghz_branches(3, 2)
@@ -162,7 +179,7 @@ class TestAttachSwapDrop:
     def test_attach_basis_ancilla(self):
         s = attach_register(ghz_branches(2, 2), 3, 0)
         assert s.dims == (2, 2, 3)
-        assert all(fs[2].label == 0 for _, fs in s.branches)
+        assert all(fs[2] == 0 for _, fs in s.branches)
 
     def test_attach_phase_state_matches_oracle(self):
         D = 3
@@ -202,7 +219,7 @@ class TestControlledShift:
         shifts = [-(j - r) for j in range(D)]
         out = apply_controlled_shift(s, 0, 1, shifts)
         for _, fs in out.branches:
-            assert fs[1].label == 0
+            assert fs[1] == 0
 
     def test_matches_dense_oracle(self):
         D = 3
@@ -496,12 +513,12 @@ def _branch_pairs(draw):
             fs = []
             for r in range(R):
                 basis = modes[r] == "basis" or (modes[r] == "mixed" and rng.random() < 0.5)
-                fs.append(BasisFactor(int(rng.integers(0, D))) if basis else vec())
+                fs.append(int(rng.integers(0, D)) if basis else vec())
             c = complex(rng.normal(), rng.normal())
             branches.append((c, fs))
             if rng.random() < 0.4:  # the same label row again, new vector factors
                 branches.append((complex(rng.normal(), rng.normal()),
-                                 [f if isinstance(f, BasisFactor) else vec() for f in fs]))
+                                 [vec() if isinstance(f, VecFactor) else f for f in fs]))
         if keyless:
             for r in range(R):
                 branches[0][1][r] = vec()
@@ -665,7 +682,9 @@ def _monomial_unitary(n, rng):
 
 def _assert_as_constructed(state):
     """Operations build states without the public constructor's checks; it
-    must find nothing to change: no factor to tidy and no branch to drop."""
+    must find nothing to change: no label to convert, no factor to tidy and
+    no branch to drop."""
+    assert all(type(f) is int for _, fs in state.branches for f in fs if not isinstance(f, VecFactor))
     again = BranchState(state.dims, state.branches, renormalize=False)
     assert len(again.branches) == len(state.branches)
     for (c, fs), (c2, fs2) in zip(state.branches, again.branches):
@@ -709,8 +728,8 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
             U = make[op](D, rng)
             d, b = dk.apply_local(d, regs[0], U), bk.apply_local(b, regs[0], U)
         elif op == "shift":
-            # The control must hold a basis factor on every branch.
-            controls = [r for r in regs if all(isinstance(fs[r], BasisFactor) for _, fs in b.branches)]
+            # The control must hold a label on every branch.
+            controls = [r for r in regs if all(type(fs[r]) is int for _, fs in b.branches)]
             if R < 2 or not controls:
                 continue
             c = controls[0]
@@ -741,7 +760,7 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
         elif op == "pair":
             if R < 2 or len(b.branches) * D > _MAX_BRANCHES:
                 continue
-            # A monomial pair unitary gives one-hot Schmidt vectors on basis factors.
+            # A monomial pair unitary gives one-hot Schmidt vectors on labels.
             U = (haar_unitary if rng.random() < 0.5 else _monomial_unitary)(D * D, rng)
             d, b = dk.apply_pair(d, regs[:2], U), bk.apply_pair(b, regs[:2], U)
         elif op == "measure":
@@ -845,14 +864,14 @@ def test_to_dense_scatter_matches_full_expansion(pair):
 
 @pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
 def test_unnormalized_targets_rejected(backend):
-    """Both backends check target norms through the Gram diagonal."""
-    half = BranchState((3, 3), [(0.5, (BasisFactor(0), BasisFactor(0)))], renormalize=False)
+    """Both backends reject unnormalized targets, in a measured family and
+    alone."""
+    half = BranchState((3, 3), [(0.5, (0, 0))], renormalize=False)
     s = backend.ghz(3, 2)
     with pytest.raises(ValueError, match="must be normalized"):
         backend.measure_targets(s, [half, shifted_ghz(3, (0, 1))], np.random.default_rng(0))
-    if backend.name == "dense":
-        with pytest.raises(ValueError, match="must be normalized"):
-            backend.target_probability(s, half)
+    with pytest.raises(ValueError, match="must be normalized"):
+        backend.target_probability(s, half)
 
 
 @pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvote import states as states_module
 from qvote.matrices import phase_vote_matrix, shift_matrix, swap_pair_matrix
 from qvote.states import (
     DenseBudgetError,
@@ -211,6 +214,22 @@ class TestMeasurement:
         s = basis_state((2,), (0,))
         with pytest.raises(ValueError):
             measure_projective(s, [], rng)
+
+    def test_shared_draw_checks_the_sum_and_draws_the_remainder(self):
+        """Both backends sample through one draw: a sum a hair above 1 is
+        rejected, a remainder up to 1e-10 is never drawn, a larger one is."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="does not resolve the identity"):
+            states_module._draw_outcome([0.5, 0.5 + 5e-9], 2, 3, rng)
+        with pytest.raises(ValueError, match="does not resolve the identity"):
+            states_module._draw_outcome([0.5, 0.5 - 5e-9], 3, 3, rng)
+        seen = []
+        with mock.patch.object(states_module, "sample_index",
+                               side_effect=lambda p, r: seen.append(p) or len(p) - 1):
+            assert states_module._draw_outcome([0.5, 0.5 - 5e-11], 2, 3, rng) == 1
+            assert states_module._draw_outcome([0.9], 1, 3, rng) == 1
+        assert seen[0] == [0.5, 0.5 - 5e-11]
+        assert seen[1] == [0.9, pytest.approx(0.1, abs=1e-15)]
 
     def test_born_probabilities_sum_to_one(self):
         rng = np.random.default_rng(5)
