@@ -17,11 +17,12 @@ register disentangled and discarded after each vote) are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .backends import get_backend
-from .branches import phase_ghz
+from .branches import MeasurementFamily, phase_family
 from .matrices import phase_state, shift_matrix
 from .protocols import Transcript, _check_votes
 
@@ -72,13 +73,6 @@ def random_secrets(D: int, N: int, rng: np.random.Generator) -> AuthoritySecrets
     return AuthoritySecrets(no_level + gap, no_level, offset)
 
 
-@dataclass(frozen=True)
-class VotingQudit:
-    """Single-qudit phase state handed to a voter; theta stays hidden from him."""
-
-    theta: float
-
-
 @dataclass
 class ReadoutResult:
     q: int | None               # readout index, None when the error outcome fired
@@ -99,7 +93,6 @@ class AntiCheatRound:
     backend_name: str
     state: object
     ballot_regs: list[int]
-    qudits: list[tuple[VotingQudit, VotingQudit]]
     announced: list[int | None] = field(default_factory=list)
     corrected: bool = False
     transcript: Transcript = field(default_factory=Transcript)
@@ -109,19 +102,15 @@ class AntiCheatRound:
         return get_backend(self.backend_name)
 
 
-def vote_measurement_masks(D: int) -> list[np.ndarray]:
-    """Diagonal masks of the two-register vote observable, one per outcome r.
+@lru_cache(maxsize=64)
+def vote_measurement_masks(D: int) -> MeasurementFamily:
+    """Diagonal masks of the two-register vote observable, one per outcome r, as a cached family.
 
     Outcome r keeps the (ballot, voting) label pairs with voting = ballot - r
     mod D.
     """
-    masks = []
-    for r in range(D):
-        m = np.zeros((D, D))
-        for b in range(D):
-            m[b, (b - r) % D] = 1.0
-        masks.append(m)
-    return masks
+    eye = np.eye(D)
+    return MeasurementFamily((D, D), [np.roll(eye, -r, axis=1) for r in range(D)], diagonal=True)
 
 
 def wrap_correction_diag(D: int, r: int, offset: float) -> np.ndarray:
@@ -134,7 +123,7 @@ def wrap_correction_diag(D: int, r: int, offset: float) -> np.ndarray:
 
 def readout_targets(D: int, registers: int, gap: int) -> list[tuple[int, object]]:
     """(q, state) readout pairs for q a multiple of the level gap in [0, D)."""
-    return [(q, phase_ghz(D, registers, 2 * np.pi * q / D)) for q in range(0, D, gap)]
+    return list(zip(range(0, D, gap), phase_family(D, registers, gap)))
 
 
 def setup(
@@ -145,7 +134,7 @@ def setup(
     variant: str = "distributed",
     backend: str = "branch",
 ) -> AntiCheatRound:
-    """Distribute the ballot state and per-voter voting qudit pairs.
+    """Distribute the ballot state; each voter's voting qudit pair is the secrets' two angles.
 
     The unused voting qudit of each voter is modeled as destroyed: it is a
     product state that never touches the ballot, so it is simply never
@@ -159,10 +148,6 @@ def setup(
     bk = get_backend(backend)
     regs = N if variant == "distributed" else 2
     state = bk.ghz(D, regs)
-    qudits = [
-        (VotingQudit(secrets.yes_angle(D)), VotingQudit(secrets.no_angle(D)))
-        for _ in range(N)
-    ]
     return AntiCheatRound(
         D=D,
         N=N,
@@ -171,7 +156,6 @@ def setup(
         backend_name=bk.name,
         state=state,
         ballot_regs=list(range(regs)),
-        qudits=qudits,
         announced=[None] * N,
     )
 
@@ -180,16 +164,24 @@ def _cast_vote_on(
     round_: AntiCheatRound,
     ballot_reg: int,
     theta: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
+    forced: int | None = None,
 ) -> int:
     """Attach a voting qudit with the given angle, measure the vote observable
-    against the ballot register, shift by the outcome, and return r."""
+    against the ballot register, shift by the outcome, and return r. With
+    ``forced``, project onto that outcome instead of sampling one."""
     bk = round_.backend
     D = round_.D
     state = bk.attach(round_.state, D, phase_state(D, theta))
     v = len(bk.dims(state)) - 1
     masks = vote_measurement_masks(D)
-    r, state, _ = bk.measure_diag(state, [ballot_reg, v], masks, rng)
+    if forced is None:
+        r, state, _ = bk.measure_diag(state, [ballot_reg, v], masks, rng)
+    else:
+        r = forced
+        _, state = bk.project_diag(state, [ballot_reg, v], masks[r])
+        if state is None:
+            raise RuntimeError("forced outcome has zero probability")
     if r:
         state = bk.apply_local(state, v, shift_matrix(D, r))
     round_.state = state
@@ -203,19 +195,9 @@ def vote_distributed(
     rng: np.random.Generator,
 ) -> int:
     """One voter's step in the distributed variant; returns the announced r."""
-    if round_.variant != "distributed":
-        raise ValueError("round is not a distributed-variant round")
-    yes = _as_yes(choice)
-    if not 0 <= voter < round_.N:
-        raise ValueError(f"voter {voter} out of range")
-    if round_.announced[voter] is not None:
-        raise ValueError(f"voter {voter} already voted")
-    q = round_.qudits[voter][0 if yes else 1]
-    r = _cast_vote_on(round_, round_.ballot_regs[voter], q.theta, rng)
-    round_.announced[voter] = r
-    round_.transcript.public.append({"event": "announce-r", "voter": voter, "r": r})
-    round_.transcript.hidden.append({"voter": voter, "vote": int(yes)})
-    return r
+    theta = _voting_angle(round_, "distributed", voter, choice)
+    r = _cast_vote_on(round_, round_.ballot_regs[voter], theta, rng)
+    return _announce(round_, voter, choice, r)
 
 
 def vote_traveling(
@@ -230,25 +212,37 @@ def vote_traveling(
     register, and the voter disentangles and discards the voting register so
     the two-register ballot can travel on.
     """
-    if round_.variant != "traveling":
-        raise ValueError("round is not a traveling-variant round")
-    yes = _as_yes(choice)
-    if not 0 <= voter < round_.N:
-        raise ValueError(f"voter {voter} out of range")
-    if round_.announced[voter] is not None:
-        raise ValueError(f"voter {voter} already voted")
+    theta = _voting_angle(round_, "traveling", voter, choice)
     bk = round_.backend
     D = round_.D
-    q = round_.qudits[voter][0 if yes else 1]
-    r = _cast_vote_on(round_, 1, q.theta, rng)
+    r = _cast_vote_on(round_, 1, theta, rng)
     # authority undoes the wrap phase on her own register right away
     round_.state = bk.apply_local(round_.state, 0, wrap_correction_diag(D, r, round_.secrets.offset))
     # voter maps |j>_b |j-r>_v -> |j>_b |0>_v and the voting register leaves
     round_.state = bk.controlled_shift(round_.state, 1, 2, [(r - j) % D for j in range(D)])
     round_.state = bk.drop(round_.state, 2)
+    return _announce(round_, voter, choice, r)
+
+
+def _voting_angle(round_: AntiCheatRound, variant: str, voter: int, choice: int | str) -> float:
+    """The angle of the voting qudit the voter's choice selects, once the
+    round is of ``variant`` and the voter may still vote."""
+    if round_.variant != variant:
+        raise ValueError(f"round is not a {variant}-variant round")
+    yes = _as_yes(choice)
+    if not 0 <= voter < round_.N:
+        raise ValueError(f"voter {voter} out of range")
+    if round_.announced[voter] is not None:
+        raise ValueError(f"voter {voter} already voted")
+    secrets = round_.secrets
+    return secrets.yes_angle(round_.D) if yes else secrets.no_angle(round_.D)
+
+
+def _announce(round_: AntiCheatRound, voter: int, choice: int | str, r: int) -> int:
+    """Record the voter's announced outcome r (public) and vote (hidden); return r."""
     round_.announced[voter] = r
     round_.transcript.public.append({"event": "announce-r", "voter": voter, "r": r})
-    round_.transcript.hidden.append({"voter": voter, "vote": int(yes)})
+    round_.transcript.hidden.append({"voter": voter, "vote": int(_as_yes(choice))})
     return r
 
 
@@ -292,20 +286,18 @@ def authority_readout(round_: AntiCheatRound, rng: np.random.Generator) -> Reado
         raise ValueError("apply authority corrections before reading out")
     bk = round_.backend
     D = round_.D
-    regs = len(bk.dims(round_.state))
-    targets = readout_targets(D, regs, round_.secrets.gap)
-    states = [t for _, t in targets]
-    outcome, _, p = bk.measure_targets(round_.state, states, rng)
-    if outcome >= len(targets):
+    gap = round_.secrets.gap
+    family = phase_family(D, len(bk.dims(round_.state)), gap)
+    outcome, _, p = bk.measure_targets(round_.state, family, rng)
+    if outcome >= len(family):
         res = ReadoutResult(
             q=None, m_inferred=None, cheat_detected=True, error_outcome=True, probability=p
         )
     else:
-        q = targets[outcome][0]
-        m = q // round_.secrets.gap
+        m = outcome  # the readout index is q = m * gap
         legal = m <= round_.N
         res = ReadoutResult(
-            q=q,
+            q=m * gap,
             m_inferred=m if legal else None,
             cheat_detected=not legal,
             error_outcome=False,

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .anticheat import (
-    AntiCheatRound,
     AuthoritySecrets,
     ReadoutResult,
     _cast_vote_on,
@@ -33,11 +32,9 @@ from .anticheat import (
     authority_readout,
     setup,
     vote_distributed,
-    vote_measurement_masks,
-    wrap_correction_diag,
 )
 from .backends import get_backend
-from .branches import phase_ghz, shifted_ghz
+from .branches import phase_family, shift_family
 from .matrices import (
     angle_phase_matrix,
     phase_state,
@@ -244,43 +241,26 @@ def cheater_conditional_distribution(
 ) -> np.ndarray:
     """Exact simulated counterpart of :func:`conditional_pq`.
 
-    Runs the protocol with m honest yes votes, forcing every vote-measurement
-    outcome (honest voters to 0, the cheater to r) by Born projection instead
-    of sampling, and returns the readout distribution over all q in [0, D).
+    Runs the round's own steps with m honest yes votes, forcing every
+    vote-measurement outcome (honest voters to 0, the cheater to r) by Born
+    projection instead of sampling, and returns the readout distribution over
+    all q in [0, D).
     """
     if not 0 <= m <= N - 1:
         raise ValueError("m must be an honest yes-count in [0, N-1]")
     if not 0 <= r < D:
         raise ValueError("r out of range")
-    bk = get_backend(backend)
-    masks = vote_measurement_masks(D)
-
-    def forced_vote(state, ballot_reg, theta, forced_r):
-        state = bk.attach(state, D, phase_state(D, theta))
-        v = len(bk.dims(state)) - 1
-        p, state = bk.project_diag(state, [ballot_reg, v], masks[forced_r])
-        if state is None:
-            raise RuntimeError("forced outcome has zero probability")
-        if forced_r:
-            state = bk.apply_local(state, v, shift_matrix(D, forced_r))
-        return state
-
-    state = bk.ghz(D, N)
-    votes = [1] * m + [0] * (N - 1 - m)
-    for voter, v in enumerate(votes):
-        theta = secrets.yes_angle(D) if v else secrets.no_angle(D)
-        state = forced_vote(state, voter, theta, 0)
-    state = forced_vote(state, N - 1, theta_no_est, r)
-    state = bk.apply_local(state, N - 1, angle_phase_matrix(D, s * (theta_no_est - theta_yes_est)))
-    # authority corrections: wrap phases for every announced outcome, then the
-    # common no-angle removal (honest outcomes were forced to 0 = identity)
-    state = bk.apply_local(state, 0, wrap_correction_diag(D, r, secrets.offset))
-    removal = np.diag(np.exp(-1j * np.arange(D) * N * secrets.no_angle(D)))
-    state = bk.apply_local(state, 0, removal)
-    regs = len(bk.dims(state))
-    return np.array(
-        [bk.target_probability(state, phase_ghz(D, regs, 2 * np.pi * q / D)) for q in range(D)]
-    )
+    round_ = setup(D, N, secrets, None, backend=backend)
+    bk = round_.backend
+    for voter in range(N - 1):
+        theta = secrets.yes_angle(D) if voter < m else secrets.no_angle(D)
+        round_.announced[voter] = _cast_vote_on(round_, voter, theta, None, forced=0)
+    round_.announced[N - 1] = _cast_vote_on(round_, N - 1, theta_no_est, None, forced=r)
+    cheat = angle_phase_matrix(D, s * (theta_no_est - theta_yes_est))  # s yes-to-no shifts
+    round_.state = bk.apply_local(round_.state, N - 1, cheat)
+    authority_correct(round_)
+    regs = len(bk.dims(round_.state))
+    return np.array([bk.target_probability(round_.state, t) for t in phase_family(D, regs)])
 
 
 def broadness_coefficient(D: int, s: int) -> float:
@@ -404,9 +384,7 @@ def _batched_counts(trials: int, draw):
 
 def pair_agree_mask(D: int) -> np.ndarray:
     """Diagonal mask keeping equal computational labels on two registers."""
-    m = np.zeros((D, D))
-    np.fill_diagonal(m, 1.0)
-    return m
+    return np.eye(D)
 
 
 def run_pair_check(state, pair: tuple[int, int], rng: np.random.Generator, backend="branch"):
@@ -463,8 +441,7 @@ def run_mitm_traveling(
                     report.leak_correct += 1
                 if repair and leak:
                     state = bk.apply_local(state, 1, shift_matrix(D, leak))
-        targets = [shifted_ghz(D, (0, mm)) for mm in range(D)]
-        tally, _, _ = bk.measure_targets(state, targets, rng, registers=[0, 1])
+        tally, _, _ = bk.measure_targets(state, shift_family(D), rng, registers=[0, 1])
         report._bump(f"tally={int(tally)}")
     report.statistics["expected_tally"] = sum(votes)
     return report
@@ -527,10 +504,7 @@ def run_swap_attack(
             if repair and y:
                 st_y = bk.apply_local(st_y, target, phase_vote_matrix(D, y))
             st_y = bk.drop(st_y, ancilla)
-            tally_probs = [
-                bk.target_probability(st_y, phase_ghz(D, N, 2 * np.pi * mm / D))
-                for mm in range(D)
-            ]
+            tally_probs = [bk.target_probability(st_y, t) for t in phase_family(D, N)]
             tally = int(np.argmax(tally_probs))
             branches.append((p_pass * p_y, y, tally))
 

@@ -1,8 +1,8 @@
 """Uniform operation surface over the dense and branch state backends.
 
 Protocol code is written once against this surface; measurement targets are
-described as :class:`BranchState` values (the natural language for every
-correlated state the protocols use); the dense backend scores them by
+described as :class:`BranchState` values in a checked
+:class:`~qvote.branches.MeasurementFamily`; the dense backend scores them by
 contraction with its amplitudes and expands only the targets of the drawn
 outcome.
 Both backends consume randomness through the same inverse-CDF sampler, so a
@@ -62,12 +62,13 @@ class DenseBackend:
         st._check_registers([i, j], state.num_registers)
         return st.apply_joint(state, [i, j], swap_pair_matrix(state.dims[i]))
 
-    def measure_targets(self, state, targets: Sequence[BranchState], rng, registers=None):
+    def measure_targets(self, state, targets, rng, registers=None):
         """Targets are scored by contraction with the state. Only the drawn
         outcome's target (every target for the remainder) is expanded and
         parsed as a ket, and its post-state and probability are computed as
         :func:`st.measure_projective` computes them for kets."""
-        regs, _, targets = br._parse_family(state, targets, registers, False)
+        regs, family = br._family(state, targets, registers, False)
+        targets = family.targets
         mat, perm = st._as_matrix(state, regs)
         sdims = tuple(state.dims[r] for r in regs)
         tensor = mat.reshape(sdims + (-1,))
@@ -139,13 +140,13 @@ class BranchBackend:
         return br.swap_registers(state, i, j)
 
     def measure_targets(self, state, targets, rng, registers=None):
-        return br.branch_measure(state, list(targets), rng, registers=registers)
+        return br.branch_measure(state, targets, rng, registers=registers)
 
     def measure_diag(self, state, registers, masks, rng):
-        return br.branch_measure(state, list(masks), rng, registers=registers, diagonal=True)
+        return br.branch_measure(state, masks, rng, registers=registers, diagonal=True)
 
     def measure_local_kets(self, state, register, kets, rng):
-        return br.branch_measure(state, list(kets), rng, registers=[register])
+        return br.branch_measure(state, kets, rng, registers=[register])
 
     def reduced(self, state, keep) -> np.ndarray:
         return br.branch_partial_trace(state, keep).matrix

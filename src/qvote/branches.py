@@ -21,12 +21,14 @@ the smaller dimension. A pair unitary first sums the blocks of branches that
 agree off the pair.
 
 Every measurement form (0/1 masks, diagonal matrices, one-register kets and
-branch-state targets, on registers in any order) goes through one parse and
-check step and one projection step, which the sampled measurements and the
-deterministic projections of the attack models share. The array forms are
-parsed and checked by the dense backend's :func:`qvote.states._parse_family`,
-and outcomes are drawn by :func:`qvote.states._draw_outcome`, so both
-backends accept and reject the same families and sample them alike.
+branch-state targets, on registers in any order) is checked once, when a
+:class:`MeasurementFamily` is built from it (the protocols' per-round families
+are cached by size), and goes through one projection step, which the sampled
+measurements and the attack models' deterministic projections share. Array
+forms are parsed and checked by the dense backend's
+:func:`qvote.states._parse_family`, and outcomes are drawn by
+:func:`qvote.states._draw_outcome`, so both backends accept and reject the
+same families and sample them alike.
 
 Register conventions and tolerances match :mod:`qvote.states`; states are
 compared up to a global phase throughout.
@@ -258,6 +260,19 @@ def _shifted_ghz(D: int, offsets: tuple[int, ...]) -> BranchState:
         (D,) * len(offsets),
         [(c, tuple((j + o) % D for o in offsets)) for j in range(D)],
     )
+
+
+@lru_cache(maxsize=64)
+def phase_family(D: int, N: int, step: int = 1) -> MeasurementFamily:
+    """``phase_ghz(D, N, 2 pi q / D)`` for q = 0, step, 2 step, ... below D, the
+    tally (step 1) and anti-cheat readout families, checked once and cached."""
+    return MeasurementFamily((D,) * N, [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(0, D, step)])
+
+
+@lru_cache(maxsize=64)
+def shift_family(D: int) -> MeasurementFamily:
+    """The two-register tally family ``shifted_ghz(D, (0, m))``, m in [0, D), cached."""
+    return MeasurementFamily((D, D), [shifted_ghz(D, (0, m)) for m in range(D)])
 
 
 def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
@@ -711,43 +726,66 @@ def _branch_norm_sq(dims: tuple[int, ...], branches: list[Branch]) -> float:
     return max(0.0, _inners(dims, [branches], branches)[0].real)
 
 
-def _parse_family(
-    state: BranchState | DenseState, projectors: Sequence, registers: Sequence[int] | None, diagonal: bool
-) -> tuple[list[int], list[np.ndarray], list[BranchState]]:
-    """Check a projector family on ``registers`` (all when None) of a state
-    of either backend and return the registers with the family as 0/1 masks
-    or as rank-1 targets.
+class MeasurementFamily(_Frozen):
+    """A projector family on registers of dims ``dims``, checked once when
+    built: read-only 0/1 masks shaped ``dims`` or orthonormal rank-1
+    :class:`BranchState` targets (the other tuple empty), and the total rank;
+    ``family[k]`` is member k. Array forms go through the dense backend's parse,
+    kets becoming one-register targets; targets get a layout and Gram check."""
 
-    A family of :class:`BranchState` targets is checked here, by layout and
-    one Gram matrix against the identity. Every other family goes through the
-    dense backend's parse and check, and its kets become one-register targets.
-    """
+    __slots__ = ("dims", "masks", "targets", "rank")
+
+    def __init__(self, dims: Sequence[int], projectors: Sequence, *, diagonal: bool = False):
+        dims = tuple(int(d) for d in dims)
+        projectors = list(projectors)
+        if diagonal or not projectors or not all(isinstance(P, BranchState) for P in projectors):
+            masks, kets = _parse_arrays(projectors, dims, diagonal)
+            if kets and len(dims) != 1:
+                raise BranchError("raw kets are only supported on a single register; "
+                                  "pass a BranchState for multi-register targets")
+            targets = [BranchState(dims, [(1.0, (VecFactor(k),))], renormalize=False) for k in kets]
+        else:
+            if any(P.dims != dims for P in projectors):
+                raise ValueError("target state layout does not match the measured registers")
+            _check_orthonormal(dims, projectors)
+            masks, targets = [], projectors
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "masks", tuple(map(_read_only, masks)))
+        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "rank", sum(map(np.sum, masks)) + len(targets))
+
+    def __len__(self) -> int:
+        return len(self.masks) + len(self.targets)
+
+    def __getitem__(self, k: int) -> np.ndarray | BranchState:
+        return (self.masks or self.targets)[k]
+
+
+def _family(state: BranchState | DenseState, projectors, registers: Sequence[int] | None,
+            diagonal: bool) -> tuple[list[int], MeasurementFamily]:
+    """The measured registers of a state of either backend (all when None) and
+    the family on them: a raw list is built into one; a family must fit them."""
     n_regs = state.num_registers
     regs = _check_registers(range(n_regs) if registers is None else registers, n_regs)
     sdims = tuple(state.dims[r] for r in regs)
-    if diagonal or len(projectors) == 0 or not all(isinstance(P, BranchState) for P in projectors):
-        masks, kets = _parse_arrays(projectors, sdims, diagonal)
-        if kets and len(regs) != 1:
-            raise BranchError("raw kets are only supported on a single register; "
-                              "pass a BranchState for multi-register targets")
-        targets = [BranchState(sdims, [(1.0, (VecFactor(k),))], renormalize=False) for k in kets]
-        return regs, masks, targets
-    if any(P.dims != sdims for P in projectors):
-        raise ValueError("target state layout does not match the measured registers")
-    _check_orthonormal(sdims, projectors)
-    return regs, [], list(projectors)
+    if not isinstance(projectors, MeasurementFamily):
+        projectors = MeasurementFamily(sdims, projectors, diagonal=diagonal)
+    elif projectors.dims != sdims:
+        raise ValueError(f"family dims {projectors.dims} do not match the measured registers {sdims}")
+    return regs, projectors
 
 
 def _project(
-    state: BranchState, regs: list[int], masks: list[np.ndarray], targets: list[BranchState]
+    state: BranchState, regs: list[int], family: MeasurementFamily
 ) -> tuple[list[float], Callable[[int, float], list[Branch]]]:
-    """Born weight of each projector of a checked family, and ``post(k, n)``:
+    """Born weight of each member of a family on ``regs``, and ``post(k, n)``:
     outcome k's post-state branches in the state's register order, divided by n.
 
     A full-register family is scored by one label join over the state's
     factors permuted into the measured order; a subset family collapses the
     state onto each target and keeps the target's factors in their slots.
     """
+    masks, targets = family.masks, family.targets
     if masks:
         projected = [_apply_diag_mask(state, regs, m) for m in masks]
         probs = [_branch_norm_sq(state.dims, br) for br in projected]
@@ -775,7 +813,7 @@ def _project(
 
 def branch_measure(
     state: BranchState,
-    projectors: Sequence[np.ndarray | BranchState],
+    projectors: MeasurementFamily | Sequence[np.ndarray | BranchState],
     rng: np.random.Generator,
     registers: Sequence[int] | None = None,
     *,
@@ -783,8 +821,9 @@ def branch_measure(
 ) -> tuple[int, BranchState | None, float]:
     """Born-rule measurement restricted to branch-representable projectors.
 
-    Supported projector forms, acting on ``registers`` (all when None, in
-    any order):
+    ``projectors`` is a :class:`MeasurementFamily` with the dims of
+    ``registers`` (all when None, in any order), or a list the family is
+    built from, of one of these forms:
 
     * square arrays that are diagonal in the computational basis (0/1);
     * with ``diagonal=True``, their diagonals: 0/1 masks of the measured
@@ -798,10 +837,9 @@ def branch_measure(
     branch, with the coefficients of equal factor rows summed, so it may
     exceed the usual branch count; it is None if it cannot be normalized.
     """
-    regs, masks, targets = _parse_family(state, projectors, registers, diagonal)
-    probs, post = _project(state, regs, masks, targets)
-    rank = sum(map(np.sum, masks)) + len(targets)
-    k = _draw_outcome(probs, rank, int(np.prod([state.dims[r] for r in regs])), rng)
+    regs, family = _family(state, projectors, registers, diagonal)
+    probs, post = _project(state, regs, family)
+    k = _draw_outcome(probs, family.rank, int(np.prod([state.dims[r] for r in regs])), rng)
     if k < len(probs):
         return k, BranchState._trusted(state.dims, post(k, np.sqrt(probs[k]))), probs[k]
     remainder = 1.0 - float(sum(probs))
@@ -818,9 +856,10 @@ def branch_project(
     state: BranchState, registers: Sequence[int], projector, *, diagonal: bool = False
 ) -> tuple[float, BranchState | None]:
     """Deterministic projection onto one projector of any :func:`branch_measure`
-    form: (probability, normalized post-state or None when it vanishes)."""
-    regs, masks, targets = _parse_family(state, [projector], registers, diagonal)
-    probs, post = _project(state, regs, masks, targets)
+    form, checked as a one-member family: (probability, normalized post-state
+    or None when it vanishes)."""
+    regs, family = _family(state, [projector], registers, diagonal)
+    probs, post = _project(state, regs, family)
     p = probs[0]
     if p <= VANISHING_PROB:
         return p, None

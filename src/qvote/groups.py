@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .backends import get_backend
-from .branches import BranchState, VecFactor, phase_ghz
+from .branches import BranchState, MeasurementFamily, VecFactor, phase_family
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
 from .states import check_unitary, maximally_mixed, trace_distance
 
@@ -171,6 +172,15 @@ class Representation:
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[int(g)]
 
+    @cached_property
+    def candidate_family(self) -> MeasurementFamily:
+        """The candidate final states (I x U(g))|Psi>, one per element, checked once."""
+        dims, c = (self.dim, self.dim), 1.0 / np.sqrt(self.dim)
+        return MeasurementFamily(dims, [
+            BranchState(dims, [(c, (j, VecFactor(M[:, j]))) for j in range(self.dim)], renormalize=False)
+            for M in self.matrices
+        ])
+
 
 def klein4() -> tuple[FiniteGroup, Representation]:
     """Klein four-group with its dimension-2 projective Pauli representation."""
@@ -237,24 +247,6 @@ def check_protocol_ready(rep: Representation) -> ReadinessReport:
 # protocols
 
 
-def _target_states(rep: Representation) -> list[BranchState]:
-    """Candidate final states (I x U(g))|Psi> as branch states."""
-    dim = rep.dim
-    targets = []
-    c = 1.0 / np.sqrt(dim)
-    for M in rep.matrices:
-        branches = []
-        for j in range(dim):
-            col = M[:, j]
-            nz = np.flatnonzero(np.abs(col) > 1e-12)
-            if nz.size == 1:
-                branches.append((c * col[nz[0]], (j, int(nz[0]))))
-            else:
-                branches.append((c, (j, VecFactor(col))))
-        targets.append(BranchState((dim, dim), branches, renormalize=False))
-    return targets
-
-
 def run_group_traveling(
     group: FiniteGroup,
     rep: Representation,
@@ -293,7 +285,7 @@ def run_group_traveling(
             privacy.append(
                 trace_distance(bk.reduced(state, [1]), maximally_mixed(rep.dim).matrix)
             )
-    outcome, _, _ = bk.measure_targets(state, _target_states(rep), rng)
+    outcome, _, _ = bk.measure_targets(state, rep.candidate_family, rng)
     if outcome >= group.order:
         raise RuntimeError("measurement leaked into the residual projector")
     if record_privacy and privacy and max(privacy) > 1e-12:
@@ -336,7 +328,6 @@ def run_abelian_distributed(
         for k, ch in enumerate(choices):
             if ch[f]:
                 state = bk.apply_local(state, k, phase_vote_matrix(d, ch[f]))
-        targets = [phase_ghz(d, n_parties, 2 * np.pi * y / d) for y in range(d)]
-        outcome, _, _ = bk.measure_targets(state, targets, rng)
+        outcome, _, _ = bk.measure_targets(state, phase_family(d, n_parties), rng)
         result.append(int(outcome))
     return tuple(result)

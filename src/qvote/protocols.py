@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import get_backend
-from .branches import phase_ghz, shifted_ghz
+from .branches import phase_family, shift_family
 from .matrices import fourier_basis_kets, phase_vote_matrix, shift_matrix
 from .states import maximally_mixed, trace_distance
 
@@ -103,7 +103,7 @@ def _run_tally(config, votes, backend, rng, record_privacy, record_states,
                registers, vote_register, vote_op, targets) -> TallyResult:
     """A ``registers``-register correlated ballot: each yes vote of voter k
     applies ``vote_op`` to ``vote_register(k)``; the tally is one measurement
-    against ``targets``."""
+    of the family ``targets``."""
     config.require_tally_room()
     votes = _check_votes(votes, config.N)
     bk = get_backend(backend)
@@ -138,9 +138,8 @@ def run_traveling(
 ) -> TallyResult:
     """Traveling two-register ballot; each yes vote shifts the moving register."""
     D = config.D
-    targets = [shifted_ghz(D, (0, m)) for m in range(D)]
     return _run_tally(config, votes, backend, rng, record_privacy, record_states,
-                      2, lambda k: 1, shift_matrix(D), targets)
+                      2, lambda k: 1, shift_matrix(D), shift_family(D))
 
 
 def run_distributed(
@@ -153,9 +152,8 @@ def run_distributed(
 ) -> TallyResult:
     """Distributed N-register ballot; each yes vote applies the diagonal phase."""
     D, N = config.D, config.N
-    targets = [phase_ghz(D, N, 2 * np.pi * m / D) for m in range(D)]
     return _run_tally(config, votes, backend, rng, record_privacy, record_states,
-                      N, lambda k: k, phase_vote_matrix(D), targets)
+                      N, lambda k: k, phase_vote_matrix(D), phase_family(D, N))
 
 
 def _announce(bk, state, rng, t, D, N):
@@ -267,8 +265,7 @@ def run_survey(
             state = bk.apply_local(state, 1, shift_matrix(D, s))
         t.hidden.append({"voter": k, "multiplicity": s})
     _snapshot(bk, state, t, record_states, "returned-ballot")
-    targets = [shifted_ghz(D, (0, m)) for m in range(D)]
-    outcome, state, p = bk.measure_targets(state, targets, rng)
+    outcome, state, p = bk.measure_targets(state, shift_family(D), rng)
     t.public.append({"event": "total", "m": int(outcome), "probability": p})
     avg = Fraction(int(outcome), config.N)
     t.public.append({"event": "average", "value": str(avg)})

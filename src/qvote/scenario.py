@@ -151,9 +151,10 @@ def amplitude_agreement(cfg: ScenarioConfig) -> dict:
     return {"passed": dev <= 1e-12, "max_deviation": dev}
 
 
-def _ballot(run: str, validate, announces=False, tally_basis=False, **kw) -> Scheme:
+def _ballot(run: str, validate, announces=False, tally_basis=False, per_voter=False, **kw) -> Scheme:
     """A quantum ballot tallied by ``protocols.<run>``, looked up at call time
-    so that wrappers installed on the module see every call."""
+    so that wrappers installed on the module see every call; a ``per_voter``
+    ballot has one register per voter."""
 
     def trial(cfg, votes, backend, rng):
         res = getattr(protocols, run)(cfg.protocol_config(), votes, backend, rng=rng)
@@ -165,6 +166,9 @@ def _ballot(run: str, validate, announces=False, tally_basis=False, **kw) -> Sch
         return record
 
     def checks(cfg):
+        if per_voter and cfg.N < 2:
+            raise ScenarioError(f"verify: scheme {cfg.scheme!r} checks ballot privacy, which needs "
+                                f"N >= 2 (got N={cfg.N}): a lone voter's register holds the tally")
         pc = cfg.protocol_config()
         votes = cfg.votes or [0] * cfg.N
         worst = 0.0
@@ -459,8 +463,8 @@ def validate(cfg: ScenarioConfig) -> None:
 
 SCHEMES: dict[str, Scheme] = {
     "traveling": _ballot("run_traveling", _tally_room),
-    "distributed": _ballot("run_distributed", _tally_room, tally_basis=True),
-    "dolev": _ballot("run_dolev", _dolev_valid, announces=True, d_follows_n=True),
+    "distributed": _ballot("run_distributed", _tally_room, tally_basis=True, per_voter=True),
+    "dolev": _ballot("run_dolev", _dolev_valid, announces=True, per_voter=True, d_follows_n=True),
     "broadcast": Scheme(
         _broadcast_trial, "reconstructed", _outcome_check("message_reconstructed"),
         _broadcast_valid, expected=lambda cfg: cfg.message, takes_votes=False,

@@ -440,11 +440,8 @@ def drop_product_register(state: DenseState, register: int) -> DenseState:
     if state.num_registers == 1:
         raise ValueError("cannot drop the only register")
     mat, perm = _as_matrix(state, [register])
-    svals = np.linalg.svd(mat, compute_uv=False)
+    _, svals, vh = np.linalg.svd(mat, full_matrices=False)
     if svals.size > 1 and svals[1] > 1e-10:
         raise ValueError(f"register {register} is entangled with the rest; cannot drop")
-    # Project onto the dominant local vector to extract the rest factor.
-    u, _, vh = np.linalg.svd(mat, full_matrices=False)
-    rest_amps = vh[0]
-    new_dims = tuple(state.dims[r] for r in perm[1:])
-    return DenseState(new_dims, rest_amps)
+    # The dominant right singular vector is the rest factor.
+    return DenseState(tuple(state.dims[r] for r in perm[1:]), vh[0])

@@ -531,3 +531,11 @@ def test_histogram_counts_sum_to_trials():
     rng = np.random.default_rng(16)
     rep = run_swap_attack(cfg, [1, 0, 1], 0, (0, 1), rng, trials=777)
     assert sum(rep.outcome_histogram.values()) == 777
+
+
+def test_conditional_oracle_validates_its_secrets():
+    """The oracle runs the round's own setup, which rejects secrets no round accepts."""
+    with pytest.raises(ValueError, match="requires yes_level > no_level"):
+        cheater_conditional_distribution(5, 3, AuthoritySecrets(0, 1, 0.1), 1, 3, 1.1, 0.4, 2)
+    with pytest.raises(ValueError, match="offset"):
+        cheater_conditional_distribution(5, 3, AuthoritySecrets(1, 0, 2.0), 1, 3, 1.1, 0.4, 2)

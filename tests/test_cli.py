@@ -350,3 +350,28 @@ def test_shipped_scenarios_run_clean(tmp_path):
             f = tmp_path / f.name
             f.write_text(text)
         assert main(["run", str(f)]) == 0, f.name
+
+
+LONE_VOTER = {
+    "distributed": "[protocol]\nscheme = distributed\nD = 3\nN = 1\nvotes = 1\n",
+    "dolev": "[protocol]\nscheme = dolev\nN = 1\nvotes = 1\n",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(LONE_VOTER))
+def test_verify_lone_voter_is_scenario_error(tmp_path, capsys, scheme):
+    """One register per voter: a lone voter's register holds the tally, so the
+    privacy check cannot pass and verify refuses the scenario before running it."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(LONE_VOTER[scheme])
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "N >= 2" in err
+    assert main(["run", str(path)]) == 0  # only verify needs a second voter
+
+
+def test_verify_lone_voter_traveling_passes(tmp_path):
+    """The traveling ballot keeps two registers however many voters there are."""
+    path = tmp_path / "scenario.ini"
+    path.write_text("[protocol]\nscheme = traveling\nD = 3\nN = 1\nvotes = 1\n")
+    assert main(["verify", str(path)]) == 0
