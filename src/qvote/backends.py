@@ -2,9 +2,9 @@
 
 Protocol code is written once against this surface; measurement targets are
 described as :class:`BranchState` values in a checked
-:class:`~qvote.branches.MeasurementFamily`; the dense backend scores them by
-contraction with its amplitudes and expands only the targets of the drawn
-outcome.
+:class:`~qvote.branches.MeasurementFamily`. Every dense measurement scores
+each member in place (targets by contraction with the amplitudes) and expands
+only the drawn member, through :func:`qvote.states._sample`.
 Both backends consume randomness through the same inverse-CDF sampler, so a
 shared seed yields identical outcome sequences whenever the Born
 probabilities agree.
@@ -63,24 +63,22 @@ class DenseBackend:
         return st.apply_joint(state, [i, j], swap_pair_matrix(state.dims[i]))
 
     def measure_targets(self, state, targets, rng, registers=None):
-        """Targets are scored by contraction with the state. Only the drawn
-        outcome's target (every target for the remainder) is expanded and
-        parsed as a ket, and its post-state and probability are computed as
-        :func:`st.measure_projective` computes them for kets."""
+        """Targets are scored by contraction with the state, and only the
+        drawn one is expanded: parsed as a ket, so its post-state and
+        probability are those :func:`st.measure_projective` gives for kets."""
         regs, family = br._family(state, targets, registers, False)
         targets = family.targets
         mat, perm = st._as_matrix(state, regs)
         sdims = tuple(state.dims[r] for r in regs)
         tensor = mat.reshape(sdims + (-1,))
         amps = (br._contract_target(t, tensor) for t in targets)
-        probs = [float(np.real(np.vdot(a, a))) for a in amps]
-        k = st._draw_outcome(probs, len(targets), mat.shape[0], rng)
-        drawn = targets[k:k + 1] if k < len(targets) else targets
-        _, kets = st._parse_family([br.to_dense(t).amps for t in drawn], sdims, False)
-        projected = [np.outer(v, v.conj() @ mat) for v in kets]
-        post = projected[0] if k < len(targets) else mat - sum(projected)
-        p = float(np.real(np.vdot(post, post)))
-        return k, st._from_matrix(state, post / np.sqrt(p), perm), p
+        weights = [float(np.real(np.vdot(a, a))) for a in amps]
+
+        def expand(j):
+            (v,) = st._parse_family([br.to_dense(targets[j]).amps], sdims, False)[1]
+            return np.outer(v, v.conj() @ mat)
+
+        return st._sample(state, rng, mat, perm, len(targets), weights, expand)
 
     def measure_diag(self, state, registers, masks: Sequence[np.ndarray], rng):
         return st.measure_projective(state, list(masks), rng, registers=registers, diagonal=True)

@@ -9,6 +9,7 @@ stopped it; 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -31,7 +32,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    common = _Parser(add_help=False)
+    common.add_argument("scenario", type=Path, help="path to the scenario file")
+    common.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    common.add_argument("--backend", choices=["dense", "branch", "both"], default=None,
+                        help="override [run] backend")
+    common.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
+    common.add_argument("--format", choices=["text", "json-lines"], default="text", dest="fmt",
+                        help="report format (default: text)")
     parser = _Parser(
         prog="qvote",
         description="Simulate anonymous-voting protocols, group multiplication, and attacks",
@@ -43,18 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "exhaustively enumerate vote vectors for a scenario"),
         ("attack", "run an adversary scenario (requires an [attack] section)"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("scenario", type=Path, help="path to the scenario file")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        p.add_argument(
-            "--backend", choices=["dense", "branch", "both"], default=None,
-            help="override [run] backend",
-        )
-        p.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
-        p.add_argument(
-            "--format", choices=["text", "json-lines"], default="text", dest="fmt",
-            help="report format (default: text)",
-        )
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -43,25 +43,22 @@ class FiniteGroup:
             raise ValueError("one name per element required")
 
         # identity: the unique e with e*g = g*e = g for all g
-        ident = [e for e in range(n) if all(table[e][g] == g and table[g][e] == g for g in range(n))]
+        elements = np.arange(n)
+        ident = np.flatnonzero((table == elements).all(axis=1) & (table.T == elements).all(axis=1))
         if len(ident) != 1:
             raise ValueError("Cayley table has no unique identity element")
-        self.identity = ident[0]
+        self.identity = int(ident[0])
 
-        self.inverse = np.full(n, -1, dtype=int)
-        for g in range(n):
-            inv = [h for h in range(n) if table[g][h] == self.identity]
-            if len(inv) != 1 or table[inv[0]][g] != self.identity:
-                raise ValueError(f"element {g} has no unique two-sided inverse")
-            self.inverse[g] = inv[0]
+        is_identity = table == self.identity  # [g, h]: g*h = e
+        self.inverse = is_identity.argmax(axis=1)
+        bad = (is_identity.sum(axis=1) != 1) | (table[self.inverse, elements] != self.identity)
+        if bad.any():
+            raise ValueError(f"element {bad.argmax()} has no unique two-sided inverse")
 
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError(
-                            f"Cayley table is not associative at ({a}, {b}, {c})"
-                        )
+        # [a, b, c]: (a*b)*c against a*(b*c); the first hit in (a, b, c) order is reported
+        bad = np.argwhere(table[table] != table[:, table])
+        if len(bad):
+            raise ValueError("Cayley table is not associative at ({}, {}, {})".format(*bad[0]))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a][b])
@@ -90,33 +87,24 @@ def klein_four_group() -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     na, nb = a.order, b.order
-    table = np.empty((na * nb, na * nb), dtype=int)
-    for i in range(na):
-        for j in range(nb):
-            for k in range(na):
-                for l in range(nb):
-                    table[i * nb + j][k * nb + l] = a.mul(i, k) * nb + b.mul(j, l)
+    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(na * nb, na * nb)
     names = [f"({a.names[i]},{b.names[j]})" for i in range(na) for j in range(nb)]
     return FiniteGroup(table, names=names)
 
 
 def symmetric_group_3() -> FiniteGroup:
-    perms = [
+    perms = np.array([
         (0, 1, 2),
         (1, 0, 2),
         (2, 1, 0),
         (0, 2, 1),
         (1, 2, 0),
         (2, 0, 1),
-    ]
+    ])
     names = ["e", "(01)", "(02)", "(12)", "(012)", "(021)"]
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[k]] for k in range(3))  # apply q first, then p
-            table[i][j] = index[comp]
+    # [i, j, k]: perms[i][perms[j][k]], i.e. apply perms[j] first, then perms[i]
+    composed = perms[:, perms]
+    table = (composed[:, :, None] == perms).all(axis=-1).argmax(axis=-1)
     return FiniteGroup(table, names=names)
 
 
@@ -195,15 +183,8 @@ def regular_representation(group: FiniteGroup) -> Representation:
     Dimension equals the group order; every non-identity element is
     traceless, so the result is always protocol-ready.
     """
-    n = group.order
-    mats = []
-    for gn in range(n):
-        M = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                if group.mul(int(group.inverse[j]), k) == gn:
-                    M[j, k] = 1.0
-        mats.append(M)
+    quotients = group.table[group.inverse]  # [j, k]: g_j^{-1} g_k
+    mats = [(quotients == gn).astype(complex) for gn in range(group.order)]
     return Representation(group, mats, projective=False)
 
 

@@ -131,24 +131,31 @@ def _orthonormal(D: int, regs: int) -> dict:
     return {"passed": dev <= 1e-12, "max_deviation": dev}
 
 
-def amplitude_agreement(cfg: ScenarioConfig) -> dict:
-    """Per-step amplitude comparison of the two backends on one honest run."""
-    ballot = SCHEMES[cfg.scheme].ballot
-    if ballot is None or cfg.votes is None:
-        return {"passed": True, "max_deviation": 0.0, "note": "amplitude check not applicable"}
-    run = getattr(protocols, ballot)
-    pc = cfg.protocol_config()
-    try:
-        a = run(pc, cfg.votes, "dense", rng=np.random.default_rng(cfg.seed), record_states=True)
-        b = run(pc, cfg.votes, "branch", rng=np.random.default_rng(cfg.seed), record_states=True)
-    except DenseBudgetError:
-        return {"passed": True, "max_deviation": None, "note": "dense budget exceeded"}
+def _ballot_runs(cfg: ScenarioConfig, votes, **record) -> list:
+    """One honest ballot per backend, dense first, under the scenario's seed."""
+    run = getattr(protocols, SCHEMES[cfg.scheme].ballot)
+    return [run(cfg.protocol_config(), votes, backend, rng=np.random.default_rng(cfg.seed), **record)
+            for backend in ("dense", "branch")]
+
+
+def _amplitude_deviation(dense, branch) -> dict:
+    """Largest per-step amplitude gap between two runs that recorded states."""
     dev = 0.0
-    for sa, sb in zip(a.transcript.states, b.transcript.states):
+    for sa, sb in zip(dense.transcript.states, branch.transcript.states):
         da = align_global_phase(sa["state"].amps)
         db = align_global_phase(to_dense(sb["state"]).amps)
         dev = max(dev, float(np.max(np.abs(da - db))))
     return {"passed": dev <= 1e-12, "max_deviation": dev}
+
+
+def amplitude_agreement(cfg: ScenarioConfig) -> dict:
+    """Per-step amplitude comparison of the two backends on one honest run."""
+    if SCHEMES[cfg.scheme].ballot is None or cfg.votes is None:
+        return {"passed": True, "max_deviation": 0.0, "note": "amplitude check not applicable"}
+    try:
+        return _amplitude_deviation(*_ballot_runs(cfg, cfg.votes, record_states=True))
+    except DenseBudgetError:
+        return {"passed": True, "max_deviation": None, "note": "dense budget exceeded"}
 
 
 def _ballot(run: str, validate, announces=False, tally_basis=False, per_voter=False, **kw) -> Scheme:
@@ -169,18 +176,15 @@ def _ballot(run: str, validate, announces=False, tally_basis=False, per_voter=Fa
         if per_voter and cfg.N < 2:
             raise ScenarioError(f"verify: scheme {cfg.scheme!r} checks ballot privacy, which needs "
                                 f"N >= 2 (got N={cfg.N}): a lone voter's register holds the tally")
-        pc = cfg.protocol_config()
         votes = cfg.votes or [0] * cfg.N
-        worst = 0.0
-        for backend in ("dense", "branch"):
-            res = getattr(protocols, run)(
-                pc, votes, backend, rng=np.random.default_rng(cfg.seed), record_privacy=True
-            )
-            worst = max(worst, max(e["trace_distance"] for e in res.transcript.privacy))
+        # One run per backend records both; recording draws no randomness.
+        dense, branch = _ballot_runs(cfg, votes, record_privacy=True, record_states=True)
+        worst = max(e["trace_distance"] for r in (dense, branch) for e in r.transcript.privacy)
         out = {
             "privacy_reduced_density": {"passed": worst <= 1e-12, "max_trace_distance": worst},
-            "tally_correct": {"passed": res.m == sum(votes), "tally": res.m},
-            "backend_amplitudes": amplitude_agreement(cfg),
+            "tally_correct": {"passed": branch.m == sum(votes), "tally": branch.m},
+            "backend_amplitudes": (amplitude_agreement(cfg) if cfg.votes is None
+                                   else _amplitude_deviation(dense, branch)),
         }
         if tally_basis:
             out["tally_basis_orthonormal"] = _orthonormal(cfg.D, cfg.N)

@@ -6,13 +6,14 @@ is the most significant digit of the flattened amplitude index, i.e.
 ``amps.reshape(dims)[j0, j1, ...]`` is the amplitude of ``|j0 j1 ...>``.
 
 Both backends parse and check measurement families (0/1 masks, diagonal
-matrices, kets) with :func:`_parse_family`. The dense side projects masks by
-scaling rows and kets by contraction, without building projector matrices.
+matrices, kets) with :func:`_parse_family`. Every dense measurement scores
+each member in place (masks by row norms, kets by contraction), without
+building projector matrices, and :func:`_sample` expands only the drawn member.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -310,6 +311,8 @@ def _parse_family(
         if diagonal:
             if P.size != sub:
                 raise ValueError(f"mask size {P.size} does not match subspace {sub}")
+            if P.shape not in (sdims, (sub,)):
+                raise ValueError(f"mask shape {P.shape} does not match the registers' shape {sdims}")
             masks.append(P.reshape(sdims))
         elif P.ndim == 1:
             n = np.linalg.norm(P)
@@ -342,16 +345,22 @@ def _parse_family(
 
 def _projected(
     state: DenseState, registers: Sequence[int] | None, projectors: Sequence[np.ndarray], diagonal: bool
-) -> tuple[np.ndarray, list[int], float, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[int], float, list[float], Callable[[int], np.ndarray]]:
     """The state as a (registers, rest) matrix (all registers when None), its
-    axis permutation, the rank of the checked family and the matrix projected
-    by each member: masks scale rows, kets contract them."""
+    axis permutation, the rank of the checked family, each member's Born
+    weight scored in place, and ``expand(j)``: the matrix projected by member j,
+    built only when asked for. A mask scales rows; a ket contracts them."""
     n = state.num_registers
     registers = _check_registers(range(n) if registers is None else registers, n)
     mat, perm = _as_matrix(state, registers)
     masks, kets = _parse_family(projectors, tuple(state.dims[r] for r in registers), diagonal)
-    projected = [mat * m.reshape(-1, 1) for m in masks] + [np.outer(k, k.conj() @ mat) for k in kets]
-    return mat, perm, sum(map(np.sum, masks)) + len(kets), projected
+    if masks:
+        rows = np.sum(mat.real**2 + mat.imag**2, axis=1)
+        return (mat, perm, sum(map(np.sum, masks)), [float(m.reshape(-1) @ rows) for m in masks],
+                lambda j: mat * masks[j].reshape(-1, 1))
+    contracted = [k.conj() @ mat for k in kets]
+    return (mat, perm, len(kets), [float(np.real(np.vdot(c, c))) for c in contracted],
+            lambda j: np.outer(kets[j], contracted[j]))
 
 
 def sample_index(
@@ -383,6 +392,19 @@ def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Genera
     return sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
 
 
+def _sample(
+    state: DenseState, rng: np.random.Generator, mat: np.ndarray, perm: list[int], rank: float,
+    weights: list[float], expand: Callable[[int], np.ndarray],
+) -> tuple[int, DenseState, float]:
+    """Draw an outcome of a family scored in place on the (measured, rest)
+    matrix ``mat`` and expand only it (for the remainder, ``mat`` minus every
+    member in member order); report the squared norm of the projected matrix."""
+    k = _draw_outcome(weights, rank, mat.shape[0], rng)
+    post = expand(k) if k < len(weights) else mat - sum(map(expand, range(len(weights))))
+    p = float(np.real(np.vdot(post, post)))
+    return k, _from_matrix(state, post / np.sqrt(p), perm), p
+
+
 def measure_projective(
     state: DenseState,
     projectors: Sequence[np.ndarray],
@@ -403,14 +425,7 @@ def measure_projective(
 
     Returns (outcome index, post-measurement state, outcome probability).
     """
-    mat, perm, rank, projected = _projected(state, registers, projectors, diagonal)
-    probs = [float(np.real(np.vdot(post, post))) for post in projected]
-    outcome = _draw_outcome(probs, rank, mat.shape[0], rng)
-    if outcome == len(projected):
-        projected.append(mat - sum(projected))
-        probs.append(float(np.real(np.vdot(projected[-1], projected[-1]))))
-    p = probs[outcome]
-    return outcome, _from_matrix(state, projected[outcome] / np.sqrt(p), perm), p
+    return _sample(state, rng, *_projected(state, registers, projectors, diagonal))
 
 
 def project(
@@ -419,7 +434,8 @@ def project(
     """Deterministic projection onto one projector of any
     :func:`measure_projective` form: (probability, normalized post-state or
     None when the probability vanishes)."""
-    _, perm, _, (post,) = _projected(state, registers, [projector], diagonal)
+    _, perm, _, _, expand = _projected(state, registers, [projector], diagonal)
+    post = expand(0)
     p = float(np.real(np.vdot(post, post)))
     if p <= VANISHING_PROB:
         return p, None

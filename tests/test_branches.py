@@ -639,6 +639,8 @@ def _bad_families(backend, s):
                        "entries must be 0 or 1"),
         "mask size": (lambda: backend.measure_diag(s, [0, 2], [np.ones(3)], rng),
                       "mask size 3 does not match subspace 9"),
+        "mask shape": (lambda: backend.measure_diag(s, [0, 2], [np.ones((1, 9))], rng),
+                       "does not match the registers' shape"),
         "non-orthogonal kets": (lambda: backend.measure_local_kets(s, 1, [e0, (e0 + e1) / np.sqrt(2)], rng),
                                 "not mutually orthogonal"),
         "empty": (lambda: backend.measure_diag(s, [0, 2], [], rng), "must not be empty"),

@@ -375,3 +375,42 @@ def test_verify_lone_voter_traveling_passes(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text("[protocol]\nscheme = traveling\nD = 3\nN = 1\nvotes = 1\n")
     assert main(["verify", str(path)]) == 0
+
+
+def test_parser_built_once_and_reused(tmp_path):
+    """The parser is built once; two calls with different argv each parse their own."""
+    from qvote.cli import build_parser
+
+    assert build_parser() is build_parser()
+    path = tmp_path / "scenario.ini"
+    path.write_text(DISTRIBUTED)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert main(["run", str(path), "--seed", "9", "--format", "json-lines", "--out", str(first)]) == 0
+    assert main(["verify", str(path), "--backend", "branch", "--out", str(second),
+                 "--format", "json-lines"]) == 0
+    a = json.loads(first.read_text().strip().split("\n")[-1])
+    b = json.loads(second.read_text().strip().split("\n")[-1])
+    assert (a["command"], a["backend"], a["seed"]) == ("run", "both", 9)
+    assert (b["command"], b["backend"], b["seed"]) == ("verify", "branch", 42)
+
+
+def test_verify_runs_each_ballot_once_per_backend(monkeypatch):
+    """verify records privacy and states in one run per backend and computes
+    both the privacy and the amplitude check from that pair."""
+    from pathlib import Path
+
+    from qvote import protocols
+
+    calls = []
+    run = protocols.run_distributed
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "run_distributed", counted)
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "distributed.ini").read_text()
+    report = execute(parse_scenario(text), command="verify")
+    assert len(calls) == 2
+    assert all(kw["record_privacy"] and kw["record_states"] for kw in calls)
+    assert report.passed and report.invariants["backend_amplitudes"]["max_deviation"] <= 1e-12

@@ -119,6 +119,8 @@ def _bad_lists():
         "overlap": ((3, 3), [agree, agree], True, "diagonal projectors overlap"),
         "half entry": ((3, 3), [agree, half], True, "entries must be 0 or 1"),
         "mask size": ((3, 3), [np.ones(3)], True, "mask size 3 does not match subspace 9"),
+        "mask shape": ((3, 2), [np.array([[0, 0, 1], [1, 0, 0]])], True,
+                       "does not match the registers' shape"),
         "non-orthogonal kets": ((3,), [e0, (e0 + e1) / np.sqrt(2)], False, "not mutually orthogonal"),
         "empty": ((3, 3), [], True, "must not be empty"),
     }

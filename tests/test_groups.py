@@ -202,3 +202,106 @@ class TestAbelianDistributed:
             tally = run_distributed(cfg, votes).m
             via_group = run_abelian_distributed([D], [(v,) for v in votes], rng=rng)
             assert via_group == (tally,)
+
+
+# ---------------------------------------------------------------------------
+# The group tables are built with array operations; these Python loops are
+# the reference they must reproduce bit for bit.
+
+
+def _loop_structure(table):
+    """The identity and inverses, or the first error message, as found by loops."""
+    n = len(table)
+    ident = [e for e in range(n) if all(table[e][g] == g and table[g][e] == g for g in range(n))]
+    if len(ident) != 1:
+        return "Cayley table has no unique identity element"
+    identity = ident[0]
+    inverse = np.full(n, -1, dtype=int)
+    for g in range(n):
+        inv = [h for h in range(n) if table[g][h] == identity]
+        if len(inv) != 1 or table[inv[0]][g] != identity:
+            return f"element {g} has no unique two-sided inverse"
+        inverse[g] = inv[0]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"Cayley table is not associative at ({a}, {b}, {c})"
+    return identity, inverse
+
+
+def _loop_direct_product_table(a, b):
+    na, nb = a.order, b.order
+    table = np.empty((na * nb, na * nb), dtype=int)
+    for i, j, k, l in itertools.product(range(na), range(nb), range(na), range(nb)):
+        table[i * nb + j][k * nb + l] = a.mul(i, k) * nb + b.mul(j, l)
+    return table
+
+
+def _loop_regular_matrices(group):
+    n = group.order
+    mats = []
+    for gn in range(n):
+        M = np.zeros((n, n), dtype=complex)
+        for j, k in itertools.product(range(n), repeat=2):
+            if group.mul(int(group.inverse[j]), k) == gn:
+                M[j, k] = 1.0
+        mats.append(M)
+    return mats
+
+
+def _loop_s3_table():
+    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.empty((6, 6), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i][j] = index[tuple(p[q[k]] for k in range(3))]
+    return table
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_group_tables_match_loop_reference():
+    from qvote.groups import BUILTIN_GROUPS
+
+    assert _same_array(symmetric_group_3().table, _loop_s3_table())
+    groups = [factory() for factory in BUILTIN_GROUPS.values()]
+    pairs = [(symmetric_group_3(), cyclic_group(4)), (cyclic_group(3), klein_four_group())]
+    for a, b in pairs + [(cyclic_group(2), cyclic_group(2))]:
+        product = direct_product(a, b)
+        assert _same_array(product.table, _loop_direct_product_table(a, b))
+        groups.append(product)
+    for group in groups:
+        identity, inverse = _loop_structure(group.table)
+        assert type(group.identity) is int and group.identity == identity
+        assert _same_array(group.inverse, inverse)
+        want = _loop_regular_matrices(group)
+        got = regular_representation(group).matrices
+        assert all(_same_array(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_bad_tables_fail_with_the_loop_reference_message():
+    """Tables with no identity, a missing inverse or a non-associative triple
+    (the first one in (a, b, c) order) raise the message the loops raised."""
+    rng = np.random.default_rng(11)
+    tables = [[[1, 1], [1, 1]], [[0, 1], [1, 1]],
+              [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]]
+    for n in (3, 4, 5, 6):
+        for _ in range(10):
+            # identity 0; every element its own inverse unless an entry is 0
+            table = rng.integers(0 if rng.random() < 0.3 else 1, n, size=(n, n))
+            np.fill_diagonal(table, 0)
+            table[0], table[:, 0] = np.arange(n), np.arange(n)
+            tables.append(table.tolist())
+    messages = []
+    for table in tables:
+        want = _loop_structure(table)
+        if isinstance(want, tuple):
+            continue
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup(table)
+        assert str(exc.value) == want
+        messages.append(want)
+    for kind, least in (("identity", 1), ("inverse", 5), ("associative", 10)):
+        assert sum(kind in m for m in messages) >= least, kind

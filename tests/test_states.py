@@ -303,3 +303,83 @@ def test_unitaries_preserve_norm(D, N, seed):
     rho = partial_trace(s, list(range(N)))
     proj = np.outer(s.amps, s.amps.conj())
     assert np.max(np.abs(rho.matrix - proj)) <= 1e-12
+
+
+def _eager_projected(state, registers, projectors, diagonal):
+    """The dense measurement before in-place scoring: every member of the
+    family expanded into its projected (measured, rest) matrix."""
+    regs = list(range(state.num_registers)) if registers is None else list(registers)
+    mat, perm = states_module._as_matrix(state, regs)
+    masks, kets = states_module._parse_family(projectors, tuple(state.dims[r] for r in regs), diagonal)
+    projected = [mat * m.reshape(-1, 1) for m in masks] + [np.outer(k, k.conj() @ mat) for k in kets]
+    return mat, perm, sum(map(np.sum, masks)) + len(kets), projected
+
+
+def _eager_measure(state, projectors, rng, registers, diagonal):
+    mat, perm, rank, projected = _eager_projected(state, registers, projectors, diagonal)
+    probs = [float(np.real(np.vdot(post, post))) for post in projected]
+    outcome = states_module._draw_outcome(probs, rank, mat.shape[0], rng)
+    if outcome == len(projected):
+        projected.append(mat - sum(projected))
+        probs.append(float(np.real(np.vdot(projected[-1], projected[-1]))))
+    p = probs[outcome]
+    return outcome, states_module._from_matrix(state, projected[outcome] / np.sqrt(p), perm), p
+
+
+def _eager_project(state, registers, projector, diagonal):
+    _, perm, _, (post,) = _eager_projected(state, registers, [projector], diagonal)
+    p = float(np.real(np.vdot(post, post)))
+    if p <= states_module.VANISHING_PROB:
+        return p, None
+    return p, states_module._from_matrix(state, post / np.sqrt(p), perm)
+
+
+@st.composite
+def _family_cases(draw):
+    """A random state on 1-3 registers of dims 2-4, registers to measure (all
+    or a subset, in any order, or None), and a possibly incomplete family on
+    them: 0/1 masks (shaped or flat), diagonal matrices, or orthonormal kets."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(np.prod(dims))
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    state = DenseState(dims, amps / np.linalg.norm(amps))
+    registers = None
+    if draw(st.booleans()):
+        perm = rng.permutation(len(dims))
+        registers = [int(r) for r in perm[: int(rng.integers(1, len(dims) + 1))]]
+    sdims = dims if registers is None else tuple(dims[r] for r in registers)
+    sub = int(np.prod(sdims))
+    kind = draw(st.sampled_from(["mask", "matrix", "ket"]))
+    if kind == "ket":
+        z = rng.normal(size=(sub, sub)) + 1j * rng.normal(size=(sub, sub))
+        basis = np.linalg.qr(z)[0].T
+        family = [basis[j] for j in rng.permutation(sub)[: int(rng.integers(1, sub + 1))]]
+    else:
+        groups = rng.integers(0, int(rng.integers(1, sub + 1)), size=sub)
+        masks = [(groups == g).astype(float) for g in np.unique(groups)]
+        masks = [masks[j] for j in rng.permutation(len(masks))[: int(rng.integers(1, len(masks) + 1))]]
+        if kind == "matrix":
+            family = [np.diag(m) for m in masks]
+        else:
+            family = [m.reshape(sdims) if rng.random() < 0.5 else m for m in masks]
+    return state, registers, family, kind == "mask", int(rng.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_family_cases())
+def test_in_place_scoring_matches_eager_expansion(case):
+    """Scoring every member in place and expanding only the drawn one gives
+    the outcome, probability and post-state the eager expansion of every
+    member gave, to the bit; so does the projection onto one member."""
+    state, registers, family, diagonal, seed = case
+    got = measure_projective(state, family, np.random.default_rng(seed), registers, diagonal=diagonal)
+    want = _eager_measure(state, family, np.random.default_rng(seed), registers, diagonal)
+    assert got[0] == want[0]
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert got[1].amps.tobytes() == want[1].amps.tobytes()
+    regs = list(range(state.num_registers)) if registers is None else registers
+    p, post = states_module.project(state, regs, family[-1], diagonal=diagonal)
+    p0, post0 = _eager_project(state, regs, family[-1], diagonal)
+    assert np.array(p).tobytes() == np.array(p0).tobytes()
+    assert (post is None and post0 is None) or post.amps.tobytes() == post0.amps.tobytes()
