@@ -25,6 +25,7 @@ from .backends import get_backend
 from .branches import MeasurementFamily, phase_family
 from .matrices import phase_state, shift_matrix
 from .protocols import Transcript, _check_votes
+from .states import cached_op
 
 VARIANTS = ("distributed", "traveling")
 
@@ -183,7 +184,7 @@ def _cast_vote_on(
         if state is None:
             raise RuntimeError("forced outcome has zero probability")
     if r:
-        state = bk.apply_local(state, v, shift_matrix(D, r))
+        state = bk.apply_local(state, v, cached_op(shift_matrix, D, r))
     round_.state = state
     return int(r)
 
@@ -217,7 +218,8 @@ def vote_traveling(
     D = round_.D
     r = _cast_vote_on(round_, 1, theta, rng)
     # authority undoes the wrap phase on her own register right away
-    round_.state = bk.apply_local(round_.state, 0, wrap_correction_diag(D, r, round_.secrets.offset))
+    wrap = cached_op(wrap_correction_diag, D, r, round_.secrets.offset)
+    round_.state = bk.apply_local(round_.state, 0, wrap)
     # voter maps |j>_b |j-r>_v -> |j>_b |0>_v and the voting register leaves
     round_.state = bk.controlled_shift(round_.state, 1, 2, [(r - j) % D for j in range(D)])
     round_.state = bk.drop(round_.state, 2)
@@ -268,9 +270,8 @@ def authority_correct(round_: AntiCheatRound, register: int = 0) -> None:
     D = round_.D
     if round_.variant == "distributed":
         for r in round_.announced:
-            round_.state = bk.apply_local(
-                round_.state, register, wrap_correction_diag(D, int(r), round_.secrets.offset)
-            )
+            wrap = cached_op(wrap_correction_diag, D, int(r), round_.secrets.offset)
+            round_.state = bk.apply_local(round_.state, register, wrap)
     # remove the accumulated no-angle phase e^{i j N theta_n} from one register
     removal = np.diag(
         np.exp(-1j * np.arange(D) * round_.N * round_.secrets.no_angle(D))

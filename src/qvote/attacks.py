@@ -42,7 +42,7 @@ from .matrices import (
     shift_matrix,
 )
 from .protocols import ProtocolConfig, _check_votes, sample_zero_sum_ballots
-from .states import check_unitary, sample_index
+from .states import LocalOp, cached_op, sample_index
 
 
 def total_variation(p, q) -> float:
@@ -424,23 +424,24 @@ def run_mitm_traveling(
     bk = get_backend(backend)
     D = config.D
     report = AttackReport(kind="mitm-traveling", trials=trials, seed=seed)
+    shift = cached_op(shift_matrix, D, 1)
+    kets = [np.eye(D, dtype=complex)[:, k] for k in range(D)]
     for _ in range(trials):
         state = bk.ghz(D, 2)
         state = bk.attach(state, D, 0)  # the decoy qudit, register 2
         for voter, v in enumerate(votes):
             reg = 2 if voter == target else 1
             if v:
-                state = bk.apply_local(state, reg, shift_matrix(D))
+                state = bk.apply_local(state, reg, shift)
             if voter == target:
                 # interceptor measures the decoy right after the target votes
-                kets = [np.eye(D, dtype=complex)[:, k] for k in range(D)]
                 leak, state, _ = bk.measure_local_kets(state, 2, kets, rng)
                 leak = int(leak)
                 report.leak_attempts += 1
                 if leak == votes[target]:
                     report.leak_correct += 1
                 if repair and leak:
-                    state = bk.apply_local(state, 1, shift_matrix(D, leak))
+                    state = bk.apply_local(state, 1, cached_op(shift_matrix, D, leak))
         tally, _, _ = bk.measure_targets(state, shift_family(D), rng, registers=[0, 1])
         report._bump(f"tally={int(tally)}")
     report.statistics["expected_tally"] = sum(votes)
@@ -495,14 +496,14 @@ def run_swap_attack(
         st2 = passed
         for voter, v in enumerate(votes):
             if v:
-                st2 = bk.apply_local(st2, voter, phase_vote_matrix(D))
+                st2 = bk.apply_local(st2, voter, cached_op(phase_vote_matrix, D, 1))
         st2 = bk.swap(st2, ancilla, target)
         for y in range(D):
             p_y, st_y = bk.project_ket(st2, ancilla, phase_state(D, 2 * np.pi * y / D))
             if st_y is None or p_y <= 1e-14:
                 continue
             if repair and y:
-                st_y = bk.apply_local(st_y, target, phase_vote_matrix(D, y))
+                st_y = bk.apply_local(st_y, target, cached_op(phase_vote_matrix, D, y))
             st_y = bk.drop(st_y, ancilla)
             tally_probs = [bk.target_probability(st_y, t) for t in phase_family(D, N)]
             tally = int(np.argmax(tally_probs))
@@ -572,7 +573,7 @@ def entangling_rho_e1(
     state = bk.apply_pair(state, (N, target), U)
     for voter, v in enumerate(votes):
         if v:
-            state = bk.apply_local(state, voter, phase_vote_matrix(D))
+            state = bk.apply_local(state, voter, cached_op(phase_vote_matrix, D, 1))
     return bk.reduced(state, [N, target])
 
 
@@ -597,7 +598,7 @@ def run_entangling_attack(
     votes = _check_votes(votes, config.N)
     bk = get_backend(backend)
     D, N = config.D, config.N
-    U = check_unitary(np.asarray(U, dtype=complex), D * D)
+    U = LocalOp(U, D * D)
     state = bk.ghz(D, N)
     state = bk.attach(state, D, 0)
     state = bk.apply_pair(state, (N, target), U)
@@ -606,7 +607,7 @@ def run_entangling_attack(
     report = AttackReport(
         kind="entangling",
         trials=trials,
-        analytic_detection=1.0 - analytic_nondetection(U, D) if target in pair else None,
+        analytic_detection=1.0 - analytic_nondetection(U.matrix, D) if target in pair else None,
         seed=seed,
     )
     for detected, count in _batched_counts(trials, lambda n: rng.random(n) < 1.0 - p_pass):
@@ -617,7 +618,7 @@ def run_entangling_attack(
             report._bump("passed", count)
     # a Born sum can exceed 1 by a few ulps; the draws above never fire either way
     report.statistics["pass_probability"] = min(p_pass, 1.0)
-    report.statistics["analytic_nondetection"] = analytic_nondetection(U, D)
+    report.statistics["analytic_nondetection"] = analytic_nondetection(U.matrix, D)
     return report
 
 

@@ -35,14 +35,7 @@ class DenseBackend:
         return br.to_dense(state)
 
     def attach(self, state: DenseState, dim: int, initial) -> DenseState:
-        if isinstance(initial, (int, np.integer)):
-            if not 0 <= int(initial) < dim:
-                raise ValueError(f"initial label {initial} out of range for dimension {dim}")
-            vec = np.zeros(dim, dtype=complex)
-            vec[int(initial)] = 1.0
-        else:
-            vec = np.asarray(initial, dtype=complex)
-        return DenseState(state.dims + (dim,), np.kron(state.amps, vec))
+        return DenseState(state.dims + (dim,), np.kron(state.amps, st._initial_vector(dim, initial)))
 
     def apply_local(self, state, register, U):
         return st.apply_local(state, register, U)

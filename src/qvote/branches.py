@@ -3,11 +3,13 @@
 Every state the ballot protocols produce is a sum of a few "branches", each a
 product of per-register local states. This module keeps that structure
 explicit so protocols scale past the dense amplitude budget. The operation
-set is deliberately narrow: monomial local unitaries, register attachment and
+set is deliberately narrow: local unitaries (a :class:`qvote.states.LocalOp`,
+checked once; a monomial one keeps labels as labels), register attachment and
 swaps, label-controlled shifts, two-register unitaries (for the entangling
 eavesdropper), diagonal projective measurements, and rank-1 measurements
 whose targets are themselves branch states. Anything else must be routed
-through the dense backend.
+through the dense backend. The GHZ families are valid by construction and
+skip the factor checks; they are renormalized as the public constructor does.
 
 Every factor is local to one register: a basis label, stored as a plain
 Python ``int``, or a :class:`VecFactor`. The correlations of the ballot
@@ -42,17 +44,18 @@ from functools import lru_cache
 import numpy as np
 
 from .states import (
-    DENSE_AMP_BUDGET,
     NORM_TOL,
     VANISHING_PROB,
-    DenseBudgetError,
     DenseState,
     DensityMatrix,
+    LocalOp,
+    _check_dims,
     _check_registers,
     _draw_outcome,
+    _Frozen,
+    _initial_vector,
     _kept_dim,
     _parse_family as _parse_arrays,
-    check_unitary,
 )
 
 _ZERO_TOL = 1e-14
@@ -60,18 +63,6 @@ _ZERO_TOL = 1e-14
 
 class BranchError(ValueError):
     """Operation would leave the branch representation; use the dense backend."""
-
-
-class _Frozen:
-    """Immutable once constructed: factors are shared between branches and states."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _read_only(amps: np.ndarray) -> np.ndarray:
@@ -153,11 +144,7 @@ class BranchState(_Frozen):
             cleaned.append(_tidy_row(coeff, factors, range(len(dims))))
         self._fill(dims, cleaned)
         if renormalize:
-            n = self.norm()
-            if abs(n - 1.0) > NORM_TOL:
-                raise ValueError(f"branch state norm {n!r} deviates from 1 beyond {NORM_TOL}")
-            if n != 1.0:
-                object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in self.branches))
+            self._renormalized()
 
     @classmethod
     def _trusted(cls, dims: tuple[int, ...], branches: Sequence[Branch]) -> BranchState:
@@ -166,6 +153,15 @@ class BranchState(_Frozen):
         state = object.__new__(cls)
         state._fill(dims, branches)
         return state
+
+    def _renormalized(self) -> BranchState:
+        """Divide by the norm, which must be 1 within ``NORM_TOL``, so float drift never compounds."""
+        n = self.norm()
+        if abs(n - 1.0) > NORM_TOL:
+            raise ValueError(f"branch state norm {n!r} deviates from 1 beyond {NORM_TOL}")
+        if n != 1.0:
+            object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in self.branches))
+        return self
 
     def _fill(self, dims: tuple[int, ...], branches: Sequence[Branch]) -> None:
         kept = []
@@ -227,11 +223,16 @@ def _ghz_rows(D: int, N: int) -> tuple[tuple[int, ...], ...]:
     return tuple((j,) * N for j in range(D))
 
 
+def _ghz_state(D: int, N: int, branches: list[Branch]) -> BranchState:
+    """Label rows valid by construction, built unchecked and renormalized as the constructor does."""
+    return BranchState._trusted((int(D),) * N, branches)._renormalized()
+
+
 def ghz_branches(D: int, N: int) -> BranchState:
     """The uniform correlated ballot state as D basis branches."""
     rows = _ghz_rows(D, N)
     c = 1.0 / np.sqrt(D)
-    return BranchState((D,) * N, [(c, row) for row in rows])
+    return _ghz_state(D, N, [(c, row) for row in rows])
 
 
 @lru_cache(maxsize=_FAMILY_CACHE)
@@ -243,23 +244,20 @@ def phase_ghz(D: int, N: int, theta: float) -> BranchState:
     """
     rows = _ghz_rows(D, N)
     c = 1.0 / np.sqrt(D)
-    return BranchState((D,) * N, [(c * np.exp(1j * j * theta), row) for j, row in enumerate(rows)])
+    return _ghz_state(D, N, [(c * np.exp(1j * j * theta), row) for j, row in enumerate(rows)])
 
 
 def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
     """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D,
     cached by value as :func:`phase_ghz` is."""
-    return _shifted_ghz(D, tuple(int(o) for o in offsets))
+    return _shifted_ghz(int(D), tuple(int(o) for o in offsets))
 
 
 @lru_cache(maxsize=_FAMILY_CACHE)
 def _shifted_ghz(D: int, offsets: tuple[int, ...]) -> BranchState:
     _check_ghz(D, len(offsets))
     c = 1.0 / np.sqrt(D)
-    return BranchState(
-        (D,) * len(offsets),
-        [(c, tuple((j + o) % D for o in offsets)) for j in range(D)],
-    )
+    return _ghz_state(D, len(offsets), [(c, tuple((j + o) % D for o in offsets)) for j in range(D)])
 
 
 @lru_cache(maxsize=64)
@@ -322,7 +320,7 @@ def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int
     """Split the registers into the join key, those holding a label on
     every branch of every side, and the rest."""
     key = list(range(len(dims)))
-    for side in sides:
+    for side in {id(side): side for side in sides}.values():  # a norm's two sides are one
         for _, fs in side:
             if set(map(type, fs)) != _ALL_BASIS:
                 key = [r for r in key if type(fs[r]) is int]
@@ -421,15 +419,8 @@ def branch_inner(a: BranchState, b: BranchState) -> complex:
 def to_dense(state: BranchState) -> DenseState:
     """Exact expansion into the dense backend (one-way): each branch is
     scattered into the slice of its basis labels, expanded over its vector
-    factors only."""
-    total = 1
-    for d in state.dims:
-        total *= d
-        if total > DENSE_AMP_BUDGET:
-            raise DenseBudgetError(
-                f"branch state with dims {state.dims} exceeds the dense amplitude budget"
-            )
-    out = np.zeros(state.dims, dtype=complex)
+    factors only; a state past the dense budget is refused before anything is allocated."""
+    out = np.zeros(_check_dims(state.dims), dtype=complex)
     for coeff, factors in state.branches:
         vec = [r for r, f in enumerate(factors) if isinstance(f, VecFactor)]
         out[_slice(factors)] += _block_vector(factors, vec, state.dims, coeff)
@@ -460,27 +451,15 @@ def _contract_target(target: BranchState, tensor: np.ndarray) -> np.ndarray:
 # unitary-type operations
 
 
-def _monomial_parts(U: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decompose U = permutation * phases; None when U is not monomial."""
-    d = U.shape[0]
-    nz = np.abs(U) > 1e-12
-    if np.any(nz.sum(axis=0) != 1):
-        return None
-    perm = nz.argmax(axis=0)
-    if len(set(perm.tolist())) != d:
-        return None
-    return perm, U[perm, np.arange(d)]
-
-
-def apply_branch_local(state: BranchState, register: int, U: np.ndarray) -> BranchState:
+def apply_branch_local(state: BranchState, register: int, U: LocalOp | np.ndarray) -> BranchState:
     """Apply a single-register unitary branchwise.
 
     Monomial unitaries keep labels as labels; anything else promotes the
     touched factor to a small local vector.
     """
     _check_registers([register], state.num_registers)
-    U = check_unitary(U, state.dims[register])
-    mono = _monomial_parts(U)
+    op = LocalOp.of(U, state.dims[register])
+    U, mono = op.matrix, op.monomial
     branches = []
     for coeff, factors in state.branches:
         f = factors[register]
@@ -497,21 +476,7 @@ def apply_branch_local(state: BranchState, register: int, U: np.ndarray) -> Bran
 
 def attach_register(state: BranchState, dim: int, initial: int | np.ndarray) -> BranchState:
     """Extend the layout by a fresh register in the same state on every branch."""
-    if dim < 2:
-        raise ValueError(f"register dimensions must be >= 2, got {dim}")
-    if not state.branches:
-        raise ValueError("cannot attach to an empty branch state")
-    if isinstance(initial, (int, np.integer)):
-        if not 0 <= int(initial) < dim:
-            raise ValueError(f"initial label {initial} out of range for dimension {dim}")
-        w, f = 1.0 + 0.0j, int(initial)
-    else:
-        amps = np.asarray(initial, dtype=complex).reshape(-1)
-        if amps.size != dim:
-            raise ValueError("initial vector length does not match the register dimension")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("attached register state must be normalized")
-        w, f = _tidy_factor(VecFactor(amps))
+    w, f = _tidy_factor(VecFactor(_initial_vector(dim, initial)))
     branches = [(c * w, fs + (f,)) for c, fs in state.branches]
     return BranchState._trusted(state.dims + (int(dim),), branches)
 
@@ -587,7 +552,9 @@ def _schmidt_split(
     return out
 
 
-def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray) -> BranchState:
+def apply_pair_unitary(
+    state: BranchState, pair: tuple[int, int], U: LocalOp | np.ndarray
+) -> BranchState:
     """Apply a joint unitary on two registers; ``U`` acts on the tensor space
     ordered as ``pair``.
 
@@ -598,7 +565,7 @@ def apply_pair_unitary(state: BranchState, pair: tuple[int, int], U: np.ndarray)
     """
     i, j = _check_registers(pair, state.num_registers)
     di, dj = state.dims[i], state.dims[j]
-    U = check_unitary(U, di * dj)
+    U = LocalOp.of(U, di * dj).matrix
     lo, hi = min(i, j), max(i, j)
     off = [r for r in range(state.num_registers) if r != i and r != j]
     groups: dict[tuple, list[Branch]] = {}

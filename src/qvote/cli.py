@@ -90,7 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = execute(cfg, command=command)
     except DenseBudgetError as exc:
-        print(f"budget error: {exc} (hint: switch to backend = branch)", file=sys.stderr)
+        step = " in verify's dense-oracle ballot checks" if command == "verify" else ""
+        hint = "" if step or cfg.backend == "branch" else " (hint: switch to backend = branch)"
+        print(f"budget error{step}: {exc}{hint}", file=sys.stderr)
         return EXIT_BUDGET
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

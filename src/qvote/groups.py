@@ -20,7 +20,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import BranchState, MeasurementFamily, VecFactor, phase_family
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
-from .states import check_unitary, maximally_mixed, trace_distance
+from .states import LocalOp, cached_op, maximally_mixed, trace_distance
 
 TRACE_TOL = 1e-10
 REP_TOL = 1e-10
@@ -123,18 +123,17 @@ BUILTIN_GROUPS = {
 
 
 class Representation:
-    """Per-element unitary matrices, ordinary or projective."""
+    """Per-element unitaries, ordinary or projective: checked ``ops`` and their ``matrices``."""
 
     def __init__(self, group: FiniteGroup, matrices: Sequence[np.ndarray], projective: bool = False):
         if len(matrices) != group.order:
             raise ValueError("one matrix per group element required")
-        mats = [check_unitary(np.asarray(M, dtype=complex)) for M in matrices]
-        dim = mats[0].shape[0]
-        if any(M.shape[0] != dim for M in mats):
+        self.ops = [LocalOp(M) for M in matrices]
+        self.dim = self.ops[0].dim
+        if any(op.dim != self.dim for op in self.ops):
             raise ValueError("all representation matrices must share one dimension")
         self.group = group
-        self.dim = dim
-        self.matrices = mats
+        self.matrices = [op.matrix for op in self.ops]
         self.projective = projective
         self._validate_law()
 
@@ -261,7 +260,7 @@ def run_group_traveling(
     state = bk.ghz(rep.dim, 2)
     privacy = []
     for g in choices:
-        state = bk.apply_local(state, 1, rep.matrix(int(group.inverse[g])))
+        state = bk.apply_local(state, 1, rep.ops[int(group.inverse[g])])
         if record_privacy:
             privacy.append(
                 trace_distance(bk.reduced(state, [1]), maximally_mixed(rep.dim).matrix)
@@ -308,7 +307,7 @@ def run_abelian_distributed(
         state = bk.ghz(d, n_parties)
         for k, ch in enumerate(choices):
             if ch[f]:
-                state = bk.apply_local(state, k, phase_vote_matrix(d, ch[f]))
+                state = bk.apply_local(state, k, cached_op(phase_vote_matrix, d, ch[f]))
         outcome, _, _ = bk.measure_targets(state, phase_family(d, n_parties), rng)
         result.append(int(outcome))
     return tuple(result)

@@ -23,7 +23,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import phase_family, shift_family
 from .matrices import fourier_basis_kets, phase_vote_matrix, shift_matrix
-from .states import maximally_mixed, trace_distance
+from .states import cached_op, maximally_mixed, trace_distance
 
 SCHEMES = (
     "traveling",
@@ -139,7 +139,7 @@ def run_traveling(
     """Traveling two-register ballot; each yes vote shifts the moving register."""
     D = config.D
     return _run_tally(config, votes, backend, rng, record_privacy, record_states,
-                      2, lambda k: 1, shift_matrix(D), shift_family(D))
+                      2, lambda k: 1, cached_op(shift_matrix, D, 1), shift_family(D))
 
 
 def run_distributed(
@@ -153,7 +153,7 @@ def run_distributed(
     """Distributed N-register ballot; each yes vote applies the diagonal phase."""
     D, N = config.D, config.N
     return _run_tally(config, votes, backend, rng, record_privacy, record_states,
-                      N, lambda k: k, phase_vote_matrix(D), phase_family(D, N))
+                      N, lambda k: k, cached_op(phase_vote_matrix, D, 1), phase_family(D, N))
 
 
 def _announce(bk, state, rng, t, D, N):
@@ -195,7 +195,7 @@ def run_dolev(
         _privacy_checkpoint(bk, state, range(N), D, t, step=0)
     for k, v in enumerate(votes):
         if v:
-            state = bk.apply_local(state, k, phase_vote_matrix(D, -1))
+            state = bk.apply_local(state, k, cached_op(phase_vote_matrix, D, -1))
         t.hidden.append({"voter": k, "vote": v})
         if record_privacy:
             _privacy_checkpoint(bk, state, range(N), D, t, step=k + 1)
@@ -229,7 +229,7 @@ def run_broadcast(
 
     state = bk.ghz(D, N)
     if message:
-        state = bk.apply_local(state, sender, phase_vote_matrix(D, -message))
+        state = bk.apply_local(state, sender, cached_op(phase_vote_matrix, D, -message))
     t.hidden.append({"sender": sender, "message": message})
     _snapshot(bk, state, t, record_states, "pre-announcement")
     announced, state = _announce(bk, state, rng, t, D, N)
@@ -262,7 +262,7 @@ def run_survey(
     state = bk.ghz(D, 2)
     for k, s in enumerate(salaries):
         if s:
-            state = bk.apply_local(state, 1, shift_matrix(D, s))
+            state = bk.apply_local(state, 1, cached_op(shift_matrix, D, s))
         t.hidden.append({"voter": k, "multiplicity": s})
     _snapshot(bk, state, t, record_states, "returned-ballot")
     outcome, state, p = bk.measure_targets(state, shift_family(D), rng)

@@ -5,15 +5,17 @@ unitary application, partial trace, and projective measurement. Register 0
 is the most significant digit of the flattened amplitude index, i.e.
 ``amps.reshape(dims)[j0, j1, ...]`` is the amplitude of ``|j0 j1 ...>``.
 
-Both backends parse and check measurement families (0/1 masks, diagonal
-matrices, kets) with :func:`_parse_family`. Every dense measurement scores
-each member in place (masks by row norms, kets by contraction), without
-building projector matrices, and :func:`_sample` expands only the drawn member.
+Both backends check each operator once, as a :class:`LocalOp` (the protocols'
+repeated ones cached by :func:`cached_op`), and each measurement family (0/1
+masks, diagonal matrices, kets) with :func:`_parse_family`. Every dense
+measurement scores each member in place (masks by row norms, kets by
+contraction), and :func:`_sample` expands only the drawn member.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,6 +35,18 @@ class DenseBudgetError(ValueError):
     """Requested dense state exceeds DENSE_AMP_BUDGET amplitudes."""
 
 
+class _Frozen:
+    """Immutable once constructed: values are shared between states and callers."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims:
@@ -44,8 +58,7 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
         total *= d
         if total > DENSE_AMP_BUDGET:
             raise DenseBudgetError(
-                f"dense state with dims {dims} exceeds the amplitude budget "
-                f"{DENSE_AMP_BUDGET}; use the branch backend"
+                f"dense state with dims {dims} exceeds the amplitude budget {DENSE_AMP_BUDGET}"
             )
     return dims
 
@@ -72,7 +85,7 @@ def _kept_dim(keep: Sequence[int], dims: tuple[int, ...]) -> tuple[list[int], in
     return keep, kdim
 
 
-class DenseState:
+class DenseState(_Frozen):
     """Normalized pure state over an ordered list of qudit registers."""
 
     __slots__ = ("dims", "amps")
@@ -95,9 +108,6 @@ class DenseState:
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
-
-    def __setattr__(self, name, value):  # immutable once constructed
-        raise AttributeError("DenseState is immutable")
 
     @property
     def num_registers(self) -> int:
@@ -131,7 +141,7 @@ def _from_matrix(state: DenseState, mat: np.ndarray, perm: list[int]) -> DenseSt
     return DenseState(state.dims, t.reshape(-1))
 
 
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
 
     __slots__ = ("dim", "matrix")
@@ -151,9 +161,6 @@ class DensityMatrix:
         matrix.flags.writeable = False
         object.__setattr__(self, "dim", matrix.shape[0])
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -192,6 +199,22 @@ def product_state(factors: Sequence[np.ndarray]) -> DenseState:
     return DenseState(dims, amps)
 
 
+def _initial_vector(dim: int, initial: int | np.ndarray) -> np.ndarray:
+    """The checked unit vector of a register either backend attaches (a label is a basis vector)."""
+    if dim < 2:
+        raise ValueError(f"register dimensions must be >= 2, got {dim}")
+    if isinstance(initial, (int, np.integer)):
+        if not 0 <= int(initial) < dim:
+            raise ValueError(f"initial label {initial} out of range for dimension {dim}")
+        return np.eye(dim, dtype=complex)[int(initial)]
+    amps = np.asarray(initial, dtype=complex).reshape(-1)
+    if amps.size != dim:
+        raise ValueError("initial vector length does not match the register dimension")
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:  # a NaN norm fails too
+        raise ValueError("attached register state must be normalized")
+    return amps
+
+
 def make_uniform_ghz(D: int, N: int) -> DenseState:
     """Correlated state (1/sqrt(D)) sum_j |j>^(x N)."""
     if D < 2:
@@ -209,32 +232,65 @@ def make_uniform_ghz(D: int, N: int) -> DenseState:
 # unitaries
 
 
-def check_unitary(U: np.ndarray, dim: int | None = None) -> np.ndarray:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError(f"operator must be square, got shape {U.shape}")
-    if dim is not None and U.shape[0] != dim:
-        raise ValueError(f"operator dimension {U.shape[0]} does not match register dimension {dim}")
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
-    return U
+class LocalOp(_Frozen):
+    """A unitary checked once, when built: a read-only copy of the ``matrix``, its
+    ``dim`` and, on first use, its ``monomial`` parts, for both backends' applies."""
+
+    def __init__(self, U: np.ndarray, dim: int | None = None):
+        U = np.array(U, dtype=complex)
+        if U.ndim != 2 or U.shape[0] != U.shape[1]:
+            raise ValueError(f"operator must be square, got shape {U.shape}")
+        if dim is not None and U.shape[0] != dim:
+            raise ValueError(f"operator dimension {U.shape[0]} does not match register dimension {dim}")
+        dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
+        if dev > UNITARY_TOL:
+            raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
+        U.flags.writeable = False
+        object.__setattr__(self, "matrix", U)
+        object.__setattr__(self, "dim", U.shape[0])
+
+    @classmethod
+    def of(cls, U: LocalOp | np.ndarray, dim: int) -> LocalOp:
+        """``U`` as a value of dimension ``dim``: a raw matrix, or a value of
+        another dimension (which raises), goes through the constructor."""
+        if isinstance(U, LocalOp) and U.dim == dim:
+            return U
+        return cls(U.matrix if isinstance(U, LocalOp) else U, dim)
+
+    @cached_property
+    def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-only ``(perm, phases)`` with U[perm[j], j] = phases[j] and zeros
+        elsewhere, or None; made on first use, which the dense backend never makes."""
+        nz = np.abs(self.matrix) > 1e-12
+        perm = nz.argmax(axis=0)
+        if np.any(nz.sum(axis=0) != 1) or len(set(perm.tolist())) != self.dim:
+            return None
+        phases = self.matrix[perm, np.arange(self.dim)]
+        perm.flags.writeable = phases.flags.writeable = False
+        return perm, phases
 
 
-def apply_local(state: DenseState, register: int, U: np.ndarray) -> DenseState:
+@lru_cache(maxsize=256)
+def cached_op(builder: Callable[..., np.ndarray], *args) -> LocalOp:
+    """``LocalOp(builder(*args))``, cached by value: operators the protocols apply again
+    and again (vote phases and shifts, wrap corrections) are checked once per argument set."""
+    return LocalOp(builder(*args))
+
+
+def apply_local(state: DenseState, register: int, U: LocalOp | np.ndarray) -> DenseState:
     """Apply a single-register unitary: (I x ... x U x ... x I)|state>."""
     if not 0 <= register < state.num_registers:
         raise ValueError(f"register {register} out of range")
-    U = check_unitary(U, state.dims[register])
+    U = LocalOp.of(U, state.dims[register]).matrix
     t = state.tensor()
     t = np.moveaxis(np.tensordot(U, t, axes=([1], [register])), 0, register)
     return DenseState(state.dims, t.reshape(-1))
 
 
-def apply_joint(state: DenseState, registers: Sequence[int], U: np.ndarray) -> DenseState:
+def apply_joint(state: DenseState, registers: Sequence[int], U: LocalOp | np.ndarray) -> DenseState:
     """Apply a unitary on the joint space of the listed registers."""
     mat, perm = _as_matrix(state, registers)
-    return _from_matrix(state, check_unitary(U, mat.shape[0]) @ mat, perm)
+    return _from_matrix(state, LocalOp.of(U, mat.shape[0]).matrix @ mat, perm)
 
 
 # ---------------------------------------------------------------------------

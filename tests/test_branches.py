@@ -898,3 +898,41 @@ def test_one_label_mask_rows_match_the_vector_route():
                 for c, fs in s.branches]
         assert [np.array(c).tobytes() for c, _ in got] == [np.array(c).tobytes() for c, _ in want]
         assert [_row_key(fs, range(3)) for _, fs in got] == [_row_key(fs, range(3)) for _, fs in want]
+
+
+def _public_ghz(D, N, theta=None, offsets=None):
+    """The GHZ families built by the validating public constructor: the reference."""
+    c = 1.0 / np.sqrt(D)
+    if offsets is not None:
+        return BranchState((D,) * len(offsets), [(c, tuple((j + o) % D for o in offsets)) for j in range(D)])
+    return BranchState((D,) * N, [(c if theta is None else c * np.exp(1j * j * theta), (j,) * N)
+                                  for j in range(D)])
+
+
+def _assert_same_branches(got, want):
+    assert got.dims == want.dims and all(type(d) is int for d in got.dims)
+    assert [fs for _, fs in got.branches] == [fs for _, fs in want.branches]
+    assert all(type(f) is int for _, fs in got.branches for f in fs)
+    assert np.array([c for c, _ in got.branches]).tobytes() == \
+        np.array([c for c, _ in want.branches]).tobytes()
+
+
+def test_ghz_families_by_construction_match_the_public_constructor():
+    """ghz_branches, phase_ghz and shifted_ghz skip the factor checks but are
+    bitwise what the public constructor builds, renormalization included."""
+    renormalized = 0
+    for D in range(2, 130):
+        for N in (1, 2, 3, 5, 8) if D < 60 else (1, 4):
+            want = _public_ghz(D, N)
+            _assert_same_branches(ghz_branches(D, N), want)
+            renormalized += any(c != 1.0 / np.sqrt(D) for c, _ in want.branches)
+            if D >= 60:
+                continue
+            for theta in (0.0, 2 * np.pi / D, 2 * np.pi * (D - 1) / D, 0.37):
+                _assert_same_branches(phase_ghz.__wrapped__(D, N, theta), _public_ghz(D, N, theta))
+        if D < 60:
+            rng = np.random.default_rng(D)
+            for offsets in [(0, m) for m in range(D)] + [tuple(int(o) for o in rng.integers(0, D, 4))]:
+                _assert_same_branches(branches_module._shifted_ghz.__wrapped__(D, offsets),
+                                      _public_ghz(D, 0, offsets=offsets))
+    assert renormalized  # the constructor moves bits, so a build without it would fail here

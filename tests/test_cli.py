@@ -270,6 +270,18 @@ class TestCli:
         assert main(["run", str(path)]) == 3
         assert "branch" in capsys.readouterr().err  # remediation hint
 
+    def test_budget_exit_three_on_branch_names_the_dense_step(self, tmp_path, capsys):
+        votes = ",".join(["1", "0", "1", "1"] + ["0"] * 16)
+        big = DISTRIBUTED.replace("D = 5", "D = 21").replace("N = 4", "N = 20").replace(
+            "votes = 1,0,1,1", f"votes = {votes}"
+        ).replace("backend = both", "backend = branch")
+        path = self._write(tmp_path, big)
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "verify's dense-oracle ballot checks" in err
+        assert "switch to backend" not in err and "use the branch backend" not in err
+        assert main(["run", str(path)]) == 0
+
     def test_attack_requires_attack_section(self, tmp_path, capsys):
         path = self._write(tmp_path, DISTRIBUTED)
         assert main(["attack", str(path)]) == 1
