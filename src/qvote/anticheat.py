@@ -122,6 +122,11 @@ def wrap_correction_diag(D: int, r: int, offset: float) -> np.ndarray:
     return np.diag(diag)
 
 
+def no_angle_removal(D: int, N: int, no_angle: float) -> np.ndarray:
+    """Diagonal removing the accumulated no-angle phase e^{i j N theta_n}."""
+    return np.diag(np.exp(-1j * np.arange(D) * N * no_angle))
+
+
 def readout_targets(D: int, registers: int, gap: int) -> list[tuple[int, object]]:
     """(q, state) readout pairs for q a multiple of the level gap in [0, D)."""
     return list(zip(range(0, D, gap), phase_family(D, registers, gap)))
@@ -272,10 +277,7 @@ def authority_correct(round_: AntiCheatRound, register: int = 0) -> None:
         for r in round_.announced:
             wrap = cached_op(wrap_correction_diag, D, int(r), round_.secrets.offset)
             round_.state = bk.apply_local(round_.state, register, wrap)
-    # remove the accumulated no-angle phase e^{i j N theta_n} from one register
-    removal = np.diag(
-        np.exp(-1j * np.arange(D) * round_.N * round_.secrets.no_angle(D))
-    )
+    removal = cached_op(no_angle_removal, D, round_.N, round_.secrets.no_angle(D))
     round_.state = bk.apply_local(round_.state, register, removal)
     round_.corrected = True
 

@@ -14,7 +14,8 @@ perfectly, caught by a pair agreement check with probability 1 - 1/D), the
 general entangling attack (detection probability computable from the
 attack's columns; undetectable product-form attacks leave the eavesdropper
 with a vote-independent reduced state), and the classical baseline
-eavesdropper (perfect leak, no detection possible).
+eavesdropper (perfect leak, no detection possible). Eavesdroppers draw their
+trials from an outcome tree enumerated once; the cheater plays every round.
 """
 
 from __future__ import annotations
@@ -416,34 +417,39 @@ def run_mitm_traveling(
     target voter and substitutes a fresh |0> qudit; the target unknowingly
     votes on the decoy, which is then measured (|1| means yes) and, with
     ``repair``, the reading is forwarded onto the real ballot so the tally
-    stays intact. Nothing in the scheme can flag this.
+    stays intact. Nothing in the scheme can flag this. The outcome tree (the
+    decoy reading, the tally) is enumerated once, as in :func:`run_swap_attack`.
     """
     votes = _check_votes(votes, config.N)
     if not 0 <= target < config.N:
         raise ValueError("target out of range")
     bk = get_backend(backend)
     D = config.D
+
+    def cast(state, voters, reg=1):  # each yes vote shifts ``reg`` by one
+        for v in voters:
+            state = bk.apply_local(state, reg, cached_op(shift_matrix, D, 1)) if v else state
+        return state
+
+    state = bk.attach(bk.ghz(D, 2), D, 0)  # the decoy qudit, register 2
+    state = cast(cast(state, votes[:target]), votes[target:target + 1], reg=2)
+    branches = []  # (probability, leak reading, tally)
+    for leak in range(D):
+        p_leak, st = bk.project_ket(state, 2, np.eye(D, dtype=complex)[leak])
+        if st is not None and p_leak > 1e-14:
+            if repair and leak:
+                st = bk.apply_local(st, 1, cached_op(shift_matrix, D, leak))
+            st = bk.drop(cast(st, votes[target + 1:]), 2)
+            branches += [(p_leak * bk.target_probability(st, t), leak, tally)
+                         for tally, t in enumerate(shift_family(D))]
     report = AttackReport(kind="mitm-traveling", trials=trials, seed=seed)
-    shift = cached_op(shift_matrix, D, 1)
-    kets = [np.eye(D, dtype=complex)[:, k] for k in range(D)]
-    for _ in range(trials):
-        state = bk.ghz(D, 2)
-        state = bk.attach(state, D, 0)  # the decoy qudit, register 2
-        for voter, v in enumerate(votes):
-            reg = 2 if voter == target else 1
-            if v:
-                state = bk.apply_local(state, reg, shift)
-            if voter == target:
-                # interceptor measures the decoy right after the target votes
-                leak, state, _ = bk.measure_local_kets(state, 2, kets, rng)
-                leak = int(leak)
-                report.leak_attempts += 1
-                if leak == votes[target]:
-                    report.leak_correct += 1
-                if repair and leak:
-                    state = bk.apply_local(state, 1, cached_op(shift_matrix, D, leak))
-        tally, _, _ = bk.measure_targets(state, shift_family(D), rng, registers=[0, 1])
-        report._bump(f"tally={int(tally)}")
+    probs = [p for p, _, _ in branches]
+    for k, count in _batched_counts(trials, lambda n: sample_index(probs, rng, n)):
+        _, leak, tally = branches[k]
+        report.leak_attempts += count
+        if leak == votes[target]:
+            report.leak_correct += count
+        report._bump(f"tally={tally}", count)
     report.statistics["expected_tally"] = sum(votes)
     return report
 

@@ -23,6 +23,12 @@ from .matrices import shift_matrix, swap_pair_matrix
 from .states import DenseState
 
 
+def _controlled_shift_matrix(dims: tuple[int, int], shifts: tuple[int, ...]) -> np.ndarray:
+    """The (control, target) matrix sum_c |c><c| x X^shifts[c]."""
+    eye = np.eye(dims[0])
+    return sum(np.kron(np.diag(eye[c]), shift_matrix(dims[1], s)) for c, s in enumerate(shifts))
+
+
 class DenseBackend:
     """Exact dense oracle backend."""
 
@@ -45,10 +51,8 @@ class DenseBackend:
 
     def controlled_shift(self, state, control, target, shifts):
         st._check_registers([control, target], state.num_registers)
-        dc, dt = state.dims[control], state.dims[target]
-        U = np.zeros((dc * dt, dc * dt), dtype=complex)
-        for c in range(dc):
-            U[c * dt:(c + 1) * dt, c * dt:(c + 1) * dt] = shift_matrix(dt, int(shifts[c]))
+        dims = (state.dims[control], state.dims[target])
+        U = st.cached_op(_controlled_shift_matrix, dims, tuple(int(s) for s in shifts))
         return st.apply_joint(state, [control, target], U)
 
     def swap(self, state, i, j):

@@ -26,9 +26,9 @@ Every measurement form (0/1 masks, diagonal matrices, one-register kets and
 branch-state targets, on registers in any order) is checked once, when a
 :class:`MeasurementFamily` is built from it (the protocols' per-round families
 are cached by size), and goes through one projection step, which the sampled
-measurements and the attack models' deterministic projections share. Array
-forms are parsed and checked by the dense backend's
-:func:`qvote.states._parse_family`, and outcomes are drawn by
+measurements and the attack models' deterministic projections share; a mask
+family takes one pass over the branches. Array forms are parsed and checked by
+:func:`qvote.states._parse_family`, and outcomes drawn by
 :func:`qvote.states._draw_outcome`, so both backends accept and reject the
 same families and sample them alike.
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class VecFactor(_Frozen):
     def __init__(self, amps: np.ndarray):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         n = np.linalg.norm(amps)
-        if n <= _ZERO_TOL or n > 1.0 + 1e-9:
+        if not _ZERO_TOL < n <= 1.0 + 1e-9:  # NaN fails too
             raise ValueError(f"local factor norm {n!r} outside (0, 1]")
         object.__setattr__(self, "amps", _read_only(amps))
 
@@ -157,7 +158,7 @@ class BranchState(_Frozen):
     def _renormalized(self) -> BranchState:
         """Divide by the norm, which must be 1 within ``NORM_TOL``, so float drift never compounds."""
         n = self.norm()
-        if abs(n - 1.0) > NORM_TOL:
+        if not abs(n - 1.0) <= NORM_TOL:
             raise ValueError(f"branch state norm {n!r} deviates from 1 beyond {NORM_TOL}")
         if n != 1.0:
             object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in self.branches))
@@ -167,7 +168,7 @@ class BranchState(_Frozen):
         kept = []
         for c, fs in branches:
             c = complex(c)
-            if abs(c) > _ZERO_TOL:
+            if not abs(c) <= _ZERO_TOL:  # a NaN is kept, so the norm check sees it
                 kept.append((c, fs))
         if not kept:
             raise ValueError("branch state must have at least one branch")
@@ -195,7 +196,7 @@ class BranchState(_Frozen):
         return len(self.dims)
 
     def norm(self) -> float:
-        return float(np.sqrt(max(0.0, np.real(branch_inner(self, self)))))
+        return float(np.sqrt(max(np.real(branch_inner(self, self)), 0.0)))  # NaN stays NaN
 
     def __repr__(self) -> str:
         return f"BranchState(dims={self.dims}, branches={len(self.branches)})"
@@ -393,15 +394,15 @@ def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) ->
                 coeffs[i, k] += c
         gram = coeffs.conj() @ coeffs.T
     gram.flat[:: len(sides) + 1] -= 1.0  # the deviation from the identity
-    if np.max(np.abs(gram)) > NORM_TOL:
-        if np.max(np.abs(np.triu(gram, 1))) > NORM_TOL:
+    if not np.max(np.abs(gram)) <= NORM_TOL:
+        if not np.max(np.abs(np.triu(gram, 1))) <= NORM_TOL:
             raise ValueError("measurement targets are not mutually orthogonal")
         _check_norm_offset(np.max(np.abs(np.diagonal(gram))))
 
 
 def _check_norm_offset(off: float) -> None:
     """Raise unless a target's squared norm is off from 1 by at most ``NORM_TOL``."""
-    if off > NORM_TOL:
+    if not off <= NORM_TOL:
         raise ValueError(f"measurement targets must be normalized (squared norm off by {off:.3e})")
 
 
@@ -624,43 +625,43 @@ def branch_partial_trace(state: BranchState, keep: Sequence[int]) -> DensityMatr
 # measurement
 
 
-def _apply_diag_mask(state: BranchState, regs: list[int], mask: np.ndarray) -> list[Branch]:
-    """Project branchwise with a diagonal (computational-basis) 0/1 mask."""
-    out: list[Branch] = []
+def _route(state: BranchState, regs: list[int], family: MeasurementFamily) -> list[list[Branch]]:
+    """Each mask member's projected branches, from one pass over the state's:
+    the measured labels index ``family.owner``, whose row over one vector slot
+    splits the vector (one kept label becomes that label); two vector slots
+    are split per owning member by the Schmidt decomposition."""
+    masks, owner = family.masks, family.owner
+    out: list[list[Branch]] = [[] for _ in masks]
     for coeff, factors in state.branches:
-        sub = mask
-        free: list[int] = []
-        for r in regs:
-            f = factors[r]
-            if type(f) is int:
-                sub = np.take(sub, f, axis=len(free))
-            else:
-                free.append(r)
-        # ``sub`` now has one axis per free register, in their order within regs.
+        at = tuple([f if type(f) is int else slice(None) for f in map(factors.__getitem__, regs)])
+        free = [r for r, i in zip(regs, at) if type(i) is slice]
         if not free:
-            w = complex(sub)
-            if abs(w) > _ZERO_TOL:
-                out.append((coeff * w, factors))
+            k = owner[at]
+            if k >= 0:  # its mask entry is 1.0, the weight a per-member pass multiplied by
+                out[k].append((coeff * (1 + 0j), factors))
         elif len(free) == 1:
             r = free[0]
-            on = np.flatnonzero(sub)
-            if on.size == 1:  # one label passes: the factor becomes that label
-                a = factors[r].amps[on[0]]
-                if abs(a) > _ZERO_TOL:
-                    new = list(factors)
-                    new[r] = int(on[0])
-                    out.append((complex(coeff) * complex(a), tuple(new)))
-                continue
-            amps = factors[r].amps * np.asarray(sub, dtype=complex).reshape(-1)
-            if np.linalg.norm(amps) <= _ZERO_TOL:
-                continue
-            new = list(factors)
-            new[r] = VecFactor(amps)
-            out.append(_tidy_row(coeff, tuple(new), [r]))
+            hits: dict[int, list[int]] = {}
+            for j, k in enumerate(owner[at].tolist()):
+                if k >= 0:
+                    hits.setdefault(k, []).append(j)
+            amps, new = factors[r].amps, list(factors)
+            for k, on in hits.items():
+                if len(on) == 1:  # one label passes: the factor becomes that label
+                    new[r] = on[0]
+                    if abs(amps[on[0]]) > _ZERO_TOL:
+                        out[k].append((complex(coeff) * complex(amps[on[0]]), tuple(new)))
+                    continue
+                masked = amps * np.asarray(masks[k][at], dtype=complex)
+                if np.linalg.norm(masked) > _ZERO_TOL:
+                    new[r] = VecFactor(masked)
+                    out[k].append(_tidy_row(coeff, tuple(new), [r]))
         elif len(free) == 2:
             p, q = free
-            block = np.multiply.outer(factors[p].amps, factors[q].amps) * sub
-            out.extend(_schmidt_split(coeff, factors, (p, q), block))
+            block = np.multiply.outer(factors[p].amps, factors[q].amps)
+            for k in np.unique(owner[at]).tolist():
+                if k >= 0:
+                    out[k].extend(_schmidt_split(coeff, factors, (p, q), block * masks[k][at]))
         else:
             raise BranchError("diagonal projection couples more than two non-basis "
                               "registers; use the dense backend")
@@ -689,8 +690,18 @@ def _collapse_onto(
     return out
 
 
-def _branch_norm_sq(dims: tuple[int, ...], branches: list[Branch]) -> float:
-    return max(0.0, _inners(dims, [branches], branches)[0].real)
+def _branch_norm_sq(dims: tuple[int, ...], branches: Sequence[Branch]) -> float:
+    """The squared norm <psi|psi> of a branch list. When every row is all
+    labels and no row repeats, only diagonal pairs overlap, and conj(c) c is
+    re^2 + im^2 exactly: their sum in branch order is bitwise what the pair
+    loop of :func:`_inners` gives."""
+    rows = [fs for _, fs in branches]
+    if _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows))) and len(set(rows)) == len(rows):
+        total = 0.0
+        for c, _ in branches:
+            total += c.real * c.real + c.imag * c.imag
+        return float(total)
+    return max(_inners(dims, [branches], branches)[0].real, 0.0)  # NaN stays NaN
 
 
 class MeasurementFamily(_Frozen):
@@ -698,9 +709,11 @@ class MeasurementFamily(_Frozen):
     built: read-only 0/1 masks shaped ``dims`` or orthonormal rank-1
     :class:`BranchState` targets (the other tuple empty), and the total rank;
     ``family[k]`` is member k. Array forms go through the dense backend's parse,
-    kets becoming one-register targets; targets get a layout and Gram check."""
+    kets becoming one-register targets; targets get a layout and Gram check.
+    ``owner`` (shaped ``dims``; None for targets) holds the member whose mask
+    holds each label tuple, or -1 for the remainder."""
 
-    __slots__ = ("dims", "masks", "targets", "rank")
+    __slots__ = ("dims", "masks", "targets", "rank", "owner")
 
     def __init__(self, dims: Sequence[int], projectors: Sequence, *, diagonal: bool = False):
         dims = tuple(int(d) for d in dims)
@@ -716,8 +729,11 @@ class MeasurementFamily(_Frozen):
                 raise ValueError("target state layout does not match the measured registers")
             _check_orthonormal(dims, projectors)
             masks, targets = [], projectors
+        stack = np.asarray(masks)  # checked disjoint and 0/1: one member per label tuple at most
+        owner = _read_only(np.where(stack.max(axis=0) > 0, stack.argmax(axis=0), -1)) if masks else None
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "masks", tuple(map(_read_only, masks)))
+        object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "targets", tuple(targets))
         object.__setattr__(self, "rank", sum(map(np.sum, masks)) + len(targets))
 
@@ -754,7 +770,7 @@ def _project(
     """
     masks, targets = family.masks, family.targets
     if masks:
-        projected = [_apply_diag_mask(state, regs, m) for m in masks]
+        projected = _route(state, regs, family)
         probs = [_branch_norm_sq(state.dims, br) for br in projected]
         return probs, lambda k, n: [(c / n, fs) for c, fs in projected[k]]
     if len(regs) == state.num_registers:

@@ -150,12 +150,12 @@ class DensityMatrix(_Frozen):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {matrix.shape}")
-        if np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(matrix - matrix.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(matrix))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        if float(np.linalg.eigvalsh(matrix)[0]) < -PSD_TOL:
+        if not float(np.linalg.eigvalsh(matrix)[0]) >= -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         matrix = matrix.copy()
         matrix.flags.writeable = False
@@ -243,7 +243,7 @@ class LocalOp(_Frozen):
         if dim is not None and U.shape[0] != dim:
             raise ValueError(f"operator dimension {U.shape[0]} does not match register dimension {dim}")
         dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # NaN fails too
             raise ValueError(f"operator is not unitary (max deviation {dev:.3e})")
         U.flags.writeable = False
         object.__setattr__(self, "matrix", U)
@@ -372,14 +372,14 @@ def _parse_family(
             masks.append(P.reshape(sdims))
         elif P.ndim == 1:
             n = np.linalg.norm(P)
-            if P.size != sub or abs(n - 1.0) > NORM_TOL:
+            if P.size != sub or not abs(n - 1.0) <= NORM_TOL:
                 raise ValueError("rank-1 projector ket must be normalized and match the register")
             kets.append(P / n)
         elif P.ndim == 2:
             if P.shape != (sub, sub):
                 raise ValueError(f"projector shape {P.shape} does not match subspace {sub}")
             diag = np.diagonal(P)
-            if np.max(np.abs(P - np.diag(diag))) > 1e-12:
+            if not np.max(np.abs(P - np.diag(diag))) <= 1e-12:
                 raise ValueError("matrix projectors must be diagonal in the computational basis")
             masks.append(diag.reshape(sdims))
         else:
@@ -387,14 +387,14 @@ def _parse_family(
     if kets and masks:
         raise ValueError("do not mix diagonal and rank-1 projectors in one measurement")
     if masks:
-        if any(np.max(np.abs(m * (1 - m))) > 1e-10 for m in masks):
+        if not all(np.max(np.abs(m * (1 - m))) <= 1e-10 for m in masks):
             raise ValueError("diagonal projector entries must be 0 or 1")
         masks = [np.real(m).round() for m in masks]
         if np.max(sum(masks, np.zeros(sdims))) > 1 + 1e-9:
             raise ValueError("diagonal projectors overlap")
     else:
         V = np.asarray(kets)
-        if np.max(np.abs(V.conj() @ V.T - np.eye(len(kets)))) > NORM_TOL:
+        if not np.max(np.abs(V.conj() @ V.T - np.eye(len(kets)))) <= NORM_TOL:
             raise ValueError("projector kets are not mutually orthogonal")
     return masks, kets
 
@@ -441,7 +441,7 @@ def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Genera
     space of dimension ``dim`` and draw an outcome for either backend; index
     ``len(probs)`` is the remainder, drawn when 1 - sum(probs) exceeds 1e-10."""
     total = sum(probs)
-    if total > 1.0 + NORM_TOL or (rank == dim and abs(total - 1.0) > NORM_TOL):
+    if not total <= 1.0 + NORM_TOL or (rank == dim and not abs(total - 1.0) <= NORM_TOL):
         raise ValueError(f"projector family does not resolve the identity on the state "
                          f"(probabilities sum to {total!r})")
     remainder = 1.0 - total

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -33,9 +35,10 @@ from qvote.attacks import (
     total_variation,
 )
 from qvote.backends import get_backend
-from qvote.matrices import phase_state, phase_vote_matrix, swap_pair_matrix
+from qvote.branches import shift_family
+from qvote.matrices import phase_state, phase_vote_matrix, shift_matrix, swap_pair_matrix
 from qvote.protocols import ProtocolConfig, sample_zero_sum_ballots
-from qvote.states import sample_index, trace_distance
+from qvote.states import cached_op, sample_index, trace_distance
 
 SECRETS = AuthoritySecrets(yes_level=1, no_level=0, offset=0.3)
 
@@ -391,6 +394,56 @@ class TestBatchedSampling:
         assert list(batched.outcome_histogram.items()) == list(loop.outcome_histogram.items())
         assert sum(batched.outcome_histogram.values()) == trials
         assert batched_rng.random() == loop_rng.random()
+
+    @pytest.mark.parametrize("backend", ["dense", "branch"])
+    @pytest.mark.parametrize("repair", [True, False])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_mitm_tree_equals_the_per_trial_ballots(self, backend, repair, target):
+        """The draw chunk is cut to 64 here: the per-trial reference runs a
+        whole ballot per trial, and the chunk boundaries are the same code at
+        any chunk size."""
+        cfg = ProtocolConfig(D=3, N=2, scheme="traveling", seed=0)
+        chunk = 64
+        counts = [0, 1, chunk - 1, chunk, chunk + 1]
+        loop = _mitm_per_trial(cfg, [1, 1], target, np.random.default_rng(8), backend, repair, counts)
+        for trials in counts:
+            with mock.patch.object(attacks, "_DRAW_CHUNK", chunk):
+                tree = run_mitm_traveling(cfg, [1, 1], target, np.random.default_rng(8),
+                                          backend=backend, repair=repair, trials=trials, seed=0)
+            assert tree == loop[trials]
+            assert list(tree.outcome_histogram.items()) == list(loop[trials].outcome_histogram.items())
+        assert loop[chunk + 1].outcome_histogram == {f"tally={2 if repair else 1}": chunk + 1}
+
+
+def _mitm_per_trial(config, votes, target, rng, backend, repair, counts):
+    """The reference: the whole ballot run once per trial, each measurement
+    sampled; the report after each number of trials in ``counts``."""
+    bk = get_backend(backend)
+    D = config.D
+    shift = cached_op(shift_matrix, D, 1)
+    kets = [np.eye(D, dtype=complex)[:, k] for k in range(D)]
+    report = AttackReport(kind="mitm-traveling", trials=0, seed=0)
+    report.statistics["expected_tally"] = sum(votes)
+    out = {}
+    for trial in range(max(counts) + 1):
+        if trial in counts:
+            out[trial] = dataclasses.replace(copy.deepcopy(report), trials=trial)
+        if trial == max(counts):
+            return out
+        state = bk.attach(bk.ghz(D, 2), D, 0)
+        for voter, v in enumerate(votes):
+            reg = 2 if voter == target else 1
+            if v:
+                state = bk.apply_local(state, reg, shift)
+            if voter == target:
+                leak, state, _ = bk.measure_local_kets(state, 2, kets, rng)
+                report.leak_attempts += 1
+                if leak == votes[target]:
+                    report.leak_correct += 1
+                if repair and leak:
+                    state = bk.apply_local(state, 1, cached_op(shift_matrix, D, int(leak)))
+        tally, _, _ = bk.measure_targets(state, shift_family(D), rng, registers=[0, 1])
+        report._bump(f"tally={int(tally)}")
 
 
 class TestEntangling:

@@ -892,7 +892,8 @@ def test_one_label_mask_rows_match_the_vector_route():
     for label in range(D):
         mask = np.zeros((D, D))
         mask[:, label] = 1.0
-        got = branches_module._apply_diag_mask(s, [0, 2], mask)
+        family = branches_module.MeasurementFamily((D, D), [mask], diagonal=True)
+        got = branches_module._route(s, [0, 2], family)[0]
         one_hot = np.eye(D, dtype=complex)[label]
         want = [branches_module._tidy_row(c, fs[:2] + (VecFactor(fs[2].amps * one_hot),), [2])
                 for c, fs in s.branches]

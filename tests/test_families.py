@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qvote import anticheat, branches, groups, protocols
 from qvote.backends import BranchBackend, DenseBackend
@@ -174,3 +176,117 @@ def test_group_candidates_built_once_as_labels(make):
         assert [fs for _, fs in got.branches] == [fs for _, fs in want.branches]
         assert np.array([c for c, _ in got.branches]).tobytes() == \
             np.array([c for c, _ in want.branches]).tobytes()
+
+
+def _per_member_mask(state, regs, mask):
+    """The reference: one member's mask projected branch by branch, as one
+    pass per member did before the router."""
+    out = []
+    for coeff, factors in state.branches:
+        sub = mask
+        free = []
+        for r in regs:
+            f = factors[r]
+            if type(f) is int:
+                sub = np.take(sub, f, axis=len(free))
+            else:
+                free.append(r)
+        if not free:
+            w = complex(sub)
+            if abs(w) > branches._ZERO_TOL:
+                out.append((coeff * w, factors))
+        elif len(free) == 1:
+            r = free[0]
+            on = np.flatnonzero(sub)
+            if on.size == 1:
+                a = factors[r].amps[on[0]]
+                if abs(a) > branches._ZERO_TOL:
+                    new = list(factors)
+                    new[r] = int(on[0])
+                    out.append((complex(coeff) * complex(a), tuple(new)))
+                continue
+            amps = factors[r].amps * np.asarray(sub, dtype=complex).reshape(-1)
+            if np.linalg.norm(amps) <= branches._ZERO_TOL:
+                continue
+            new = list(factors)
+            new[r] = branches.VecFactor(amps)
+            out.append(branches._tidy_row(coeff, tuple(new), [r]))
+        elif len(free) == 2:
+            p, q = free
+            block = np.multiply.outer(factors[p].amps, factors[q].amps) * sub
+            out.extend(branches._schmidt_split(coeff, factors, (p, q), block))
+        else:
+            raise branches.BranchError("more than two vector slots")
+    return out
+
+
+def _pair_loop_norm_sq(dims, branch_list):
+    return max(0.0, branches._inners(dims, [branch_list], branch_list)[0].real)
+
+
+def _random_branches(rng, dims, vector_share):
+    """1 to 9 branches (so a norm's pair count falls on both sides of the
+    join threshold) of labels and vectors with zero entries, some rows repeated."""
+    pool = []
+    for _ in range(int(rng.integers(1, 6))):
+        row = []
+        for d in dims:
+            if rng.random() < vector_share:
+                v = rng.normal(size=d) + 1j * rng.normal(size=d)
+                v[rng.random(d) < 0.3] = 0.0
+                if not v.any():
+                    v[int(rng.integers(d))] = 1.0
+                row.append(branches.VecFactor(v / np.linalg.norm(v)))
+            else:
+                row.append(int(rng.integers(d)))
+        pool.append(tuple(row))
+    rows = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 10)))]
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return BranchState(dims, list(zip(coeffs, rows)), renormalize=False)
+
+
+def _branch_bytes(branch_list):
+    return ([np.array(c).tobytes() for c, _ in branch_list],
+            [branches._row_key(fs, range(len(fs))) for _, fs in branch_list])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), n_regs=hst.integers(1, 4), n_measured=hst.integers(1, 3),
+       members=hst.integers(1, 5), vector_share=hst.sampled_from([0.0, 0.2, 0.5]))
+def test_one_routing_pass_matches_the_per_member_masks(seed, n_regs, n_measured, members,
+                                                        vector_share):
+    """Every member's branches from the router and their Born weights equal,
+    to the bit, the per-member mask passes and the pair-loop norm."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 6, max(n_regs, n_measured)))
+    state = _random_branches(rng, dims, vector_share)
+    regs = [int(r) for r in rng.permutation(len(dims))[:n_measured]]
+    sdims = tuple(dims[r] for r in regs)
+    owner = rng.integers(-1, members, sdims)  # -1: the remainder
+    masks = [(owner == k).astype(float) for k in range(members)]
+    family = MeasurementFamily(sdims, masks, diagonal=True)
+    assert np.array_equal(family.owner, owner)
+    try:
+        want = [_per_member_mask(state, regs, m) for m in masks]
+    except branches.BranchError:
+        with pytest.raises(branches.BranchError, match="more than two non-basis"):
+            branches._route(state, regs, family)
+        return
+    got = branches._route(state, regs, family)
+    assert [_branch_bytes(g) for g in got] == [_branch_bytes(w) for w in want]
+    probs, _ = branches._project(state, regs, family)
+    assert [float(p).hex() for p in probs] == \
+        [float(_pair_loop_norm_sq(dims, w)).hex() for w in want]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), n_regs=hst.integers(1, 4))
+def test_label_norm_equals_the_pair_loop(seed, n_regs):
+    """On label rows, repeated or not, the squared norm is the pair loop's to the bit."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 4, n_regs))
+    state = _random_branches(rng, dims, 0.0)
+    scaled = [(c * 10.0 ** rng.integers(-8, 3), fs) for c, fs in state.branches]
+    for branch_list in (list(state.branches), scaled):
+        assert float(branches._branch_norm_sq(dims, branch_list)).hex() == \
+            float(_pair_loop_norm_sq(dims, branch_list)).hex()

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from qvote import protocols
-from qvote.anticheat import AuthoritySecrets, run_round, wrap_correction_diag
+from qvote.anticheat import AuthoritySecrets, run_round
 from qvote.backends import BranchBackend, DenseBackend
-from qvote.branches import VecFactor
+from qvote.branches import BranchState, VecFactor, _check_norm_offset
 from qvote.matrices import phase_state, phase_vote_matrix, shift_matrix
-from qvote.states import LocalOp, cached_op
+from qvote.states import DenseState, DensityMatrix, LocalOp, _draw_outcome, cached_op
 
 BACKENDS = [DenseBackend(), BranchBackend()]
 IDS = ["dense", "branch"]
@@ -57,10 +57,7 @@ def test_second_anticheat_round_rebuilds_no_shift_or_wrap(monkeypatch, backend, 
     built = _record_builds(monkeypatch)
     again, _ = run_round(D, N, secrets, votes, np.random.default_rng(3), backend, variant)
     assert again.q == first.q == 4
-    cached = [shift_matrix(D, r) for r in range(D)] + [
-        wrap_correction_diag(D, r, secrets.offset) for r in range(D)]
-    assert built  # the no-angle removal is fresh every round
-    assert not any(U.shape == M.shape and np.array_equal(U, M) for U in built for M in cached)
+    assert built == []
 
 
 def test_value_is_immutable_in_fact():
@@ -153,6 +150,76 @@ def test_bad_operators_raise_the_same_words_raw_or_as_value(backend):
 ], ids=["short", "unnormalized", "nan", "label", "dim"])
 def test_attach_checks_alike_on_both_backends(backend, dim, initial, words):
     assert _message(lambda: backend.attach(backend.ghz(3, 2), dim, initial)) == words
+
+
+def _nan_at(U, j, k):
+    U = np.array(U, dtype=complex)
+    U[j, k] = np.nan
+    return U
+
+
+def _nan_target():
+    return BranchState((3, 3), [(np.nan, (0, 0)), (1.0, (1, 1))], renormalize=False)
+
+
+def _nan_branch_state():
+    """A NaN coefficient in a state built unchecked, as a backend operation would."""
+    return BranchState._trusted((3, 3), [(np.nan, (0, 0)), (1.0, (1, 1))])
+
+
+NOT_UNITARY = "operator is not unitary (max deviation nan)"
+NO_IDENTITY = "projector family does not resolve the identity on the state (probabilities sum to nan)"
+NOT_NORMALIZED = "measurement targets must be normalized (squared norm off by nan)"
+
+_NAN_ON_BACKENDS = {  # entry point: (call(backend), words on the dense and the branch backend)
+    "unitary diagonal": (lambda bk: bk.apply_local(bk.ghz(3, 2), 0, _nan_at(np.eye(3), 1, 1)),
+                         NOT_UNITARY),
+    "unitary off-diagonal": (lambda bk: bk.apply_local(bk.ghz(3, 2), 0,
+                                                       _nan_at(shift_matrix(3, 1), 0, 0)),
+                             NOT_UNITARY),
+    "pair unitary": (lambda bk: bk.apply_pair(bk.ghz(3, 2), (0, 1), _nan_at(np.eye(9), 4, 2)),
+                     NOT_UNITARY),
+    "state": (lambda bk: DenseState((3,), [np.nan, 1, 0]) if bk.name == "dense"
+              else BranchState((3,), [(1.0, (VecFactor(np.array([np.nan, 1, 0])),))]),
+              ("amplitudes must be finite", "local factor norm np.float64(nan) outside (0, 1]")),
+    "target norm": (lambda bk: bk.target_probability(bk.ghz(3, 2), _nan_target()), NOT_NORMALIZED),
+    "kets": (lambda bk: bk.measure_local_kets(bk.ghz(3, 2), 0, [np.array([np.nan, 1, 0])],
+                                              np.random.default_rng(0)),
+             "rank-1 projector ket must be normalized and match the register"),
+}
+
+_NAN_SHARED = {  # checks one function makes for both backends
+    "Born sum, complete family": (lambda: _draw_outcome([np.nan, 0.5], 2, 2, np.random.default_rng(0)),
+                                  NO_IDENTITY),
+    "Born sum, remainder": (lambda: _draw_outcome([np.nan, 0.5], 2, 3, np.random.default_rng(0)),
+                            NO_IDENTITY),
+    "Born sum of a branch state": (lambda: BranchBackend().measure_diag(
+        _nan_branch_state(), [0, 1], [np.eye(3), 1 - np.eye(3)], np.random.default_rng(0)), NO_IDENTITY),
+    "density matrix": (lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
+                       "density matrix is not Hermitian within tolerance"),
+    "reduced branch state": (lambda: BranchBackend().reduced(_nan_branch_state(), [0]),
+                             "density matrix is not Hermitian within tolerance"),
+    "branch coefficient": (lambda: BranchState((3, 3), _nan_target().branches),
+                           "branch state norm nan deviates from 1 beyond 1e-10"),
+    "norm offset": (lambda: _check_norm_offset(np.nan), NOT_NORMALIZED),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
+@pytest.mark.parametrize("case", sorted(_NAN_ON_BACKENDS))
+def test_nan_fails_every_tolerance_check(backend, case):
+    """A NaN compares false with any tolerance, so every check is written to
+    pass only when the value is within it."""
+    call, words = _NAN_ON_BACKENDS[case]
+    if isinstance(words, tuple):
+        words = words[backend.name == "branch"]
+    assert _message(lambda: call(backend)) == words
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_SHARED))
+def test_nan_fails_the_shared_checks(case):
+    call, words = _NAN_SHARED[case]
+    assert _message(call) == words
 
 
 def test_attached_label_and_vector_agree_on_both_backends():
