@@ -102,9 +102,7 @@ class DenseBackend:
         return st.project(state, [register], ket)
 
     def target_probability(self, state, target: BranchState) -> float:
-        if target.dims != state.dims:
-            raise ValueError(f"layout mismatch: {target.dims} vs {state.dims}")
-        br._check_norm_offset(abs(br._branch_norm_sq(target.dims, target.branches) - 1.0))
+        br._check_target(target, state.dims)
         return float(abs(br._contract_target(target, state.tensor())) ** 2)
 
 
@@ -162,9 +160,8 @@ class BranchBackend:
         return br.branch_project(state, [register], ket)
 
     def target_probability(self, state, target: BranchState) -> float:
-        amp = br.branch_inner(target, state)  # checks the layout
-        br._check_norm_offset(abs(br._branch_norm_sq(target.dims, target.branches) - 1.0))
-        return float(abs(amp) ** 2)
+        br._check_target(target, state.dims)
+        return float(abs(br.branch_inner(target, state)) ** 2)
 
 
 _BACKENDS = {"dense": DenseBackend(), "branch": BranchBackend()}

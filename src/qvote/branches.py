@@ -11,10 +11,10 @@ whose targets are themselves branch states. Anything else must be routed
 through the dense backend. The GHZ families are valid by construction and
 skip the factor checks; they are renormalized as the public constructor does.
 
-Every factor is local to one register: a basis label, stored as a plain
-Python ``int``, or a :class:`VecFactor`. The correlations of the ballot
-states sit in the labels alone, so overlaps join branches on their label
-rows, and a row that is all labels is its own join key.
+Every factor is local to one register: a basis label (a plain ``int``) or a
+:class:`VecFactor`. The ballot correlations sit in the labels, so overlaps
+join branches on their label rows; a vector object that every row shares (an
+announced register) is overlapped once per join, not once per branch pair.
 
 An operation that entangles two registers (a pair unitary, or a diagonal
 mask over two vector factors) splits each two-register block by the Schmidt
@@ -128,9 +128,10 @@ class BranchState(_Frozen):
 
     The public constructor validates and tidies every factor. Operations whose
     output is valid and tidy by construction use :meth:`_trusted` instead.
+    ``_unit``: :meth:`_renormalized` checked the norm and divided it out.
     """
 
-    __slots__ = ("dims", "branches")
+    __slots__ = ("dims", "branches", "_unit")
 
     def __init__(self, dims: Sequence[int], branches: Sequence[Branch], *, renormalize: bool = True):
         dims = tuple(int(d) for d in dims)
@@ -162,6 +163,7 @@ class BranchState(_Frozen):
             raise ValueError(f"branch state norm {n!r} deviates from 1 beyond {NORM_TOL}")
         if n != 1.0:
             object.__setattr__(self, "branches", tuple((c / n, fs) for c, fs in self.branches))
+        object.__setattr__(self, "_unit", True)
         return self
 
     def _fill(self, dims: tuple[int, ...], branches: Sequence[Branch]) -> None:
@@ -174,6 +176,7 @@ class BranchState(_Frozen):
             raise ValueError("branch state must have at least one branch")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "branches", tuple(kept))
+        object.__setattr__(self, "_unit", False)
 
     @staticmethod
     def _validate_factors(factors: tuple[Factor, ...], dims: tuple[int, ...]) -> tuple[Factor, ...]:
@@ -317,16 +320,23 @@ _ALL_BASIS = {int}
 _JOIN_MIN_PAIRS = 32  # branch pairs; measured break-even on 4-register states
 
 
-def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int], list[int]]:
-    """Split the registers into the join key, those holding a label on
-    every branch of every side, and the rest."""
-    key = list(range(len(dims)))
-    for side in {id(side): side for side in sides}.values():  # a norm's two sides are one
+def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int], ...]:
+    """One walk over the rows of every side: the join key, the registers that
+    hold a label on every row; the rest, ascending; and the free registers of
+    the rest, those that do not hold one and the same vector object on every row."""
+    unique = {id(side): side for side in sides}.values()  # a norm's two sides are one
+    ref = next(fs for side in unique for _, fs in side)
+    key = [r for r, f in enumerate(ref) if type(f) is int]
+    shared = [r for r, f in enumerate(ref) if type(f) is not int]
+    for side in unique:
         for _, fs in side:
             if set(map(type, fs)) != _ALL_BASIS:
                 key = [r for r in key if type(fs[r]) is int]
+            if shared:
+                shared = [r for r in shared if fs[r] is ref[r]]
     keyed = set(key)
-    return key, [r for r in range(len(dims)) if r not in keyed]
+    rest = [r for r in range(len(dims)) if r not in keyed]
+    return key, rest, [r for r in rest if r not in shared]
 
 
 def _labels(factors: tuple[Factor, ...], key: list[int]) -> tuple[int, ...]:
@@ -348,11 +358,13 @@ def _inners(
     bucketed once by key labels and only matching pairs are overlapped, over
     the rest of the registers. An empty key matches every pair; it is used
     below ``_JOIN_MIN_PAIRS``, where finding the key costs more than it saves.
+    With no free register (see :func:`_join_key`), all matched pairs share one overlap.
     """
     if len(ket) * sum(map(len, bras)) < _JOIN_MIN_PAIRS:
-        key, rest = [], range(len(dims))
+        key, rest, free = [], range(len(dims)), True
     else:
-        key, rest = _join_key(dims, ket, *bras)
+        key, rest, free = _join_key(dims, ket, *bras)
+    shared_ov = None if free or not rest else _pair_overlap(ket[0][1], ket[0][1], rest)
     buckets: dict[tuple[int, ...], list[Branch]] = {}
     for b in ket:
         buckets.setdefault(_labels(b[1], key), []).append(b)
@@ -364,7 +376,7 @@ def _inners(
                 if not rest:
                     total += np.conj(ca) * cb
                     continue
-                ov = _pair_overlap(fa, fb, rest)
+                ov = _pair_overlap(fa, fb, rest) if free else shared_ov
                 if ov != 0.0:
                     total += np.conj(ca) * cb * ov
         out.append(complex(total))
@@ -375,7 +387,7 @@ def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) ->
     """Raise unless the targets are orthonormal, from one Gram matrix over the
     label join: targets as rows, distinct key-label rows as columns."""
     sides = [t.branches for t in targets]
-    key, rest = _join_key(dims, *sides)
+    key, rest, _ = _join_key(dims, *sides)
     cols: dict[tuple[int, ...], list[tuple[int, complex, tuple[Factor, ...]]]] = {}
     for i, side in enumerate(sides):
         for c, fs in side:
@@ -404,6 +416,14 @@ def _check_norm_offset(off: float) -> None:
     """Raise unless a target's squared norm is off from 1 by at most ``NORM_TOL``."""
     if not off <= NORM_TOL:
         raise ValueError(f"measurement targets must be normalized (squared norm off by {off:.3e})")
+
+
+def _check_target(target: BranchState, dims: tuple[int, ...]) -> None:
+    """Raise unless a lone target has layout ``dims`` and norm 1 (checked at build if renormalized)."""
+    if target.dims != dims:
+        raise ValueError(f"layout mismatch: {target.dims} vs {dims}")
+    if not target._unit:
+        _check_norm_offset(abs(_branch_norm_sq(target.dims, target.branches) - 1.0))
 
 
 def branch_inner(a: BranchState, b: BranchState) -> complex:
@@ -625,20 +645,24 @@ def branch_partial_trace(state: BranchState, keep: Sequence[int]) -> DensityMatr
 # measurement
 
 
-def _route(state: BranchState, regs: list[int], family: MeasurementFamily) -> list[list[Branch]]:
+def _route(state: BranchState, regs: list[int], family: MeasurementFamily) -> tuple[list, list]:
     """Each mask member's projected branches, from one pass over the state's:
     the measured labels index ``family.owner``, whose row over one vector slot
     splits the vector (one kept label becomes that label); two vector slots
-    are split per owning member by the Schmidt decomposition."""
+    are split per owning member by the Schmidt decomposition. Also whether each
+    member's rows are all labels, from each input branch's unmeasured slots."""
     masks, owner = family.masks, family.owner
     out: list[list[Branch]] = [[] for _ in masks]
+    labels = [True] * len(masks)
     for coeff, factors in state.branches:
         at = tuple([f if type(f) is int else slice(None) for f in map(factors.__getitem__, regs)])
         free = [r for r, i in zip(regs, at) if type(i) is slice]
+        off_labels = list(map(type, factors)).count(int) + len(free) == len(factors)
         if not free:
             k = owner[at]
             if k >= 0:  # its mask entry is 1.0, the weight a per-member pass multiplied by
                 out[k].append((coeff * (1 + 0j), factors))
+                labels[k] = labels[k] and off_labels
         elif len(free) == 1:
             r = free[0]
             hits: dict[int, list[int]] = {}
@@ -651,32 +675,37 @@ def _route(state: BranchState, regs: list[int], family: MeasurementFamily) -> li
                     new[r] = on[0]
                     if abs(amps[on[0]]) > _ZERO_TOL:
                         out[k].append((complex(coeff) * complex(amps[on[0]]), tuple(new)))
+                        labels[k] = labels[k] and off_labels
                     continue
                 masked = amps * np.asarray(masks[k][at], dtype=complex)
                 if np.linalg.norm(masked) > _ZERO_TOL:
                     new[r] = VecFactor(masked)
                     out[k].append(_tidy_row(coeff, tuple(new), [r]))
+                    labels[k] = False
         elif len(free) == 2:
             p, q = free
             block = np.multiply.outer(factors[p].amps, factors[q].amps)
             for k in np.unique(owner[at]).tolist():
                 if k >= 0:
                     out[k].extend(_schmidt_split(coeff, factors, (p, q), block * masks[k][at]))
+                    labels[k] = False
         else:
             raise BranchError("diagonal projection couples more than two non-basis "
                               "registers; use the dense backend")
-    return out
+    return out, labels
 
 
 def _collapse_onto(
-    state: BranchState, target: BranchState, regs: list[int], rest: list[int]
+    state: BranchState, target: BranchState, regs: list[int], rows: list[tuple[Factor, ...]]
 ) -> list[Branch]:
-    """Branches of <target|_regs |state>, a state over the ``rest`` registers."""
+    """Branches of <target|_regs |state>, a state over the unmeasured registers,
+    on which ``rows[i]`` holds branch i's factors; every member shares them."""
     out: list[Branch] = []
     for tc, tf in target.branches:
         tvecs = [_factor_vector(f, d) for f, d in zip(tf, target.dims)]
-        for c, factors in state.branches:
-            scal = np.conj(tc) * c
+        ctc = np.conj(tc)
+        for (c, factors), row in zip(state.branches, rows):
+            scal = ctc * c
             for tvec, r in zip(tvecs, regs):
                 f = factors[r]
                 if type(f) is int:
@@ -686,17 +715,19 @@ def _collapse_onto(
                 if scal == 0.0:
                     break
             if abs(scal) > _ZERO_TOL:
-                out.append((scal, tuple(factors[r] for r in rest)))
+                out.append((scal, row))
     return out
 
 
-def _branch_norm_sq(dims: tuple[int, ...], branches: Sequence[Branch]) -> float:
+def _branch_norm_sq(dims: tuple[int, ...], branches: Sequence[Branch], labels=None) -> float:
     """The squared norm <psi|psi> of a branch list. When every row is all
-    labels and no row repeats, only diagonal pairs overlap, and conj(c) c is
-    re^2 + im^2 exactly: their sum in branch order is bitwise what the pair
-    loop of :func:`_inners` gives."""
+    labels (``labels``; None walks the rows) and no row repeats, only diagonal
+    pairs overlap, and conj(c) c is re^2 + im^2 exactly: their sum in branch
+    order is bitwise what the pair loop of :func:`_inners` gives."""
     rows = [fs for _, fs in branches]
-    if _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows))) and len(set(rows)) == len(rows):
+    if labels is None:
+        labels = _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows)))
+    if labels and len(set(rows)) == len(rows):
         total = 0.0
         for c, _ in branches:
             total += c.real * c.real + c.imag * c.imag
@@ -770,8 +801,8 @@ def _project(
     """
     masks, targets = family.masks, family.targets
     if masks:
-        projected = _route(state, regs, family)
-        probs = [_branch_norm_sq(state.dims, br) for br in projected]
+        projected, labels = _route(state, regs, family)
+        probs = [_branch_norm_sq(state.dims, br, lab) for br, lab in zip(projected, labels)]
         return probs, lambda k, n: [(c / n, fs) for c, fs in projected[k]]
     if len(regs) == state.num_registers:
         ket = state.branches
@@ -785,9 +816,11 @@ def _project(
         ]
     rest = [r for r in range(state.num_registers) if r not in regs]
     rdims = tuple(state.dims[r] for r in rest)
-    chis = [_collapse_onto(state, t, regs, rest) for t in targets]
+    rows = [tuple([fs[r] for r in rest]) for _, fs in state.branches]
+    labels = _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows)))
+    chis = [_collapse_onto(state, t, regs, rows) for t in targets]
     slots = np.argsort(regs + rest)
-    return [_branch_norm_sq(rdims, chi) for chi in chis], lambda k, n: [
+    return [_branch_norm_sq(rdims, chi, labels) for chi in chis], lambda k, n: [
         (tc * (c / n), tuple((tf + rf)[i] for i in slots))
         for tc, tf in targets[k].branches
         for c, rf in chis[k]

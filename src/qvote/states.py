@@ -422,18 +422,26 @@ def _projected(
 def sample_index(
     probs: Sequence[float], rng: np.random.Generator, size: int | None = None
 ) -> int | np.ndarray:
-    """Draw an index by inverse CDF; shared by both backends for seed parity.
-
-    With ``size``, an array of that many indices, drawn from the same stream
-    as ``size`` single draws.
-    """
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    cum = np.cumsum(probs)
-    if cum[-1] <= 0.0:
+    """Draw an index by inverse CDF, shared by both backends for seed parity:
+    the first running sum of the weights (clipped at 0, in order) above u times
+    their total, found in plain Python. With ``size``, an array of that many
+    indices from the same stream as ``size`` single draws. A non-finite weight raises."""
+    cum, total = [], 0.0
+    for p in probs:
+        p = float(p)
+        if not -np.inf < p < np.inf:  # NaN fails too
+            raise ValueError(f"outcome weights must be finite, got {list(map(float, probs))!r}")
+        total += p if p > 0.0 else 0.0
+        cum.append(total)
+    if not total > 0.0:
         raise ValueError("all outcome probabilities vanish")
-    u = rng.random(size) * cum[-1]
-    index = np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1)
-    return int(index) if size is None else index
+    if size is not None:
+        return np.searchsorted(cum, rng.random(size) * total, side="right").clip(0, len(cum) - 1)
+    u = rng.random() * total
+    for i, c in enumerate(cum):
+        if c > u:
+            break
+    return i  # the last index when no running sum is above u
 
 
 def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Generator) -> int:

@@ -893,7 +893,7 @@ def test_one_label_mask_rows_match_the_vector_route():
         mask = np.zeros((D, D))
         mask[:, label] = 1.0
         family = branches_module.MeasurementFamily((D, D), [mask], diagonal=True)
-        got = branches_module._route(s, [0, 2], family)[0]
+        got = branches_module._route(s, [0, 2], family)[0][0]
         one_hot = np.eye(D, dtype=complex)[label]
         want = [branches_module._tidy_row(c, fs[:2] + (VecFactor(fs[2].amps * one_hot),), [2])
                 for c, fs in s.branches]
@@ -937,3 +937,175 @@ def test_ghz_families_by_construction_match_the_public_constructor():
                 _assert_same_branches(branches_module._shifted_ghz.__wrapped__(D, offsets),
                                       _public_ghz(D, 0, offsets=offsets))
     assert renormalized  # the constructor moves bits, so a build without it would fail here
+
+
+def _per_pair_inners(dims, bras, ket):
+    """The join with every matched pair overlapped on its own: the reference."""
+    if len(ket) * sum(map(len, bras)) < branches_module._JOIN_MIN_PAIRS:
+        key, rest = [], list(range(len(dims)))
+    else:
+        key = list(range(len(dims)))
+        for side in {id(side): side for side in (ket, *bras)}.values():
+            for _, fs in side:
+                key = [r for r in key if type(fs[r]) is int]
+        rest = [r for r in range(len(dims)) if r not in key]
+    buckets = {}
+    for cb, fb in ket:
+        buckets.setdefault(tuple(fb[r] for r in key), []).append((cb, fb))
+    out = []
+    for bra in bras:
+        total = 0.0 + 0.0j
+        for ca, fa in bra:
+            for cb, fb in buckets.get(tuple(fa[r] for r in key), ()):
+                if not rest:
+                    total += np.conj(ca) * cb
+                    continue
+                ov = branches_module._pair_overlap(fa, fb, rest)
+                if ov != 0.0:
+                    total += np.conj(ca) * cb * ov
+        out.append(complex(total))
+    return out
+
+
+def _per_pair_norm_sq(dims, branch_list):
+    rows = [fs for _, fs in branch_list]
+    if all(type(f) is int for fs in rows for f in fs) and len(set(rows)) == len(rows):
+        total = 0.0
+        for c, _ in branch_list:
+            total += c.real * c.real + c.imag * c.imag
+        return float(total)
+    return max(_per_pair_inners(dims, [branch_list], branch_list)[0].real, 0.0)
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@hst.composite
+def _join_cases(draw):
+    """A ket and one to three bras over one layout. Each register holds a
+    label on every row, one shared vector object on every row of every side,
+    equal amplitudes in a distinct object per row, or anything."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    D = draw(hst.integers(2, 4))
+    modes = draw(hst.lists(hst.sampled_from(["label", "shared", "twin", "any"]),
+                           min_size=1, max_size=5))
+    amps = [rng.normal(size=D) + 1j * rng.normal(size=D) for _ in modes]
+    shared = [VecFactor(a / np.linalg.norm(a)) for a in amps]
+
+    def factor(r, mode):
+        if mode == "label" or (mode == "any" and rng.random() < 0.5):
+            return int(rng.integers(0, min(D, 2)))  # few labels, so rows collide in the buckets
+        if mode == "shared":
+            return shared[r]
+        if mode == "twin":
+            return VecFactor(shared[r].amps)
+        v = rng.normal(size=D) + 1j * rng.normal(size=D)
+        return VecFactor(v / np.linalg.norm(v))
+
+    def side(n):
+        return [(complex(rng.normal(), rng.normal()),
+                 tuple(factor(r, m) for r, m in enumerate(modes))) for _ in range(n)]
+
+    ket = side(draw(hst.integers(1, 12)))
+    bras = [side(draw(hst.integers(1, 8))) for _ in range(draw(hst.integers(1, 3)))]
+    return (D,) * len(modes), modes, ket, bras
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_join_cases())
+def test_shared_factor_join_equals_the_per_pair_loop(case):
+    """Overlapping a factor shared by every row once per join gives, to the
+    bit, what overlapping it per matched pair gave: for inner products over
+    several bras, for norms, on both sides of the join threshold."""
+    dims, modes, ket, bras = case
+    rows = [fs for side in (ket, *bras) for _, fs in side]
+    _, rest, free = branches_module._join_key(dims, ket, *bras)
+    for r, mode in enumerate(modes):
+        if mode == "twin" and len(rows) > 1:  # equal amplitudes, distinct objects: per pair
+            assert r in free
+        if mode == "shared":
+            assert r in rest and r not in free
+    for min_pairs in (0, branches_module._JOIN_MIN_PAIRS, 10**6):
+        with mock.patch.object(branches_module, "_JOIN_MIN_PAIRS", min_pairs):
+            got = branches_module._inners(dims, bras, ket)
+            assert list(map(_hex, got)) == list(map(_hex, _per_pair_inners(dims, bras, ket)))
+            for branch_list in (ket, bras[0]):
+                want = float(_per_pair_norm_sq(dims, branch_list)).hex()
+                assert float(_branch_norm_sq(dims, branch_list)).hex() == want
+                labels = all(type(f) is int for _, fs in branch_list for f in fs)
+                assert float(_branch_norm_sq(dims, branch_list, labels)).hex() == want
+
+
+def _per_member_collapse(state, target, regs, rest):
+    """One target's collapse with its own rest rows: the reference."""
+    out = []
+    for tc, tf in target.branches:
+        tvecs = [branches_module._factor_vector(f, d) for f, d in zip(tf, target.dims)]
+        for c, factors in state.branches:
+            scal = np.conj(tc) * c
+            for tvec, r in zip(tvecs, regs):
+                f = factors[r]
+                scal *= np.conj(tvec[f]) if type(f) is int else np.vdot(tvec, f.amps)
+                if scal == 0.0:
+                    break
+            if abs(scal) > branches_module._ZERO_TOL:
+                out.append((scal, tuple(factors[r] for r in rest)))
+    return out
+
+
+def _branch_list_bytes(branch_list):
+    return ([np.array(c).tobytes() for c, _ in branch_list],
+            [_row_key(fs, range(len(fs))) for _, fs in branch_list])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(D=hst.integers(2, 6), N=hst.integers(2, 6), seed=hst.integers(0, 2**32 - 1),
+       fourier=hst.booleans())
+def test_ket_family_collapse_equals_the_per_member_reference(D, N, seed, fourier):
+    """Announcing every register in a one-register ket family gives, at each
+    step, the Born weights and post-states of a per-member collapse, to the bit."""
+    rng = np.random.default_rng(seed)
+    if fourier:
+        kets = fourier_basis_kets(D)
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
+        kets = list(q.T)
+    family = branches_module.MeasurementFamily((D,), kets)
+    state = ghz_branches(D, N)
+    for k in rng.permutation(N)[: N // 2].tolist():
+        state = apply_branch_local(state, k, phase_vote_matrix(D, int(rng.integers(1, D))))
+    for reg in rng.permutation(N).tolist():
+        rest = [r for r in range(N) if r != reg]
+        probs, post = branches_module._project(state, [reg], family)
+        chis = [_per_member_collapse(state, t, [reg], rest) for t in family.targets]
+        assert [float(p).hex() for p in probs] == \
+            [float(_per_pair_norm_sq((D,) * (N - 1), chi)).hex() for chi in chis]
+        slots = np.argsort([reg] + rest)
+        for k, p in enumerate(probs):
+            if p > 0.0:
+                n = np.sqrt(p)
+                want = [(tc * (c / n), tuple((tf + rf)[i] for i in slots))
+                        for tc, tf in family.targets[k].branches for c, rf in chis[k]]
+                assert _branch_list_bytes(post(k, n)) == _branch_list_bytes(want)
+        _, state, _ = branch_measure(state, family, rng, registers=[reg])
+
+
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+def test_target_norm_checked_once(backend):
+    """A target renormalized when it was built is not re-checked per call;
+    one built without renormalizing is, and a norm-0.5 one is rejected."""
+    s = backend.ghz(3, 2)
+    exact = BranchState((3, 3), [(1.0, (0, 0))], renormalize=False)
+    calls = []
+    norm_sq = branches_module._branch_norm_sq
+    with mock.patch.object(branches_module, "_branch_norm_sq",
+                           side_effect=lambda *a: calls.append(a) or norm_sq(*a)):
+        for target in (phase_ghz(3, 2, 0.4), shifted_ghz(3, (0, 1)), ghz_branches(3, 2),
+                       BranchState((3, 3), [(1.0, (1, 1))])):
+            backend.target_probability(s, target)
+        assert calls == []
+        assert backend.target_probability(s, exact) == pytest.approx(1 / 3, abs=1e-12)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="must be normalized"):
+            backend.target_probability(s, BranchState((3, 3), [(0.5, (0, 0))], renormalize=False))

@@ -272,7 +272,7 @@ def test_one_routing_pass_matches_the_per_member_masks(seed, n_regs, n_measured,
         with pytest.raises(branches.BranchError, match="more than two non-basis"):
             branches._route(state, regs, family)
         return
-    got = branches._route(state, regs, family)
+    got, _ = branches._route(state, regs, family)
     assert [_branch_bytes(g) for g in got] == [_branch_bytes(w) for w in want]
     probs, _ = branches._project(state, regs, family)
     assert [float(p).hex() for p in probs] == \

@@ -25,6 +25,7 @@ from qvote.states import (
     measure_projective,
     partial_trace,
     product_state,
+    sample_index,
     states_close,
     trace_distance,
 )
@@ -383,3 +384,35 @@ def test_in_place_scoring_matches_eager_expansion(case):
     p0, post0 = _eager_project(state, regs, family[-1], diagonal)
     assert np.array(p).tobytes() == np.array(p0).tobytes()
     assert (post is None and post0 is None) or post.amps.tobytes() == post0.amps.tobytes()
+
+
+def _numpy_sample_index(probs, rng):
+    """The single draw as numpy's inverse CDF takes it: the reference."""
+    cum = np.cumsum(np.clip(np.asarray(probs, dtype=float), 0.0, None))
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(cum) - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, -0.0, -0.25, 1e-300, 1e-17, 0.1, 0.3, 0.5, 2.0])
+                | st.floats(-1.0, 1.0), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_single_draw_matches_numpy(weights, seed):
+    """The plain-Python single draw picks numpy's index and leaves the rng
+    where numpy's draw leaves it, zeros and negative weights included."""
+    if not sum(w for w in weights if w > 0.0) > 0.0:
+        with pytest.raises(ValueError, match="all outcome probabilities vanish"):
+            sample_index(weights, np.random.default_rng(seed))
+        return
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert sample_index(weights, a) == _numpy_sample_index(weights, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("size", [None, 4])
+def test_non_finite_weight_raises(bad, size):
+    """A NaN or infinite weight is never drawn as an outcome, on either path."""
+    for weights in ([bad, 0.5], [0.3, bad, 0.2], [0.5, bad]):
+        with pytest.raises(ValueError, match="outcome weights must be finite"):
+            sample_index(weights, np.random.default_rng(0), size)
