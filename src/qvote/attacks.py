@@ -1,8 +1,9 @@
 """Attack models and their detection statistics.
 
 Cheating voter: estimates the secret voting angles with a phase-estimation
-POVM (Fejer-kernel outcome density), votes no with the estimate, and shifts
-s yes votes to no votes with a diagonal phase applied s times. The readout
+POVM (Fejer-kernel density, drawn exactly as a uniform phase followed by a
+shifted Fourier measurement), votes no with the estimate, and shifts s yes
+votes to no votes with a diagonal phase applied s times. The readout
 index the authority measures then follows a broad distribution peaked at
 (m - s) mod D, reproduced here three ways: protocol-level simulation, a
 vectorized Monte Carlo over the exact per-trial amplitudes, and the closed
@@ -20,8 +21,8 @@ trials from an outcome tree enumerated once; the cheater plays every round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,37 +64,32 @@ def total_variation(p, q) -> float:
 # phase estimation
 
 
+def _inverse_cdf_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of (unnormalized) ``weights``, the index drawn by the uniform ``u``;
+    u < 1 keeps it below the row length."""
+    cum = np.cumsum(weights, axis=1)
+    return (cum < u[:, None] * cum[:, -1:]).sum(axis=1)
+
+
 class PhasePOVM:
     """Continuous phase-estimation measurement on a phase state.
 
     Measuring (1/sqrt(D)) sum_j e^{ij theta}|j> yields estimates with density
     |sum_j e^{ij(x - theta)}|^2 / (2 pi D), the Fejer kernel centered at
-    theta. Sampling inverts the exact closed-form CDF on a uniform grid with
-    linear interpolation; the grid is doubled from 4096 points until the
-    interpolation error stabilizes below 1e-7.
+    theta. The measurement is covariant, so a draw is exact: phi uniform in
+    [0, 2 pi/D), then k from the phi-shifted Fourier basis, with weights
+    |sum_j e^{ij(theta - phi - 2 pi k/D)}|^2 / D^2; the estimate is phi + 2 pi k/D.
     """
 
-    MIN_GRID = 4096
-    MAX_GRID = 1 << 16
-
     def __init__(self, D: int, theta_true: float):
+        if isinstance(D, bool) or not isinstance(D, (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {D!r}")
         if D < 1:
             raise ValueError("dimension must be >= 1")
+        if not math.isfinite(theta_true):
+            raise ValueError(f"angle must be finite, got {theta_true!r}")
         self.D = int(D)
-        self.theta = float(theta_true)
-        n = self.MIN_GRID
-        while True:
-            xs = np.linspace(0.0, 2 * np.pi, n + 1)
-            cs = self.cdf(xs)
-            mids = 0.5 * (xs[:-1] + xs[1:])
-            err = float(np.max(np.abs(self.cdf(mids) - 0.5 * (cs[:-1] + cs[1:]))))
-            if err < 1e-7 or n >= self.MAX_GRID:
-                break
-            n *= 2
-        cs[0], cs[-1] = 0.0, 1.0
-        self._xs = xs
-        self._cs = np.maximum.accumulate(cs)
-        xs.flags.writeable = self._cs.flags.writeable = False  # cached instances are shared
+        self.theta = float(theta_true) % (2 * np.pi)  # j * theta stays finite in sample
 
     def density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -111,19 +107,13 @@ class PhasePOVM:
         return out / (2 * np.pi * self.D)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        u = rng.random(size)
-        idx = np.clip(np.searchsorted(self._cs, u, side="right"), 1, len(self._cs) - 1)
-        c0, c1 = self._cs[idx - 1], self._cs[idx]
-        x0, x1 = self._xs[idx - 1], self._xs[idx]
-        frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
-        out = x0 + frac * (x1 - x0)
-        return float(out) if size is None else out
-
-
-# The cheater scenario fixes its secrets per run, so every trial measures with
-# the same two POVMs, the yes and the no angle's; each holds two grids of
-# 8k-16k points, hence the bound of one run's pair.
-_phase_povm = lru_cache(maxsize=2)(PhasePOVM)
+        """Estimates in [0, 2 pi) from two uniforms each (phi's, then k's)."""
+        u = rng.random((1 if size is None else size, 2))
+        phi = u[:, 0] * (2 * np.pi / self.D)
+        amps = np.exp(1j * np.outer(self.theta - phi, np.arange(self.D)))
+        k = _inverse_cdf_rows(np.abs(np.fft.fft(amps)) ** 2, u[:, 1])
+        out = (phi + 2 * np.pi * k / self.D) % (2 * np.pi)  # the sum can round up to 2 pi
+        return float(out[0]) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +139,9 @@ class CheaterPlan:
             )
         if self.s < 0:
             raise ValueError("shift count must be >= 1")
+        for est in (self.theta_yes_est, self.theta_no_est):
+            if est is not None and not math.isfinite(est):
+                raise ValueError(f"angle estimates must be finite, got {est!r}")
 
 
 def run_cheater_attack(
@@ -179,9 +172,9 @@ def run_cheater_attack(
     th_y = plan.theta_yes_est
     th_n = plan.theta_no_est
     if th_y is None:
-        th_y = _phase_povm(D, secrets.yes_angle(D)).sample(rng)
+        th_y = PhasePOVM(D, secrets.yes_angle(D)).sample(rng)
     if th_n is None:
-        th_n = _phase_povm(D, secrets.no_angle(D)).sample(rng)
+        th_n = PhasePOVM(D, secrets.no_angle(D)).sample(rng)
 
     honest_iter = iter(honest_votes)
     r = -1
@@ -332,10 +325,7 @@ def monte_carlo_pq(
     amps = np.where(j[None, :] < r[:, None], wrap[:, None] * amps, amps)
     probs = np.abs(np.fft.fft(amps, axis=1)) ** 2 / D**2  # <target_q|state> over q
 
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(trials)[:, None] * cum[:, -1:]
-    q = (cum < u).sum(axis=1).clip(0, D - 1)
-    return np.bincount(q, minlength=D)
+    return np.bincount(_inverse_cdf_rows(probs, rng.random(trials)), minlength=D)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.stats import chisquare, kstest
 
 from qvote import attacks
 from qvote.anticheat import AuthoritySecrets
@@ -78,6 +80,47 @@ class TestPhasePOVM:
         povm = PhasePOVM(5, 0.4)
         assert povm.cdf(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
         assert povm.cdf(np.array([2 * np.pi]))[0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPhasePOVMExactDraw:
+    @pytest.mark.parametrize("D,theta", [(4, 1.3), (7, 5.9), (2, 0.2), (1, 0.7)])
+    def test_draws_follow_the_closed_form_cdf(self, D, theta):
+        povm = PhasePOVM(D, theta)
+        samples = povm.sample(np.random.default_rng(0), 400_000)
+        assert kstest(samples, povm.cdf).statistic < 0.00215  # 5% critical value
+
+    def test_single_draws_equal_one_batch(self):
+        povm = PhasePOVM(5, 2.2)
+        rng_single, rng_batch = np.random.default_rng(4), np.random.default_rng(4)
+        singles = np.array([povm.sample(rng_single) for _ in range(500)])
+        batch = povm.sample(rng_batch, 500)
+        assert np.array_equal(singles, batch)
+        assert rng_single.bit_generator.state == rng_batch.bit_generator.state
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hst.integers(min_value=1, max_value=12),
+        hst.floats(allow_nan=False, allow_infinity=False),
+        hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_draws_lie_in_one_turn(self, D, theta, seed):
+        samples = PhasePOVM(D, theta).sample(np.random.default_rng(seed), 64)
+        assert np.all((samples >= 0.0) & (samples < 2 * np.pi))
+
+    @pytest.mark.parametrize(
+        "D,theta,words",
+        [
+            (4, np.nan, "angle must be finite"),
+            (4, np.inf, "angle must be finite"),
+            (4, -np.inf, "angle must be finite"),
+            (2.5, 1.0, "dimension must be an integer"),
+            (True, 1.0, "dimension must be an integer"),
+            (0, 1.0, "dimension must be >= 1"),
+        ],
+    )
+    def test_bad_input_rejected(self, D, theta, words):
+        with pytest.raises(ValueError, match=words):
+            PhasePOVM(D, theta)
 
 
 class TestAnalyticPq:
@@ -194,6 +237,13 @@ class TestCheaterRuns:
     def test_s_zero_rejected(self):
         with pytest.raises(ValueError, match="honest"):
             CheaterPlan(s=0)
+
+    @pytest.mark.parametrize("field", ["theta_yes_est", "theta_no_est"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_estimate_rejected(self, field, value):
+        # before reaching the per-round angle operator's unitarity check
+        with pytest.raises(ValueError, match="angle estimates must be finite"):
+            CheaterPlan(s=3, **{field: value})
 
     def test_exact_estimates_shift_deterministically(self):
         # perfect angle knowledge turns the attack into a clean shift by -s

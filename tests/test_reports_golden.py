@@ -23,7 +23,7 @@ GOLDEN = {
     ("broadcast.ini", "run"): "3868e5dc8cb3d5d33d3dd094053adbdde78351e83298265d8b63496032ab62d7",
     ("broadcast.ini", "verify"): "99819ba5acf4fb03c07ea1518ddf5cd8c82eeadcaf830f40afd82187072a593f",
     ("broadcast.ini", "sweep"): "f5f1682f08bf24622fbfb06bd442d2c5ac13f566987b9b18c6fbe8d2a6d685ac",
-    ("cheater_attack.ini", "run"): "06f0ea6e340e1477e451f354bd1c94997f47d6773816daa05a311f361c368b01",
+    ("cheater_attack.ini", "run"): "3a6fc7b926e1966863cf8f9aaea661ffc369736b1801ed1b6a66869a30233cd2",
     ("classical_eavesdrop.ini", "run"): "7a96a433e32314ebf07fde39419d5146bf046b31b21e6e90bff322f8fc481e3a",
     ("classical_eavesdrop.ini", "verify"): "514bb821964273d0503a9876952ba0ef86247c3ded327c552cb62ddabd7dfd7e",
     ("classical_eavesdrop.ini", "sweep"): "179b50bb333c92aa9e7e6581c5af7a68acbf5f5526610d95ab1cb3ca4cfb05cd",
