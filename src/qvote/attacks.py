@@ -22,6 +22,7 @@ trials from an outcome tree enumerated once; the cheater plays every round.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,8 @@ class CheaterPlan:
     theta_no_est: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.s, bool) or not isinstance(self.s, numbers.Integral):
+            raise ValueError(f"shift count must be a positive integer, got {self.s!r}")
         if self.s == 0:
             raise ValueError(
                 "s = 0 is an honest vote; run the anti-cheat protocol instead"
@@ -301,6 +304,7 @@ def monte_carlo_pq(
     """
     if not 2 * s > D or not s < D:
         raise ValueError(f"Monte Carlo regime requires D/2 < s < D (got s={s}, D={D})")
+    _check_trials(trials)
     counts = np.zeros(D, dtype=np.int64)
     if trials == 0:
         return counts
@@ -361,11 +365,17 @@ class AttackReport:
 _DRAW_CHUNK = 4096  # trials drawn per batch; bounds the draw arrays at 32 KB
 
 
+def _check_trials(trials) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
+
+
 def _batched_counts(trials: int, draw):
     """(outcome, count) pairs over ``trials`` outcomes of ``draw(n)``, which
     returns n outcomes from n uniform draws. Outcomes come in chunks and in
     first-seen order within each, so a histogram filled from the pairs has
     the key order of a per-trial loop."""
+    _check_trials(trials)
     for start in range(0, trials, _DRAW_CHUNK):
         outcomes = draw(min(_DRAW_CHUNK, trials - start))
         values, first, counts = np.unique(outcomes, return_index=True, return_counts=True)
@@ -561,7 +571,7 @@ def entangling_rho_e1(
     backend: str = "branch",
 ) -> np.ndarray:
     """Reduced state on (ancilla, target register) after the attack and voting."""
-    votes = [int(v) for v in votes]
+    votes = _check_votes(votes, config.N)
     bk = get_backend(backend)
     D, N = config.D, config.N
     state = bk.ghz(D, N)

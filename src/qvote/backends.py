@@ -19,14 +19,7 @@ import numpy as np
 from . import branches as br
 from . import states as st
 from .branches import BranchState
-from .matrices import shift_matrix, swap_pair_matrix
 from .states import DenseState
-
-
-def _controlled_shift_matrix(dims: tuple[int, int], shifts: tuple[int, ...]) -> np.ndarray:
-    """The (control, target) matrix sum_c |c><c| x X^shifts[c]."""
-    eye = np.eye(dims[0])
-    return sum(np.kron(np.diag(eye[c]), shift_matrix(dims[1], s)) for c, s in enumerate(shifts))
 
 
 class DenseBackend:
@@ -50,14 +43,21 @@ class DenseBackend:
         return st.apply_joint(state, list(pair), U)
 
     def controlled_shift(self, state, control, target, shifts):
+        """Amplitudes move: target label j under control label c goes to j + shifts[c] mod d."""
         st._check_registers([control, target], state.num_registers)
-        dims = (state.dims[control], state.dims[target])
-        U = st.cached_op(_controlled_shift_matrix, dims, tuple(int(s) for s in shifts))
-        return st.apply_joint(state, [control, target], U)
+        dc, d = state.dims[control], state.dims[target]
+        if len(shifts) != dc:
+            raise ValueError("one shift per control label required")
+        shifts = np.asarray(shifts, dtype=int)
+        t = np.moveaxis(state.tensor(), (control, target), (0, 1))
+        t = t[np.arange(dc)[:, None], (np.arange(d) - shifts[:, None]) % d]
+        return DenseState(state.dims, np.moveaxis(t, (0, 1), (control, target)).reshape(-1))
 
     def swap(self, state, i, j):
         st._check_registers([i, j], state.num_registers)
-        return st.apply_joint(state, [i, j], swap_pair_matrix(state.dims[i]))
+        if state.dims[i] != state.dims[j]:
+            raise ValueError("swap requires equal register dimensions")
+        return DenseState(state.dims, np.swapaxes(state.tensor(), i, j).reshape(-1))
 
     def measure_targets(self, state, targets, rng, registers=None):
         """Targets are scored by contraction with the state, and only the

@@ -6,7 +6,8 @@ that makes the candidate final states exactly orthogonal, so the collector
 (who never learns the individual choices) reads off the product with one
 projective measurement. The regular representation always qualifies; the
 Klein four-group admits a dimension-2 projective representation by Pauli
-matrices, which is the dense-coding special case.
+matrices, which is the dense-coding special case. Both products run on the
+voting schemes' ballot body; voting is the Z_D case of the abelian product.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .backends import get_backend
 from .branches import BranchState, MeasurementFamily, VecFactor, phase_family
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
-from .states import LocalOp, cached_op, maximally_mixed, trace_distance
+from .protocols import _integers, _run_ballot, _weighted
+from .states import LocalOp
 
 TRACE_TOL = 1e-10
 REP_TOL = 1e-10
@@ -207,11 +209,7 @@ def check_protocol_ready(rep: Representation) -> ReadinessReport:
 
     # states (I x U(g)) |Psi| with |Psi> maximally correlated: overlap of a
     # pair is Tr(U(g1)^dagger U(g2)) / dim, computed explicitly.
-    vecs = []
-    for g in range(n):
-        amps = rep.matrices[g].T.reshape(-1) / np.sqrt(rep.dim)  # sum_j |j> U|j>
-        vecs.append(amps)
-    V = np.asarray(vecs)
+    V = np.asarray([M.T.reshape(-1) / np.sqrt(rep.dim) for M in rep.matrices])  # sum_j |j> U|j>
     gram = V.conj() @ V.T
     offdiag = np.abs(gram - np.diag(np.diagonal(gram)))
     return ReadinessReport(
@@ -248,29 +246,20 @@ def run_group_traveling(
             "representation is not protocol-ready: non-identity trace magnitude "
             f"{report.max_offidentity_trace:.3e} breaks state distinguishability"
         )
-    choices = [int(g) for g in choices]
+    choices = _integers(choices, "group choices")
     for g in choices:
         if not 0 <= g < group.order:
             raise ValueError(f"choice {g} is not a group element index")
-    bk = get_backend(backend)
-    # protocol-ready runs are deterministic, so a fixed fallback seed keeps
-    # the no-global-randomness contract without burdening callers
-    rng = rng if rng is not None else np.random.default_rng(0)
-
-    state = bk.ghz(rep.dim, 2)
-    privacy = []
-    for g in choices:
-        state = bk.apply_local(state, 1, rep.ops[int(group.inverse[g])])
-        if record_privacy:
-            privacy.append(
-                trace_distance(bk.reduced(state, [1]), maximally_mixed(rep.dim).matrix)
-            )
-    outcome, _, _ = bk.measure_targets(state, rep.candidate_family, rng)
-    if outcome >= group.order:
+    # Protocol-ready runs are deterministic: a fixed fallback seed suffices. Every
+    # party acts, also with element index 0, which need not be the identity.
+    res = _run_ballot(rep.dim, 2, choices, lambda k: 1, lambda g: rep.ops[int(group.inverse[g])],
+                      get_backend(backend), np.random.default_rng(0) if rng is None else rng,
+                      rep.candidate_family, record_privacy)
+    if res.m >= group.order:
         raise RuntimeError("measurement leaked into the residual projector")
-    if record_privacy and privacy and max(privacy) > 1e-12:
-        raise RuntimeError("traveling register was not maximally mixed during the run")
-    return int(group.inverse[outcome])
+    if any(e["trace_distance"] > 1e-12 for e in res.transcript.privacy):
+        raise RuntimeError("a register was not maximally mixed during the run")
+    return int(group.inverse[res.m])
 
 
 def run_abelian_distributed(
@@ -286,10 +275,10 @@ def run_abelian_distributed(
     measures each factor in its phase basis and reads off the componentwise
     sum. Plain yes/no voting is the single-factor special case.
     """
-    factors = [int(d) for d in cyclic_factors]
+    factors = _integers(cyclic_factors, "cyclic factor moduli")
     if not factors or any(d < 2 for d in factors):
         raise ValueError("cyclic factor moduli must all be >= 2")
-    choices = [tuple(int(c) for c in ch) for ch in choices]
+    choices = [tuple(_integers(ch, "choice components")) for ch in choices]
     if not choices:
         raise ValueError("at least one party required")
     for ch in choices:
@@ -300,14 +289,9 @@ def run_abelian_distributed(
                 raise ValueError(f"component {c} out of range for modulus {d}")
     bk = get_backend(backend)
     rng = rng if rng is not None else np.random.default_rng(0)
-    n_parties = len(choices)
-
-    result = []
-    for f, d in enumerate(factors):
-        state = bk.ghz(d, n_parties)
-        for k, ch in enumerate(choices):
-            if ch[f]:
-                state = bk.apply_local(state, k, cached_op(phase_vote_matrix, d, ch[f]))
-        outcome, _, _ = bk.measure_targets(state, phase_family(d, n_parties), rng)
-        result.append(int(outcome))
-    return tuple(result)
+    n = len(choices)
+    return tuple(
+        _run_ballot(d, n, [ch[f] for ch in choices], lambda k: k, _weighted(phase_vote_matrix, d),
+                    bk, rng, phase_family(d, n)).m
+        for f, d in enumerate(factors)
+    )

@@ -7,10 +7,7 @@ import numpy as np
 
 def shift_matrix(D: int, k: int = 1) -> np.ndarray:
     """Cyclic shift |j> -> |j+k mod D> (the "yes" operator of the shift schemes)."""
-    M = np.zeros((D, D), dtype=complex)
-    for j in range(D):
-        M[(j + k) % D, j] = 1.0
-    return M
+    return np.eye(D, dtype=complex)[:, (np.arange(D) + k) % D]
 
 
 def phase_vote_matrix(D: int, m: int = 1) -> np.ndarray:
@@ -43,11 +40,7 @@ def fourier_basis_kets(D: int) -> list[np.ndarray]:
 
 def swap_pair_matrix(D: int) -> np.ndarray:
     """Swap on two D-dimensional registers: |k>|j> -> |j>|k>."""
-    M = np.zeros((D * D, D * D), dtype=complex)
-    for k in range(D):
-        for j in range(D):
-            M[j * D + k, k * D + j] = 1.0
-    return M
+    return np.eye(D * D, dtype=complex)[:, np.arange(D * D).reshape(D, D).T.reshape(-1)]
 
 
 PAULI_I = np.eye(2, dtype=complex)

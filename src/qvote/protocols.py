@@ -5,6 +5,13 @@ distributed ballot (one register per voter, yes = diagonal phase), the
 mod-D variant with public announcements, one-to-many anonymous broadcast,
 an anonymous survey, and a purely classical baseline for comparison.
 
+Every quantum scheme here, and the group products of :mod:`qvote.groups`,
+is one protocol run by :func:`_run_ballot`: parties apply local unitaries to
+their registers of a shared GHZ state, then a collector measures one family,
+or every register is measured in the Fourier-conjugate basis and the
+announced values are summed mod D. Party inputs must be integers; a
+fractional one raises rather than being truncated.
+
 The announcement-based schemes are simulated in the frame where the ballot
 is the plain correlated state; their literal ballot is the registerwise
 Fourier transform of it, so the shift vote conjugates to the inverse
@@ -15,6 +22,7 @@ backends.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +43,16 @@ SCHEMES = (
 )
 
 
+def _integers(values, what: str) -> list[int]:
+    """``values`` as ints; an entry that is not an integer (Python or numpy) raises
+    instead of being truncated, so a vote of 0.9 is not read as a no."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     D: int
@@ -45,6 +63,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        _integers((self.D, self.N), "D and N")
         if self.D < 2:
             raise ValueError("requires D >= 2")
         if self.N < 1:
@@ -79,7 +98,7 @@ class TallyResult:
 
 
 def _check_votes(votes, N) -> list[int]:
-    votes = [int(v) for v in votes]
+    votes = _integers(votes, "votes")
     if len(votes) != N:
         raise ValueError(f"expected {N} votes, got {len(votes)}")
     if any(v not in (0, 1) for v in votes):
@@ -87,45 +106,52 @@ def _check_votes(votes, N) -> list[int]:
     return votes
 
 
-def _privacy_checkpoint(backend, state, registers, D, transcript, step):
-    mixed = maximally_mixed(D).matrix
-    for r in registers:
-        d = trace_distance(backend.reduced(state, [r]), mixed)
-        transcript.privacy.append({"step": step, "register": r, "trace_distance": d})
+def _weighted(builder, D: int, sign: int = 1):
+    """A party's operation for input w: ``builder(D, sign * w)``, checked once per
+    value; None (nothing applied) for w = 0."""
+    return lambda w: cached_op(builder, D, sign * w) if w else None
 
 
-def _snapshot(backend, state, transcript, record_states, label):
-    if record_states:
-        transcript.states.append({"label": label, "state": state, "backend": backend.name})
-
-
-def _run_tally(config, votes, backend, rng, record_privacy, record_states,
-               registers, vote_register, vote_op, targets) -> TallyResult:
-    """A ``registers``-register correlated ballot: each yes vote of voter k
-    applies ``vote_op`` to ``vote_register(k)``; the tally is one measurement
-    of the family ``targets``."""
-    config.require_tally_room()
-    votes = _check_votes(votes, config.N)
-    bk = get_backend(backend)
-    rng = rng if rng is not None else config.rng()
+def _run_ballot(D, registers, weights, register, op, bk, rng, readout,
+                record_privacy=False, record_states=False) -> TallyResult:
+    """The GHZ ballot every scheme shares. On the ``registers``-register GHZ state
+    of dimension ``D``, party k applies ``op(weights[k])`` (None: nothing) to
+    register ``register(k)``. Then the collector measures the family ``readout``;
+    or, when it is None, every register is measured in the Fourier-conjugate
+    basis and announced, and the tally is the sum mod D. ``record_privacy``
+    checks every register's reduced state after each step."""
     t = Transcript()
-    D = config.D
+    mixed = maximally_mixed(D).matrix if record_privacy else None
+
+    def record(state, label, step=None):
+        if record_states:
+            t.states.append({"label": label, "state": state, "backend": bk.name})
+        if record_privacy and step is not None:
+            for r in range(registers):
+                d = trace_distance(bk.reduced(state, [r]), mixed)
+                t.privacy.append({"step": step, "register": r, "trace_distance": d})
 
     state = bk.ghz(D, registers)
-    _snapshot(bk, state, t, record_states, "ballot")
-    if record_privacy:
-        _privacy_checkpoint(bk, state, range(registers), D, t, step=0)
-    for k, v in enumerate(votes):
-        if v:
-            state = bk.apply_local(state, vote_register(k), vote_op)
-        t.hidden.append({"voter": k, "vote": v})
-        _snapshot(bk, state, t, record_states, f"after-voter-{k}")
-        if record_privacy:
-            _privacy_checkpoint(bk, state, range(registers), D, t, step=k + 1)
-    outcome, state, p = bk.measure_targets(state, targets, rng)
-    t.public.append({"event": "tally", "m": int(outcome), "probability": p})
-    _snapshot(bk, state, t, record_states, "post-measurement")
-    return TallyResult(m=int(outcome), transcript=t)
+    record(state, "ballot", 0)
+    for k, w in enumerate(weights):
+        U = op(w)
+        if U is not None:
+            state = bk.apply_local(state, register(k), U)
+        t.hidden.append({"voter": k, "vote": w})
+        record(state, f"after-voter-{k}", k + 1)
+    if readout is not None:
+        m, state, p = bk.measure_targets(state, readout, rng)
+        m = int(m)
+        t.public.append({"event": "tally", "m": m, "probability": p})
+    else:
+        kets, m = fourier_basis_kets(D), 0
+        for r in range(registers):
+            x, state, _ = bk.measure_local_kets(state, r, kets, rng)
+            t.public.append({"event": "announce", "voter": r, "value": int(x)})
+            m = (m + int(x)) % D
+        t.public.append({"event": "tally", "m": m})
+    record(state, "post-measurement")
+    return TallyResult(m=m, transcript=t)
 
 
 def run_traveling(
@@ -137,9 +163,11 @@ def run_traveling(
     record_states: bool = False,
 ) -> TallyResult:
     """Traveling two-register ballot; each yes vote shifts the moving register."""
-    D = config.D
-    return _run_tally(config, votes, backend, rng, record_privacy, record_states,
-                      2, lambda k: 1, cached_op(shift_matrix, D, 1), shift_family(D))
+    config.require_tally_room()
+    votes, D = _check_votes(votes, config.N), config.D
+    return _run_ballot(D, 2, votes, lambda k: 1, _weighted(shift_matrix, D), get_backend(backend),
+                       config.rng() if rng is None else rng, shift_family(D),
+                       record_privacy, record_states)
 
 
 def run_distributed(
@@ -151,21 +179,11 @@ def run_distributed(
     record_states: bool = False,
 ) -> TallyResult:
     """Distributed N-register ballot; each yes vote applies the diagonal phase."""
-    D, N = config.D, config.N
-    return _run_tally(config, votes, backend, rng, record_privacy, record_states,
-                      N, lambda k: k, cached_op(phase_vote_matrix, D, 1), phase_family(D, N))
-
-
-def _announce(bk, state, rng, t, D, N):
-    """Every register is measured in the Fourier-conjugate basis and its
-    outcome announced; returns the announced values and the post-state."""
-    announced = []
-    kets = fourier_basis_kets(D)
-    for k in range(N):
-        x, state, _ = bk.measure_local_kets(state, k, kets, rng)
-        announced.append(int(x))
-        t.public.append({"event": "announce", "voter": k, "value": int(x)})
-    return announced, state
+    config.require_tally_room()
+    votes, D, N = _check_votes(votes, config.N), config.D, config.N
+    return _run_ballot(D, N, votes, lambda k: k, _weighted(phase_vote_matrix, D),
+                       get_backend(backend), config.rng() if rng is None else rng,
+                       phase_family(D, N), record_privacy, record_states)
 
 
 def run_dolev(
@@ -184,29 +202,14 @@ def run_dolev(
     """
     if config.D != config.N + 1:
         raise ValueError("requires D = N+1")
-    votes = _check_votes(votes, config.N)
-    bk = get_backend(backend)
-    rng = rng if rng is not None else config.rng()
-    t = Transcript()
-    D, N = config.D, config.N
-
-    state = bk.ghz(D, N)
-    if record_privacy:
-        _privacy_checkpoint(bk, state, range(N), D, t, step=0)
-    for k, v in enumerate(votes):
-        if v:
-            state = bk.apply_local(state, k, cached_op(phase_vote_matrix, D, -1))
-        t.hidden.append({"voter": k, "vote": v})
-        if record_privacy:
-            _privacy_checkpoint(bk, state, range(N), D, t, step=k + 1)
-    _snapshot(bk, state, t, record_states, "pre-announcement")
-    announced, state = _announce(bk, state, rng, t, D, N)
-    _snapshot(bk, state, t, record_states, "post-announcement")
-    tally = sum(announced) % D
-    hidden_labels = [(x - v) % D for x, v in zip(announced, votes)]
-    t.hidden.append({"labels": hidden_labels, "label_sum_mod_D": sum(hidden_labels) % D})
-    t.public.append({"event": "tally", "m": tally})
-    return TallyResult(m=tally, transcript=t)
+    votes, D = _check_votes(votes, config.N), config.D
+    res = _run_ballot(D, config.N, votes, lambda k: k, _weighted(phase_vote_matrix, D, -1),
+                      get_backend(backend), config.rng() if rng is None else rng, None,
+                      record_privacy, record_states)
+    announced = [e["value"] for e in res.transcript.public if e["event"] == "announce"]
+    labels = [(x - v) % D for x, v in zip(announced, votes)]
+    res.transcript.hidden.append({"labels": labels, "label_sum_mod_D": sum(labels) % D})
+    return res
 
 
 def run_broadcast(
@@ -217,25 +220,18 @@ def run_broadcast(
     rng=None,
     record_states: bool = False,
 ) -> TallyResult:
-    """One-to-many anonymous broadcast of an integer in [0, D)."""
+    """One-to-many anonymous broadcast of an integer in [0, D): the sender's
+    register carries the message as a phase, the others' carry nothing."""
+    sender, message = _integers((sender, message), "sender and message")
     if not 0 <= message < config.D:
         raise ValueError(f"message {message} out of range [0, {config.D})")
     if not 0 <= sender < config.N:
         raise ValueError(f"sender {sender} out of range")
-    bk = get_backend(backend)
-    rng = rng if rng is not None else config.rng()
-    t = Transcript()
     D, N = config.D, config.N
-
-    state = bk.ghz(D, N)
-    if message:
-        state = bk.apply_local(state, sender, cached_op(phase_vote_matrix, D, -message))
-    t.hidden.append({"sender": sender, "message": message})
-    _snapshot(bk, state, t, record_states, "pre-announcement")
-    announced, state = _announce(bk, state, rng, t, D, N)
-    reconstructed = sum(announced) % D
-    t.public.append({"event": "reconstructed", "m": reconstructed})
-    return TallyResult(m=reconstructed, transcript=t)
+    weights = [message if k == sender else 0 for k in range(N)]
+    return _run_ballot(D, N, weights, lambda k: k, _weighted(phase_vote_matrix, D, -1),
+                       get_backend(backend), config.rng() if rng is None else rng, None,
+                       record_states=record_states)
 
 
 def run_survey(
@@ -246,7 +242,7 @@ def run_survey(
     record_states: bool = False,
 ) -> TallyResult:
     """Anonymous survey: each participant votes a multiplicity; report the mean."""
-    salaries = [int(s) for s in salaries]
+    salaries = _integers(salaries, "salary multiplicities")
     if len(salaries) != config.N:
         raise ValueError(f"expected {config.N} salary entries, got {len(salaries)}")
     if any(s < 0 for s in salaries):
@@ -254,22 +250,13 @@ def run_survey(
     total = sum(salaries)
     if total >= config.D:
         raise ValueError(f"requires sum of votes < D (got {total} >= {config.D})")
-    bk = get_backend(backend)
-    rng = rng if rng is not None else config.rng()
-    t = Transcript()
     D = config.D
-
-    state = bk.ghz(D, 2)
-    for k, s in enumerate(salaries):
-        if s:
-            state = bk.apply_local(state, 1, cached_op(shift_matrix, D, s))
-        t.hidden.append({"voter": k, "multiplicity": s})
-    _snapshot(bk, state, t, record_states, "returned-ballot")
-    outcome, state, p = bk.measure_targets(state, shift_family(D), rng)
-    t.public.append({"event": "total", "m": int(outcome), "probability": p})
-    avg = Fraction(int(outcome), config.N)
-    t.public.append({"event": "average", "value": str(avg)})
-    return TallyResult(m=int(outcome), transcript=t, average=avg)
+    res = _run_ballot(D, 2, salaries, lambda k: 1, _weighted(shift_matrix, D),
+                      get_backend(backend), config.rng() if rng is None else rng,
+                      shift_family(D), record_states=record_states)
+    res.average = Fraction(res.m, config.N)
+    res.transcript.public.append({"event": "average", "value": str(res.average)})
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,12 @@ class TestCheaterRuns:
         with pytest.raises(ValueError, match="honest"):
             CheaterPlan(s=0)
 
+    @pytest.mark.parametrize("s", [2.5, True, np.float64(3.0), "3"])
+    def test_shift_count_must_be_a_positive_integer(self, s):
+        with pytest.raises(ValueError, match="shift count must be a positive integer"):
+            CheaterPlan(s=s)
+        assert CheaterPlan(s=np.int64(3)).s == 3
+
     @pytest.mark.parametrize("field", ["theta_yes_est", "theta_no_est"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_estimate_rejected(self, field, value):
@@ -627,6 +633,24 @@ class TestClassicalEavesdrop:
             want._bump(f"tally={sum(marked) % (N + 1)}")
         want.statistics["expected_tally"] = sum(votes)
         assert rep == want
+
+
+_CFG = ProtocolConfig(D=3, N=3, scheme="distributed", seed=0)
+_TRIAL_RUNS = {
+    "swap": lambda rng, n: run_swap_attack(_CFG, [1, 0, 1], 0, (0, 1), rng, trials=n),
+    "entangling": lambda rng, n: run_entangling_attack(_CFG, [1, 0, 1], 0, swap_pair_matrix(3),
+                                                       (0, 1), rng, trials=n),
+    "mitm": lambda rng, n: run_mitm_traveling(ProtocolConfig(D=3, N=2), [1, 1], 0, rng, trials=n),
+    "classical": lambda rng, n: run_classical_eavesdrop(4, [1, 0, 1, 1], 2, rng, trials=n),
+    "monte-carlo": lambda rng, n: monte_carlo_pq(5, 3, 1, n, rng),
+}
+
+
+@pytest.mark.parametrize("trials", [-5, -1, 2.5, True])
+@pytest.mark.parametrize("run", sorted(_TRIAL_RUNS))
+def test_trials_must_be_a_non_negative_integer(run, trials):
+    with pytest.raises(ValueError, match="trials must be a non-negative integer"):
+        _TRIAL_RUNS[run](np.random.default_rng(0), trials)
 
 
 def test_histogram_counts_sum_to_trials():

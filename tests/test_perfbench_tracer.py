@@ -56,5 +56,7 @@ def test_tracer_counts_tallies_and_uninstalls():
     # Two yes votes on each backend.
     for op, calls in {"ghz": 2, "apply_local": 4, "measure_targets": 2}.items():
         assert metrics[f"backends.op.{op}"] == calls
+    # The tracer reads ``cls.__dict__[op]`` on both backend classes.
     assert set(tracer_module.BACKEND_OPS) <= set(vars(backends.BranchBackend))
+    assert set(tracer_module.BACKEND_OPS) <= set(vars(backends.DenseBackend))
     assert _bindings() == before
