@@ -24,7 +24,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import MeasurementFamily, phase_family
 from .matrices import phase_state, shift_matrix
-from .protocols import Transcript, _check_votes
+from .protocols import Transcript, _check_votes, _integers
 from .states import cached_op
 
 VARIANTS = ("distributed", "traveling")
@@ -39,6 +39,7 @@ class AuthoritySecrets:
     offset: float
 
     def validate(self, D: int, N: int) -> None:
+        _integers((D, N, self.yes_level, self.no_level), "D, N and the secret levels")
         gap = self.yes_level - self.no_level
         if gap <= 0:
             raise ValueError("requires yes_level > no_level")
@@ -127,11 +128,6 @@ def no_angle_removal(D: int, N: int, no_angle: float) -> np.ndarray:
     return np.diag(np.exp(-1j * np.arange(D) * N * no_angle))
 
 
-def readout_targets(D: int, registers: int, gap: int) -> list[tuple[int, object]]:
-    """(q, state) readout pairs for q a multiple of the level gap in [0, D)."""
-    return list(zip(range(0, D, gap), phase_family(D, registers, gap)))
-
-
 def setup(
     D: int,
     N: int,
@@ -148,6 +144,7 @@ def setup(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    D, N = _integers((D, N), "D and N")
     if secrets is None:
         secrets = random_secrets(D, N, rng)
     secrets.validate(D, N)

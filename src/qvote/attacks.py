@@ -5,9 +5,10 @@ POVM (Fejer-kernel density, drawn exactly as a uniform phase followed by a
 shifted Fourier measurement), votes no with the estimate, and shifts s yes
 votes to no votes with a diagonal phase applied s times. The readout
 index the authority measures then follows a broad distribution peaked at
-(m - s) mod D, reproduced here three ways: protocol-level simulation, a
-vectorized Monte Carlo over the exact per-trial amplitudes, and the closed
-form valid for D = N+1, levels (1, 0), s > D/2.
+(m - s) mod D, reproduced here three ways: the protocol's rounds, run as
+one batch of D label coefficients per trial (every state of the round is
+label-diagonal), a vectorized Monte Carlo over the exact per-trial
+amplitudes, and the closed form valid for D = N+1, levels (1, 0), s > D/2.
 
 Eavesdroppers: man-in-the-middle on the traveling ballot (undetectable,
 leaks perfectly), the swap attack on the distributed ballot (leaks
@@ -16,7 +17,7 @@ general entangling attack (detection probability computable from the
 attack's columns; undetectable product-form attacks leave the eavesdropper
 with a vote-independent reduced state), and the classical baseline
 eavesdropper (perfect leak, no detection possible). Eavesdroppers draw their
-trials from an outcome tree enumerated once; the cheater plays every round.
+trials from an outcome tree enumerated once.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anticheat import (
-    AuthoritySecrets,
-    ReadoutResult,
-    _cast_vote_on,
-    authority_correct,
-    authority_readout,
-    setup,
-    vote_distributed,
-)
+from .anticheat import AuthoritySecrets, ReadoutResult, _cast_vote_on, authority_correct, setup
 from .backends import get_backend
 from .branches import phase_family, shift_family
 from .matrices import (
@@ -45,7 +38,7 @@ from .matrices import (
     shift_matrix,
 )
 from .protocols import ProtocolConfig, _check_votes, sample_zero_sum_ballots
-from .states import LocalOp, cached_op, sample_index
+from .states import LocalOp, _draw_rows, cached_op, sample_index
 
 
 def total_variation(p, q) -> float:
@@ -109,12 +102,15 @@ class PhasePOVM:
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
         """Estimates in [0, 2 pi) from two uniforms each (phi's, then k's)."""
-        u = rng.random((1 if size is None else size, 2))
+        out = self._estimates(rng.random((1 if size is None else size, 2)))
+        return float(out[0]) if size is None else out
+
+    def _estimates(self, u: np.ndarray) -> np.ndarray:
+        """The estimates drawn by the rows of an (n, 2) block of uniforms."""
         phi = u[:, 0] * (2 * np.pi / self.D)
         amps = np.exp(1j * np.outer(self.theta - phi, np.arange(self.D)))
         k = _inverse_cdf_rows(np.abs(np.fft.fft(amps)) ** 2, u[:, 1])
-        out = (phi + 2 * np.pi * k / self.D) % (2 * np.pi)  # the sum can round up to 2 pi
-        return float(out[0]) if size is None else out
+        return (phi + 2 * np.pi * k / self.D) % (2 * np.pi)  # the sum can round up to 2 pi
 
 
 # ---------------------------------------------------------------------------
@@ -154,49 +150,83 @@ def run_cheater_attack(
     honest_votes,
     plan: CheaterPlan,
     rng: np.random.Generator,
-    backend: str = "branch",
     cheater_position: int | None = None,
-) -> tuple[ReadoutResult, dict]:
-    """Full round with one cheating voter (the last one by default).
+    trials: int | None = None,
+):
+    """Rounds with one cheating voter (the last one by default).
 
-    The cheater measures both his voting qudits with the phase POVM, votes
-    no using the estimated no-angle (announcing his genuine measurement
-    outcome r), then applies the estimated yes-to-no phase shift s times to
-    his ballot register before returning it. The voting order does not
-    change the outcome statistics; ``cheater_position`` exists to verify
-    exactly that.
+    The cheater measures both his voting qudits with the phase POVM, votes no
+    with the estimated no-angle (announcing his genuine outcome r), then
+    applies the estimated yes-to-no phase shift s times to his ballot
+    register. The voting order does not change the outcome statistics;
+    ``cheater_position`` exists to verify exactly that.
+
+    ``trials=None`` plays one round and returns ``(ReadoutResult, info)``. An
+    integer returns a dict of per-trial arrays: the readout index ``q`` (-1
+    on the error outcome), the cheater's ``r``, ``cheat_flag``, the drawn
+    outcome's ``probability``, ``theta_yes_est`` and ``theta_no_est``. The
+    trials run 4096 at a time, each chunk from one block of uniforms whose
+    columns are one round's draws in order: two per sampled estimate (yes
+    first), one per voter, one for the readout.
     """
     honest_votes = _check_votes(honest_votes, N - 1)
-    cheater = N - 1 if cheater_position is None else int(cheater_position)
-    if not 0 <= cheater < N:
-        raise ValueError("cheater position out of range")
-    round_ = setup(D, N, secrets, rng, backend=backend)
+    cheater = N - 1 if cheater_position is None else cheater_position
+    if type(cheater) is bool or not isinstance(cheater, numbers.Integral) or not 0 <= cheater < N:
+        raise ValueError(f"cheater position must be an integer in [0, {N}), got {cheater!r}")
+    secrets.validate(D, N)
+    D, N, n = int(D), int(N), 1 if trials is None else trials
+    _check_trials(n)
+    ests = [(plan.theta_yes_est, secrets.yes_angle(D)), (plan.theta_no_est, secrets.no_angle(D))]
+    povms = [PhasePOVM(D, angle) if est is None else None for est, angle in ests]
+    votes = honest_votes[:cheater] + [None] + honest_votes[cheater:]  # None: the cheater's
+    angles = [None if v is None else ests[1 - v][1] for v in votes]
+    width, out = 2 * sum(p is not None for p in povms) + N + 1, {}
+    for start in range(0, max(n, 1), _DRAW_CHUNK):
+        u = rng.random((min(_DRAW_CHUNK, n - start), width))
+        for key, values in _cheater_rounds(D, N, secrets, plan, povms, angles, u).items():
+            out.setdefault(key, np.empty(n, values.dtype))[start:start + len(values)] = values
+    if trials is not None:
+        return out
+    (q,), (flag,), (p,) = (out[key].tolist() for key in ("q", "cheat_flag", "probability"))
+    result = ReadoutResult(None if q < 0 else q, None if flag else q // secrets.gap, flag, q < 0, p)
+    est = {key: float(out[key][0]) for key in ("theta_yes_est", "theta_no_est")}
+    return result, {"r": int(out["r"][0]), **est, "m_honest": sum(honest_votes)}
 
-    th_y = plan.theta_yes_est
-    th_n = plan.theta_no_est
-    if th_y is None:
-        th_y = PhasePOVM(D, secrets.yes_angle(D)).sample(rng)
-    if th_n is None:
-        th_n = PhasePOVM(D, secrets.no_angle(D)).sample(rng)
 
-    honest_iter = iter(honest_votes)
-    r = -1
-    for voter in range(N):
-        if voter != cheater:
-            vote_distributed(round_, voter, next(honest_iter), rng)
-            continue
-        r = _cast_vote_on(round_, round_.ballot_regs[voter], th_n, rng)
-        round_.announced[voter] = r
-        bk = round_.backend
-        round_.state = bk.apply_local(
-            round_.state,
-            round_.ballot_regs[voter],
-            angle_phase_matrix(D, plan.s * (th_n - th_y)),
-        )
-    authority_correct(round_)
-    result = authority_readout(round_, rng)
-    info = {"r": r, "theta_yes_est": th_y, "theta_no_est": th_n, "m_honest": sum(honest_votes)}
-    return result, info
+def _cheater_rounds(D, N, secrets, plan, povms, angles, u) -> dict[str, np.ndarray]:
+    """The rounds drawn by the rows of ``u``; ``angles[v]`` is voter v's angle,
+    None for the cheater. Every state is label-diagonal, sum_j c_j |j>^(x
+    registers): a vote keeps voting label j - r, which the shift by r returns
+    to j, and every other step is diagonal. So a round is its D coefficients."""
+    n, j, col, est = len(u), np.arange(D), 0, []
+    rows, rolled = np.arange(n), (j - j[:, None]) % D  # [r, j]: voting label j - r
+    for fixed, povm in zip((plan.theta_yes_est, plan.theta_no_est), povms):
+        est.append(np.full(n, float(fixed)) if povm is None else povm._estimates(u[:, col:col + 2]))
+        col += 0 if povm is None else 2
+    th_y, th_n = est
+    c, rs = np.full((n, D), 1.0 / np.sqrt(D), dtype=complex), []  # the GHZ ballot
+    for voter, theta in enumerate(angles):
+        theta = th_n[:, None] if theta is None else np.full((1, 1), theta)
+        a = np.exp(1j * j * theta) / np.sqrt(D)  # the voting qudits, one row or one per trial
+        p = ((abs(a) ** 2)[:, rolled] @ (abs(c) ** 2)[:, :, None])[:, :, 0]
+        rs.append(_draw_rows(p, u[:, col + voter], complete=True))
+        c = c * a[rows[:, None] % len(a), rolled[rs[-1]]] / np.sqrt(p[rows, rs[-1]])[:, None]
+    c = c * np.exp(1j * j * (plan.s * (th_n - th_y))[:, None])  # s estimated yes-to-no shifts
+    for r in rs:  # the authority's wrap corrections, then the no-angle removal
+        c = np.where(j < r[:, None], c * np.exp(-1j * D * secrets.offset), c)
+    c = c * np.exp(-1j * j * N * secrets.no_angle(D))
+    probs = abs(np.fft.fft(c, axis=1)[:, ::secrets.gap]) ** 2 / D  # phase_family(D, 2N, gap)
+    k = _draw_rows(probs, u[:, -1])
+    error = k == probs.shape[1]
+    return {
+        "q": np.where(error, -1, k * secrets.gap),
+        "r": rs[angles.index(None)],
+        "cheat_flag": error | (k > N),
+        "probability": np.where(error, 1.0 - probs.cumsum(axis=1)[:, -1],
+                                probs[rows, np.minimum(k, probs.shape[1] - 1)]),
+        "theta_yes_est": th_y,
+        "theta_no_est": th_n,
+    }
 
 
 def conditional_pq(

@@ -162,6 +162,10 @@ class Representation:
         return self.matrices[int(g)]
 
     @cached_property
+    def readiness(self) -> ReadinessReport:  # the representation is fixed once built
+        return check_protocol_ready(self)
+
+    @cached_property
     def candidate_family(self) -> MeasurementFamily:
         """The candidate final states (I x U(g))|Psi>, one per element, checked once."""
         dims, c = (self.dim, self.dim), 1.0 / np.sqrt(self.dim)
@@ -240,7 +244,7 @@ def run_group_traveling(
     and the collector inverts her measured element to report the in-order
     product g_a g_b ... g_n.
     """
-    report = check_protocol_ready(rep)
+    report = rep.readiness
     if not report.ready:
         raise ValueError(
             "representation is not protocol-ready: non-identity trace magnitude "

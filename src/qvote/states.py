@@ -456,6 +456,26 @@ def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Genera
     return sample_index(probs + ([remainder] if remainder > 1e-10 else []), rng)
 
 
+def _draw_rows(probs: np.ndarray, u: np.ndarray, complete: bool = False) -> np.ndarray:
+    """:func:`_draw_outcome` on each row of Born weights (a complete family's
+    when ``complete``), drawn by the uniforms ``u``: the same checks, and
+    :func:`sample_index`'s rule, with row sums in the order ``sum`` adds."""
+    if not np.isfinite(probs).all():
+        raise ValueError("outcome weights must be finite")
+    total = probs.cumsum(axis=1)[:, -1]
+    bad = ~(total <= 1.0 + NORM_TOL) | complete & ~(abs(total - 1.0) <= NORM_TOL)
+    if bad.any():
+        raise ValueError(f"projector family does not resolve the identity on the state "
+                         f"(probabilities sum to {float(total[bad][0])!r})")
+    extra = 1.0 - total > 1e-10  # the rows that draw a remainder, as the last outcome
+    cum = np.concatenate([np.maximum(probs, 0.0), np.where(extra, 1.0 - total, 0.0)[:, None]], axis=1)
+    cum = cum.cumsum(axis=1)
+    if not (cum[:, -1] > 0.0).all():
+        raise ValueError("all outcome probabilities vanish")
+    k = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(k, probs.shape[1] - 1 + extra)  # the last index when no sum is above u
+
+
 def _sample(
     state: DenseState, rng: np.random.Generator, mat: np.ndarray, perm: list[int], rank: float,
     weights: list[float], expand: Callable[[int], np.ndarray],

@@ -13,7 +13,6 @@ from qvote.anticheat import (
     authority_correct,
     authority_readout,
     random_secrets,
-    readout_targets,
     run_repeated,
     run_round,
     setup,
@@ -23,7 +22,7 @@ from qvote.anticheat import (
     wrap_correction_diag,
 )
 from qvote.backends import get_backend
-from qvote.branches import branch_inner, to_dense
+from qvote.branches import branch_inner, phase_family, to_dense
 from qvote.matrices import phase_state
 from qvote.states import states_close, trace_distance, maximally_mixed
 
@@ -46,6 +45,20 @@ class TestSecrets:
     def test_offset_range(self):
         with pytest.raises(ValueError):
             AuthoritySecrets(1, 0, 2 * np.pi).validate(8, 3)
+
+    @pytest.mark.parametrize("D,N,levels", [(8.0, 3, (1, 0)), (8, 3.0, (1, 0)),
+                                            (8, 3, (1.5, 0)), (8, 3, (2, 0.5))])
+    def test_fractional_sizes_and_levels_rejected(self, D, N, levels):
+        # these used to fail inside numpy with a TypeError
+        secrets = AuthoritySecrets(*levels, 0.3)
+        with pytest.raises(ValueError, match="must be integers"):
+            secrets.validate(D, N)
+        with pytest.raises(ValueError, match="must be integers"):
+            run_round(D, N, secrets, [1, 1, 0], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="must be integers"):
+            setup(D, N, secrets if levels != (1, 0) else None, np.random.default_rng(0))
+        assert run_round(np.int64(8), 3, AuthoritySecrets(np.int64(1), 0, 0.3), [1, 1, 0],
+                         np.random.default_rng(0))[0].q == 2
 
     def test_random_secrets_valid(self):
         rng = np.random.default_rng(0)
@@ -227,7 +240,7 @@ class TestHonestRuns:
 class TestReadout:
     def test_readout_family_is_orthonormal(self):
         for D, regs, gap in [(8, 6, 1), (8, 4, 2), (5, 10, 1)]:
-            targets = [t for _, t in readout_targets(D, regs, gap)]
+            targets = phase_family(D, regs, gap).targets
             n = len(targets)
             gram = np.array(
                 [[branch_inner(targets[i], targets[j]) for j in range(n)] for i in range(n)]

@@ -14,7 +14,14 @@ from hypothesis import strategies as hst
 from scipy.stats import chisquare, kstest
 
 from qvote import attacks
-from qvote.anticheat import AuthoritySecrets
+from qvote.anticheat import (
+    AuthoritySecrets,
+    _cast_vote_on,
+    authority_correct,
+    authority_readout,
+    setup,
+    vote_distributed,
+)
 from qvote.attacks import (
     AttackReport,
     CheaterPlan,
@@ -38,7 +45,13 @@ from qvote.attacks import (
 )
 from qvote.backends import get_backend
 from qvote.branches import shift_family
-from qvote.matrices import phase_state, phase_vote_matrix, shift_matrix, swap_pair_matrix
+from qvote.matrices import (
+    angle_phase_matrix,
+    phase_state,
+    phase_vote_matrix,
+    shift_matrix,
+    swap_pair_matrix,
+)
 from qvote.protocols import ProtocolConfig, sample_zero_sum_ballots
 from qvote.states import cached_op, sample_index, trace_distance
 
@@ -311,6 +324,129 @@ class TestCheaterRuns:
                 counts[res.q] += 1
             hists[pos] = counts
         assert total_variation(hists[0], hists[2]) < 0.05
+
+
+def _reference_round(D, N, secrets, honest_votes, plan, rng, backend, cheater_position=None):
+    """One cheater round played on a backend, step by step: the per-round
+    reference for ``run_cheater_attack``'s batch."""
+    cheater = N - 1 if cheater_position is None else cheater_position
+    round_ = setup(D, N, secrets, rng, backend=backend)
+    th_y = plan.theta_yes_est
+    th_n = plan.theta_no_est
+    if th_y is None:
+        th_y = PhasePOVM(D, secrets.yes_angle(D)).sample(rng)
+    if th_n is None:
+        th_n = PhasePOVM(D, secrets.no_angle(D)).sample(rng)
+    honest_iter = iter(honest_votes)
+    r = -1
+    for voter in range(N):
+        if voter != cheater:
+            vote_distributed(round_, voter, next(honest_iter), rng)
+            continue
+        r = _cast_vote_on(round_, round_.ballot_regs[voter], th_n, rng)
+        round_.announced[voter] = r
+        round_.state = round_.backend.apply_local(
+            round_.state, round_.ballot_regs[voter], angle_phase_matrix(D, plan.s * (th_n - th_y))
+        )
+    authority_correct(round_)
+    result = authority_readout(round_, rng)
+    return result, {"r": r, "theta_yes_est": th_y, "theta_no_est": th_n, "m_honest": sum(honest_votes)}
+
+
+@hst.composite
+def _cheater_cases(draw):
+    """(D, N, secrets, honest votes, plan, cheater position, backend): any levels
+    and gap, fixed or sampled estimates, the dense backend where it fits."""
+    D = draw(hst.integers(2, 8))
+    N = draw(hst.integers(1, D - 1))
+    gap = draw(hst.integers(1, (D - 1) // N))
+    no = draw(hst.integers(0, D - 1 - gap))
+    secrets = AuthoritySecrets(no + gap, no, draw(hst.floats(0.0, 2 * np.pi / D, exclude_max=True)))
+    votes = draw(hst.lists(hst.integers(0, 1), min_size=N - 1, max_size=N - 1))
+    angle = hst.none() | hst.floats(-10.0, 10.0)
+    plan = CheaterPlan(draw(hst.integers(1, 2 * D)), draw(angle), draw(angle))
+    backends = ["branch", "dense"] if D ** (2 * N) <= 4096 else ["branch"]
+    return D, N, secrets, votes, plan, draw(hst.integers(0, N - 1)), draw(hst.sampled_from(backends))
+
+
+def _records(results):
+    return [(res.q, res.error_outcome, res.cheat_detected, info["r"], info["theta_yes_est"],
+             info["theta_no_est"]) for res, info in results]
+
+
+def _batch_records(out):
+    return [(None if q < 0 else q, q < 0, flag, r, ty, tn) for q, flag, r, ty, tn in zip(
+        *(out[k].tolist() for k in ("q", "cheat_flag", "r", "theta_yes_est", "theta_no_est")))]
+
+
+class TestCheaterBatch:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=_cheater_cases(), trials=hst.integers(0, 11), seed=hst.integers(0, 2**32 - 1))
+    def test_batch_equals_the_per_round_loop(self, case, trials, seed):
+        D, N, secrets, votes, plan, pos, backend = case
+        ref_rng, rng, one_rng = (np.random.default_rng(seed) for _ in range(3))
+        ref = [_reference_round(D, N, secrets, votes, plan, ref_rng, backend, pos)
+               for _ in range(trials)]
+        with mock.patch.object(attacks, "_DRAW_CHUNK", 4):  # chunk boundaries inside the run
+            out = run_cheater_attack(D, N, secrets, votes, plan, rng, pos, trials=trials)
+        assert _batch_records(out) == _records(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        probs = [res.probability for res, _ in ref]
+        assert np.max(np.abs(out["probability"] - probs), initial=0.0) <= 1e-12
+        if trials:  # one round on its own: today's (ReadoutResult, info)
+            res, info = run_cheater_attack(D, N, secrets, votes, plan, one_rng, pos)
+            ref_res, ref_info = ref[0]
+            assert _records([(res, info)]) == _records(ref[:1])
+            assert res.m_inferred == ref_res.m_inferred and info["m_honest"] == ref_info["m_honest"]
+            assert res.probability == pytest.approx(ref_res.probability, abs=1e-12)
+
+    def test_more_than_one_chunk_equals_the_per_round_loop(self):
+        trials = attacks._DRAW_CHUNK + 3
+        secrets = AuthoritySecrets(1, 0, 0.4)
+        ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
+        ref = [_reference_round(3, 2, secrets, [1], CheaterPlan(s=2), ref_rng, "branch")
+               for _ in range(trials)]
+        out = run_cheater_attack(3, 2, secrets, [1], CheaterPlan(s=2), rng, trials=trials)
+        assert _batch_records(out) == _records(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_cheater_cases(), seed=hst.integers(0, 2**32 - 1))
+    def test_every_trial_follows_the_conditional_formula(self, case, seed):
+        D, N, secrets, votes, plan, pos, _ = case
+        out = run_cheater_attack(D, N, secrets, votes, plan, np.random.default_rng(seed), pos,
+                                 trials=20)
+        for q, r, ty, tn, p in zip(*(out[k] for k in ("q", "r", "theta_yes_est", "theta_no_est",
+                                                     "probability"))):
+            pq = conditional_pq(D, plan.s, sum(votes), int(r), ty, tn, secrets)
+            expected = pq[q] if q >= 0 else 1.0 - pq[::secrets.gap].sum()
+            assert abs(p - expected) <= 1e-12
+
+    @pytest.mark.parametrize("trials", [-1, True, 2.0, "3"])
+    def test_bad_trial_count_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be a non-negative integer"):
+            run_cheater_attack(4, 3, SECRETS, [1, 0], CheaterPlan(s=3),
+                               np.random.default_rng(0), trials=trials)
+
+    @pytest.mark.parametrize("position", [1.5, True, np.float64(1.0), 3, -1])
+    def test_bad_cheater_position_rejected(self, position):
+        # 1.5 and True used to run as position 1
+        with pytest.raises(ValueError, match="cheater position must be an integer in"):
+            run_cheater_attack(4, 3, SECRETS, [1, 0], CheaterPlan(s=3),
+                               np.random.default_rng(0), cheater_position=position)
+        assert run_cheater_attack(4, 3, SECRETS, [1, 0], CheaterPlan(s=3), np.random.default_rng(0),
+                                  cheater_position=np.int64(1), trials=2)["q"].shape == (2,)
+
+    def test_no_backend_round_per_trial(self):
+        # the batch plays no round on a backend: none of its steps may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a backend round ran")
+
+        with mock.patch.object(attacks, "setup", refuse), \
+                mock.patch.object(attacks, "_cast_vote_on", refuse):
+            out = run_cheater_attack(5, 4, SECRETS, [1, 0, 1], CheaterPlan(s=3),
+                                     np.random.default_rng(1), trials=50)
+        assert out["q"].shape == (50,)
 
 
 class TestMitm:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qvote import attacks
 from qvote.cli import main
 from qvote.runner import emit_report, execute
 from qvote.scenario import ScenarioError, parse_scenario
@@ -281,6 +283,29 @@ class TestCli:
         assert "verify's dense-oracle ballot checks" in err
         assert "switch to backend" not in err and "use the branch backend" not in err
         assert main(["run", str(path)]) == 0
+
+    def test_cheater_past_the_dense_budget_runs_on_every_backend(self, tmp_path):
+        # the cheater builds no backend state: D^(2N) = 8^14 amplitudes would exit 3 on dense
+        big = CHEATER.replace("D = 4", "D = 8").replace("N = 3", "N = 7").replace(
+            "votes = 1,0", "votes = 1,0,1,1,0,0").replace("s = 3", "s = 5")
+        reports = {}
+        for backend in ("branch", "dense", "both"):
+            path = self._write(tmp_path, big.replace("backend = branch", f"backend = {backend}"))
+            out = tmp_path / f"{backend}.jsonl"
+            assert main(["attack", str(path), "--format", "json-lines", "--out", str(out)]) == 0
+            reports[backend] = [json.loads(ln) for ln in out.read_text().splitlines()]
+        trials = [rec for rec in reports["branch"] if "trial" in rec]
+        assert len(trials) == 40
+        for backend in ("dense", "both"):
+            assert [rec for rec in reports[backend] if "trial" in rec] == trials
+
+    def test_cheater_scenario_makes_one_library_call(self, tmp_path):
+        path = self._write(tmp_path, CHEATER)
+        with mock.patch.object(attacks, "run_cheater_attack",
+                               wraps=attacks.run_cheater_attack) as run:
+            assert main(["attack", str(path), "--format", "json-lines",
+                         "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert run.call_count == 1 and run.call_args.kwargs["trials"] == 40
 
     def test_attack_requires_attack_section(self, tmp_path, capsys):
         path = self._write(tmp_path, DISTRIBUTED)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ class TestGroupTraveling:
         rep = Representation(g, [np.eye(1), np.eye(1)])
         with pytest.raises(ValueError, match="not protocol-ready"):
             run_group_traveling(g, rep, [0, 1], rng=np.random.default_rng(0))
+
+    def test_readiness_checked_once_per_representation(self):
+        group = symmetric_group_3()
+        rep = regular_representation(group)
+        with mock.patch("qvote.groups.check_protocol_ready", wraps=check_protocol_ready) as check:
+            for choices in ([1, 2, 3], [0, 4, 5], [5, 5, 1]):
+                assert run_group_traveling(group, rep, choices) == group.product(choices)
+            assert check.call_count == 1
+        # a representation that is not ready stays rejected on every call
+        g = cyclic_group(2)
+        bad = Representation(g, [np.eye(1), np.eye(1)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not protocol-ready"):
+                run_group_traveling(g, bad, [0, 1], rng=np.random.default_rng(0))
 
 
 class TestAbelianDistributed:

@@ -416,3 +416,38 @@ def test_non_finite_weight_raises(bad, size):
     for weights in ([bad, 0.5], [0.3, bad, 0.2], [0.5, bad]):
         with pytest.raises(ValueError, match="outcome weights must be finite"):
             sample_index(weights, np.random.default_rng(0), size)
+
+
+_WEIGHTS = st.sampled_from([0.0, -0.0, -1e-17, 1e-17, 1e-11, 0.1, 0.25, 0.5, 1.0, 1.0 + 1e-9]) \
+    | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+           st.lists(_WEIGHTS, min_size=m, max_size=m).map(lambda row: [w / max(1.0, sum(row)) for w in row])
+           | st.lists(_WEIGHTS | st.sampled_from([np.nan, np.inf, -np.inf]), min_size=m, max_size=m),
+           min_size=1, max_size=8)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_row_draws_equal_the_single_draw(rows, complete, seed):
+    """``_draw_rows`` checks and draws each row as ``_draw_outcome`` does from
+    the same uniform: remainder rows, clipped weights, and rejections."""
+    m = len(rows[0])
+    rank, dim = (m, m) if complete else (m, m + 1)
+    ref_rng = np.random.default_rng(seed)
+    expected, errors = [], []
+    for row in rows:
+        try:
+            expected.append(states_module._draw_outcome(list(row), rank, dim, ref_rng))
+        except ValueError as exc:
+            errors.append(str(exc))
+            ref_rng.random()  # the row's uniform is still taken from the block
+    u = np.random.default_rng(seed).random(len(rows))
+    if errors:
+        with pytest.raises(ValueError) as exc:
+            states_module._draw_rows(np.array(rows), u, complete)
+        if not np.isfinite(rows).all():  # checked before the sums, so no sum is NaN
+            assert str(exc.value) == "outcome weights must be finite"
+        elif len(rows) == 1:
+            assert str(exc.value) == errors[0]
+        return
+    assert states_module._draw_rows(np.array(rows), u, complete).tolist() == expected
