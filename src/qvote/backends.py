@@ -22,6 +22,25 @@ from .branches import BranchState
 from .states import DenseState
 
 
+def _measure_dense(state, regs, family, rng):
+    """Any family kind, measured on a dense state: masks and kets scored from the family's
+    parse as :func:`st.measure_projective` scores them; targets by contraction, the
+    drawn one expanded as its parsed ket."""
+    mat, perm = st._as_matrix(state, regs)
+    if family.masks or family.kets:
+        weights, expand = st._scored(mat, family.masks, family.kets)
+        return st._sample(state, rng, mat, perm, family.rank, weights, expand)
+    targets, tensor = family.targets, mat.reshape(family.dims + (-1,))
+
+    def expand(j):
+        (v,) = st._parse_family([br.to_dense(targets[j]).amps], family.dims, False)[1]
+        return np.outer(v, v.conj() @ mat)
+
+    amps = (br._contract_target(t, tensor) for t in targets)
+    weights = [float(np.real(np.vdot(a, a))) for a in amps]
+    return st._sample(state, rng, mat, perm, family.rank, weights, expand)
+
+
 class DenseBackend:
     """Exact dense oracle backend."""
 
@@ -60,28 +79,13 @@ class DenseBackend:
         return DenseState(state.dims, np.swapaxes(state.tensor(), i, j).reshape(-1))
 
     def measure_targets(self, state, targets, rng, registers=None):
-        """Targets are scored by contraction with the state, and only the
-        drawn one is expanded: parsed as a ket, so its post-state and
-        probability are those :func:`st.measure_projective` gives for kets."""
-        regs, family = br._family(state, targets, registers, False)
-        targets = family.targets
-        mat, perm = st._as_matrix(state, regs)
-        sdims = tuple(state.dims[r] for r in regs)
-        tensor = mat.reshape(sdims + (-1,))
-        amps = (br._contract_target(t, tensor) for t in targets)
-        weights = [float(np.real(np.vdot(a, a))) for a in amps]
-
-        def expand(j):
-            (v,) = st._parse_family([br.to_dense(targets[j]).amps], sdims, False)[1]
-            return np.outer(v, v.conj() @ mat)
-
-        return st._sample(state, rng, mat, perm, len(targets), weights, expand)
+        return _measure_dense(state, *br._family(state, targets, registers, False), rng)
 
     def measure_diag(self, state, registers, masks: Sequence[np.ndarray], rng):
-        return st.measure_projective(state, list(masks), rng, registers=registers, diagonal=True)
+        return _measure_dense(state, *br._family(state, masks, registers, True), rng)
 
     def measure_local_kets(self, state, register, kets, rng):
-        return st.measure_projective(state, list(kets), rng, registers=[register])
+        return _measure_dense(state, *br._family(state, kets, [register], False), rng)
 
     def reduced(self, state, keep) -> np.ndarray:
         return st.partial_trace(state, keep).matrix

@@ -15,6 +15,8 @@ Every factor is local to one register: a basis label (a plain ``int``) or a
 :class:`VecFactor`. The ballot correlations sit in the labels, so overlaps
 join branches on their label rows; a vector object that every row shares (an
 announced register) is overlapped once per join, not once per branch pair.
+A target family finds its join when its Gram check runs, and keeps it, so a
+measurement walks the state once: O(B·N) hashing, O(members × rows) arithmetic.
 
 An operation that entangles two registers (a pair unitary, or a diagonal
 mask over two vector factors) splits each two-register block by the Schmidt
@@ -38,12 +40,13 @@ compared up to a global phase throughout.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
+from .matrices import fourier_basis_kets
 from .states import (
     NORM_TOL,
     VANISHING_PROB,
@@ -277,6 +280,12 @@ def shift_family(D: int) -> MeasurementFamily:
     return MeasurementFamily((D, D), [shifted_ghz(D, (0, m)) for m in range(D)])
 
 
+@lru_cache(maxsize=64)
+def fourier_family(D: int) -> MeasurementFamily:
+    """The one-register Fourier-conjugate kets of the announcements, checked once and cached."""
+    return MeasurementFamily((D,), fourier_basis_kets(D))
+
+
 def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
     """Product of two branch states on disjoint register groups (a's first)."""
     branches = [(ca * cb, fa + fb) for ca, fa in a.branches for cb, fb in b.branches]
@@ -341,8 +350,6 @@ def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int
 
 def _labels(factors: tuple[Factor, ...], key: list[int]) -> tuple[int, ...]:
     """The labels on the key registers; a key over every register is the row itself."""
-    if not key:
-        return ()
     if len(key) == len(factors):
         return factors
     return tuple([factors[r] for r in key])
@@ -351,65 +358,77 @@ def _labels(factors: tuple[Factor, ...], key: list[int]) -> tuple[int, ...]:
 def _inners(
     dims: tuple[int, ...], bras: Sequence[Sequence[Branch]], ket: Sequence[Branch]
 ) -> list[complex]:
-    """<bra|ket> for each bra: the sum over branch pairs of
-    conj(c_bra) c_ket <bra factors|ket factors>.
-
-    Pairs whose key labels differ overlap to 0, so the ket branches are
-    bucketed once by key labels and only matching pairs are overlapped, over
-    the rest of the registers. An empty key matches every pair; it is used
-    below ``_JOIN_MIN_PAIRS``, where finding the key costs more than it saves.
-    With no free register (see :func:`_join_key`), all matched pairs share one overlap.
-    """
+    """<bra|ket> for each bra, the ket branches bucketed by their key labels (see
+    :func:`_pair_sums`). Below ``_JOIN_MIN_PAIRS``, where finding the key costs more
+    than it saves, every pair matches. With no free register (see :func:`_join_key`),
+    all matched pairs share one overlap."""
     if len(ket) * sum(map(len, bras)) < _JOIN_MIN_PAIRS:
-        key, rest, free = [], range(len(dims)), True
-    else:
-        key, rest, free = _join_key(dims, ket, *bras)
-    shared_ov = None if free or not rest else _pair_overlap(ket[0][1], ket[0][1], rest)
-    buckets: dict[tuple[int, ...], list[Branch]] = {}
+        bras = [[(np.conj(c), (), fs) for c, fs in bra] for bra in bras]
+        return _pair_sums(bras, {(): ket}, range(len(dims)))
+    key, rest, free = _join_key(dims, ket, *bras)
+    shared = None if free or not rest else _pair_overlap(ket[0][1], ket[0][1], rest)
+    hits: dict[tuple[int, ...], list[Branch]] = {}
     for b in ket:
-        buckets.setdefault(_labels(b[1], key), []).append(b)
+        hits.setdefault(_labels(b[1], key), []).append(b)
+    return _pair_sums([[(np.conj(c), _labels(fs, key), fs) for c, fs in bra] for bra in bras],
+                      hits, rest, shared)
+
+
+def _pair_sums(bras: list[list[tuple]], hits: dict, rest: Sequence[int], shared=None) -> list[complex]:
+    """Every join's sums, in one order: for each bra of (conj(c), bucket, factors) rows, the sum
+    over them and the ket branches ``hits[bucket]`` of conj(c_bra) c_ket <bra|ket> on ``rest``."""
     out = []
     for bra in bras:
         total = 0.0 + 0.0j
-        for ca, fa in bra:
-            for cb, fb in buckets.get(_labels(fa, key), ()):
+        for ca, u, fa in bra:
+            for cb, fb in hits.get(u, ()):
                 if not rest:
-                    total += np.conj(ca) * cb
+                    total += ca * cb
                     continue
-                ov = _pair_overlap(fa, fb, rest) if free else shared_ov
+                ov = _pair_overlap(fa, fb, rest) if shared is None else shared
                 if ov != 0.0:
-                    total += np.conj(ca) * cb * ov
+                    total += ca * cb * ov
         out.append(complex(total))
     return out
 
 
-def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> None:
-    """Raise unless the targets are orthonormal, from one Gram matrix over the
-    label join: targets as rows, distinct key-label rows as columns."""
-    sides = [t.branches for t in targets]
-    key, rest, _ = _join_key(dims, *sides)
-    cols: dict[tuple[int, ...], list[tuple[int, complex, tuple[Factor, ...]]]] = {}
-    for i, side in enumerate(sides):
-        for c, fs in side:
-            cols.setdefault(_labels(fs, key), []).append((i, c, fs))
+def _target_amps(join: tuple, ket: Sequence[Branch]) -> list[complex] | None:
+    """<t|ket> for every target t of a family join (see :func:`_check_orthonormal`),
+    from one walk of the ket rows; None when one holds a vector on the key."""
+    key, rest, cols, rows = join
+    hits: dict[int, list[Branch]] = {}
+    for b in ket:
+        u = cols.get(labels := _labels(b[1], key))
+        if u is not None:
+            hits.setdefault(u, []).append(b)
+        elif not _ALL_BASIS.issuperset(map(type, labels)):
+            return None
+    return _pair_sums(rows, hits, rest)
+
+
+def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> tuple:
+    """Raise unless the targets are orthonormal, from one Gram matrix over their label join,
+    returned for the family to keep: the key (registers with a label on every row), the
+    rest, each key-label row's column, and the branches as (conj(c), column, factors)."""
+    key, rest, _ = _join_key(dims, *(t.branches for t in targets))
+    cols: dict[tuple[int, ...], int] = {}
+    rows = [[(np.conj(c), cols.setdefault(_labels(fs, key), len(cols)), fs) for c, fs in t.branches]
+            for t in targets]
+    join = key, rest, cols, rows
     if rest:
-        gram = np.zeros((len(sides), len(sides)), dtype=complex)
-        for col in cols.values():
-            for i, ca, fa in col:
-                for j, cb, fb in col:
-                    if i <= j:
-                        gram[i, j] += np.conj(ca) * cb * _pair_overlap(fa, fb, rest)
+        gram = np.array([_target_amps(join, t.branches) for t in targets]).T
     else:
-        coeffs = np.zeros((len(sides), len(cols)), dtype=complex)
-        for k, col in enumerate(cols.values()):
-            for i, c, _ in col:
-                coeffs[i, k] += c
-        gram = coeffs.conj() @ coeffs.T
-    gram.flat[:: len(sides) + 1] -= 1.0  # the deviation from the identity
+        conj = np.zeros((len(rows), len(cols)), dtype=complex)
+        for i, row in enumerate(rows):
+            for cc, u, _ in row:
+                conj[i, u] += cc
+        gram = conj @ conj.conj().T
+    gram.flat[:: len(rows) + 1] -= 1.0  # the deviation from the identity
     if not np.max(np.abs(gram)) <= NORM_TOL:
         if not np.max(np.abs(np.triu(gram, 1))) <= NORM_TOL:
             raise ValueError("measurement targets are not mutually orthogonal")
         _check_norm_offset(np.max(np.abs(np.diagonal(gram))))
+    return join
 
 
 def _check_norm_offset(off: float) -> None:
@@ -695,28 +714,40 @@ def _route(state: BranchState, regs: list[int], family: MeasurementFamily) -> tu
     return out, labels
 
 
-def _collapse_onto(
-    state: BranchState, target: BranchState, regs: list[int], rows: list[tuple[Factor, ...]]
-) -> list[Branch]:
-    """Branches of <target|_regs |state>, a state over the unmeasured registers,
-    on which ``rows[i]`` holds branch i's factors; every member shares them."""
-    out: list[Branch] = []
+def _collapse_onto(state: BranchState, target: BranchState, regs: list[int]) -> Iterator[tuple]:
+    """<target|_regs |state> as (coefficient, j): state branch j's coefficient
+    collapsed onto each target branch, on the state's unmeasured row j."""
     for tc, tf in target.branches:
-        tvecs = [_factor_vector(f, d) for f, d in zip(tf, target.dims)]
+        tvecs = [(v, np.conj(v)) for v in map(_factor_vector, tf, target.dims)]
         ctc = np.conj(tc)
-        for (c, factors), row in zip(state.branches, rows):
+        for j, (c, factors) in enumerate(state.branches):
             scal = ctc * c
-            for tvec, r in zip(tvecs, regs):
+            for (tvec, conj), r in zip(tvecs, regs):
                 f = factors[r]
-                if type(f) is int:
-                    scal *= np.conj(tvec[f])
-                else:
-                    scal *= np.vdot(tvec, f.amps)
-                if scal == 0.0:
-                    break
+                scal *= conj[f] if type(f) is int else np.vdot(tvec, f.amps)
             if abs(scal) > _ZERO_TOL:
-                out.append((scal, row))
-    return out
+                yield scal, j
+
+
+def _rest_join(dims: tuple[int, ...], rows: list[tuple[Factor, ...]]) -> Callable:
+    """``norm_sq(chi, single)``: :func:`_branch_norm_sq` of a collapse onto ``rows``, each
+    at most once when ``single``, bitwise; the rows are joined once for every member."""
+    labels = _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows)))  # then every register is key
+    key, off, free = (range(len(dims)), [], []) if labels else _join_key(dims, [*enumerate(rows)])
+    buckets: dict[tuple, int] = {}
+    bucket = [buckets.setdefault(_labels(row, key), len(buckets)) for row in rows]
+    shared = None if free or not off else _pair_overlap(rows[0], rows[0], off)
+
+    def norm_sq(chi: list[tuple[complex, int]], single: bool) -> float:
+        if single and not off and len(buckets) == len(rows):  # distinct label rows: j stands for row j
+            return _branch_norm_sq(dims, chi, True)
+        hits: dict[int, list[Branch]] = {}
+        for c, j in chi:
+            hits.setdefault(bucket[j], []).append((c, rows[j]))
+        bra = [(np.conj(c), bucket[j], rows[j]) for c, j in chi]
+        return max(_pair_sums([bra], hits, off, shared)[0].real, 0.0)
+
+    return norm_sq
 
 
 def _branch_norm_sq(dims: tuple[int, ...], branches: Sequence[Branch], labels=None) -> float:
@@ -740,11 +771,12 @@ class MeasurementFamily(_Frozen):
     built: read-only 0/1 masks shaped ``dims`` or orthonormal rank-1
     :class:`BranchState` targets (the other tuple empty), and the total rank;
     ``family[k]`` is member k. Array forms go through the dense backend's parse,
-    kets becoming one-register targets; targets get a layout and Gram check.
+    kets becoming one-register targets (``kets`` keeps them as parsed); targets
+    get a layout and Gram check, whose label join they keep as ``join``.
     ``owner`` (shaped ``dims``; None for targets) holds the member whose mask
     holds each label tuple, or -1 for the remainder."""
 
-    __slots__ = ("dims", "masks", "targets", "rank", "owner")
+    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join")
 
     def __init__(self, dims: Sequence[int], projectors: Sequence, *, diagonal: bool = False):
         dims = tuple(int(d) for d in dims)
@@ -754,19 +786,21 @@ class MeasurementFamily(_Frozen):
             if kets and len(dims) != 1:
                 raise BranchError("raw kets are only supported on a single register; "
                                   "pass a BranchState for multi-register targets")
+            join = None
             targets = [BranchState(dims, [(1.0, (VecFactor(k),))], renormalize=False) for k in kets]
         else:
             if any(P.dims != dims for P in projectors):
                 raise ValueError("target state layout does not match the measured registers")
-            _check_orthonormal(dims, projectors)
-            masks, targets = [], projectors
+            masks, kets, targets, join = [], [], projectors, _check_orthonormal(dims, projectors)
         stack = np.asarray(masks)  # checked disjoint and 0/1: one member per label tuple at most
         owner = _read_only(np.where(stack.max(axis=0) > 0, stack.argmax(axis=0), -1)) if masks else None
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "masks", tuple(map(_read_only, masks)))
+        object.__setattr__(self, "kets", tuple(map(_read_only, kets)))
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "targets", tuple(targets))
         object.__setattr__(self, "rank", sum(map(np.sum, masks)) + len(targets))
+        object.__setattr__(self, "join", join)
 
     def __len__(self) -> int:
         return len(self.masks) + len(self.targets)
@@ -777,8 +811,8 @@ class MeasurementFamily(_Frozen):
 
 def _family(state: BranchState | DenseState, projectors, registers: Sequence[int] | None,
             diagonal: bool) -> tuple[list[int], MeasurementFamily]:
-    """The measured registers of a state of either backend (all when None) and
-    the family on them: a raw list is built into one; a family must fit them."""
+    """The measured registers of a state of either backend (all when None) and the family on
+    them, which both backends measure by its kind: a raw list is built into one; a family must fit."""
     n_regs = state.num_registers
     regs = _check_registers(range(n_regs) if registers is None else registers, n_regs)
     sdims = tuple(state.dims[r] for r in regs)
@@ -794,11 +828,10 @@ def _project(
 ) -> tuple[list[float], Callable[[int, float], list[Branch]]]:
     """Born weight of each member of a family on ``regs``, and ``post(k, n)``:
     outcome k's post-state branches in the state's register order, divided by n.
-
-    A full-register family is scored by one label join over the state's
-    factors permuted into the measured order; a subset family collapses the
-    state onto each target and keeps the target's factors in their slots.
-    """
+    A full-register family scores the state's rows, permuted into the measured
+    order, through its join; a subset family collapses the state onto each
+    target, sharing one join of its unmeasured rows, and keeps the target's
+    factors in their slots."""
     masks, targets = family.masks, family.targets
     if masks:
         projected, labels = _route(state, regs, family)
@@ -808,22 +841,21 @@ def _project(
         ket = state.branches
         if regs != sorted(regs):
             ket = [(c, tuple(fs[r] for r in regs)) for c, fs in ket]
-        sdims = tuple(state.dims[r] for r in regs)
-        amps = _inners(sdims, [t.branches for t in targets], ket)
-        slots = np.argsort(regs)
+        amps = (family.join and _target_amps(family.join, ket)) or _inners(
+            family.dims, [t.branches for t in targets], ket)  # raw kets, or a vector on the key
+        slots = sorted(range(len(regs)), key=regs.__getitem__)
         return [float(abs(a) ** 2) for a in amps], lambda k, n: [
             ((amps[k] * c) / n, tuple(tf[i] for i in slots)) for c, tf in targets[k].branches
         ]
     rest = [r for r in range(state.num_registers) if r not in regs]
-    rdims = tuple(state.dims[r] for r in rest)
     rows = [tuple([fs[r] for r in rest]) for _, fs in state.branches]
-    labels = _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows)))
-    chis = [_collapse_onto(state, t, regs, rows) for t in targets]
-    slots = np.argsort(regs + rest)
-    return [_branch_norm_sq(rdims, chi, labels) for chi in chis], lambda k, n: [
-        (tc * (c / n), tuple((tf + rf)[i] for i in slots))
+    norm_sq = _rest_join(tuple(state.dims[r] for r in rest), rows)
+    chis = [list(_collapse_onto(state, t, regs)) for t in targets]
+    slots = sorted(range(len(regs + rest)), key=(regs + rest).__getitem__)
+    return [norm_sq(chi, len(t.branches) == 1) for chi, t in zip(chis, targets)], lambda k, n: [
+        (tc * (c / n), tuple((tf + rows[j])[i] for i in slots))
         for tc, tf in targets[k].branches
-        for c, rf in chis[k]
+        for c, j in chis[k]
     ]
 
 

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import get_backend
-from .branches import phase_family, shift_family
-from .matrices import fourier_basis_kets, phase_vote_matrix, shift_matrix
+from .branches import fourier_family, phase_family, shift_family
+from .matrices import phase_vote_matrix, shift_matrix
 from .states import cached_op, maximally_mixed, trace_distance
 
 SCHEMES = (
@@ -144,7 +144,7 @@ def _run_ballot(D, registers, weights, register, op, bk, rng, readout,
         m = int(m)
         t.public.append({"event": "tally", "m": m, "probability": p})
     else:
-        kets, m = fourier_basis_kets(D), 0
+        kets, m = fourier_family(D), 0
         for r in range(registers):
             x, state, _ = bk.measure_local_kets(state, r, kets, rng)
             t.public.append({"event": "announce", "voter": r, "value": int(x)})

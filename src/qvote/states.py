@@ -399,24 +399,27 @@ def _parse_family(
     return masks, kets
 
 
+def _scored(mat: np.ndarray, masks: Sequence[np.ndarray], kets: Sequence[np.ndarray]) -> tuple:
+    """Each member's Born weight scored in place on the (measured, rest) matrix ``mat``,
+    and ``expand(j)``: ``mat`` projected by member j, built only when asked for."""
+    if masks:
+        rows = np.sum(mat.real**2 + mat.imag**2, axis=1)
+        return [float(m.reshape(-1) @ rows) for m in masks], lambda j: mat * masks[j].reshape(-1, 1)
+    contracted = [k.conj() @ mat for k in kets]
+    return ([float(np.real(np.vdot(c, c))) for c in contracted],
+            lambda j: np.outer(kets[j], contracted[j]))
+
+
 def _projected(
     state: DenseState, registers: Sequence[int] | None, projectors: Sequence[np.ndarray], diagonal: bool
 ) -> tuple[np.ndarray, list[int], float, list[float], Callable[[int], np.ndarray]]:
-    """The state as a (registers, rest) matrix (all registers when None), its
-    axis permutation, the rank of the checked family, each member's Born
-    weight scored in place, and ``expand(j)``: the matrix projected by member j,
-    built only when asked for. A mask scales rows; a ket contracts them."""
+    """The state as a (registers, rest) matrix (all registers when None), its axis
+    permutation, the rank of the checked family, and :func:`_scored`'s results."""
     n = state.num_registers
     registers = _check_registers(range(n) if registers is None else registers, n)
     mat, perm = _as_matrix(state, registers)
     masks, kets = _parse_family(projectors, tuple(state.dims[r] for r in registers), diagonal)
-    if masks:
-        rows = np.sum(mat.real**2 + mat.imag**2, axis=1)
-        return (mat, perm, sum(map(np.sum, masks)), [float(m.reshape(-1) @ rows) for m in masks],
-                lambda j: mat * masks[j].reshape(-1, 1))
-    contracted = [k.conj() @ mat for k in kets]
-    return (mat, perm, len(kets), [float(np.real(np.vdot(c, c))) for c in contracted],
-            lambda j: np.outer(kets[j], contracted[j]))
+    return (mat, perm, sum(map(np.sum, masks)) + len(kets), *_scored(mat, masks, kets))
 
 
 def sample_index(
