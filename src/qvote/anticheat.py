@@ -24,7 +24,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import MeasurementFamily, phase_family
 from .matrices import phase_state, shift_matrix
-from .protocols import Transcript, _check_votes, _integers
+from .protocols import Transcript, _check_votes, _integers, _require_room
 from .states import cached_op
 
 VARIANTS = ("distributed", "traveling")
@@ -64,12 +64,16 @@ class AuthoritySecrets:
         return 2 * np.pi * self.no_level / D + self.offset
 
 
+def max_gap(D: int, N: int) -> int:
+    """The widest level gap g with g * N < D; drawn secrets need one, so D > N."""
+    D, N = _integers((D, N), "D and N")
+    _require_room(D, N, "drawing secrets")
+    return (D - 1) // N
+
+
 def random_secrets(D: int, N: int, rng: np.random.Generator) -> AuthoritySecrets:
     """Draw valid secrets; the offset is uniform on [0, 2*pi/D)."""
-    max_gap = (D - 1) // N
-    if max_gap < 1:
-        raise ValueError(f"no valid secrets exist for D={D}, N={N}")
-    gap = int(rng.integers(1, max_gap + 1))
+    gap = int(rng.integers(1, max_gap(D, N) + 1))
     no_level = int(rng.integers(0, D - gap))
     offset = float(rng.uniform(0.0, 2 * np.pi / D))
     return AuthoritySecrets(no_level + gap, no_level, offset)

@@ -37,7 +37,7 @@ from .matrices import (
     phase_vote_matrix,
     shift_matrix,
 )
-from .protocols import ProtocolConfig, _check_votes, sample_zero_sum_ballots
+from .protocols import ProtocolConfig, _check_votes, _integers, sample_zero_sum_ballots
 from .states import LocalOp, _draw_rows, cached_op, sample_index
 
 
@@ -413,6 +413,22 @@ def _batched_counts(trials: int, draw):
             yield values[i].item(), int(counts[i])
 
 
+def _check_target(target, N: int) -> int:
+    """The attacked voter: an integer in [0, N)."""
+    (target,) = _integers((target,), "attack targets")
+    if not 0 <= target < N:
+        raise ValueError(f"target out of range [0, {N}): {target}")
+    return target
+
+
+def _check_pair(pair, N: int) -> tuple[int, int]:
+    """The pair check's registers: two distinct integers below N."""
+    regs = _integers(pair, "pair registers")
+    if len(regs) != 2 or regs[0] == regs[1] or not all(0 <= r < N for r in regs):
+        raise ValueError(f"pair check requires two distinct registers below {N}, got {tuple(pair)}")
+    return regs[0], regs[1]
+
+
 def pair_agree_mask(D: int) -> np.ndarray:
     """Diagonal mask keeping equal computational labels on two registers."""
     return np.eye(D)
@@ -420,10 +436,8 @@ def pair_agree_mask(D: int) -> np.ndarray:
 
 def run_pair_check(state, pair: tuple[int, int], rng: np.random.Generator, backend="branch"):
     """Joint agreement test by two voters; True = ballots agree, proceed."""
-    i, j = pair
-    if i == j:
-        raise ValueError("pair check requires two distinct registers")
     bk = get_backend(backend)
+    i, j = _check_pair(pair, len(bk.dims(state)))
     D = bk.dims(state)[i]
     mask = pair_agree_mask(D)
     comp = np.ones((D, D)) - mask
@@ -450,9 +464,8 @@ def run_mitm_traveling(
     stays intact. Nothing in the scheme can flag this. The outcome tree (the
     decoy reading, the tally) is enumerated once, as in :func:`run_swap_attack`.
     """
-    votes = _check_votes(votes, config.N)
-    if not 0 <= target < config.N:
-        raise ValueError("target out of range")
+    config.require_tally_room()
+    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
     bk = get_backend(backend)
     D = config.D
 
@@ -507,9 +520,9 @@ def run_swap_attack(
     probabilities (pass/fail, the attacker's phase reading, the tally) and
     the requested number of trials is sampled from it.
     """
-    votes = _check_votes(votes, config.N)
-    if not 0 <= target < config.N:
-        raise ValueError("target out of range")
+    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
+    if pair_check is not None:  # any two registers of the attacked state, the ancilla N included
+        pair_check = _check_pair(pair_check, config.N + 1)
     bk = get_backend(backend)
     D, N = config.D, config.N
     ancilla = N
@@ -520,8 +533,6 @@ def run_swap_attack(
 
     checked = pair_check is not None and target in pair_check
     if pair_check is not None:
-        if pair_check[0] == pair_check[1]:
-            raise ValueError("pair check requires two distinct registers")
         p_pass, passed = bk.project_diag(state, list(pair_check), pair_agree_mask(D))
     else:
         p_pass, passed = 1.0, state
@@ -562,7 +573,8 @@ def run_swap_attack(
             if y == votes[target]:
                 report.leak_correct += count
             report._bump(f"reading={y},tally={tally}", count)
-    report.statistics["pass_probability"] = p_pass
+    # a Born sum can exceed 1 by a few ulps; the draws above keep the value as it is
+    report.statistics["pass_probability"] = min(p_pass, 1.0)
     report.statistics["expected_tally"] = sum(votes)
     return report
 
@@ -601,7 +613,7 @@ def entangling_rho_e1(
     backend: str = "branch",
 ) -> np.ndarray:
     """Reduced state on (ancilla, target register) after the attack and voting."""
-    votes = _check_votes(votes, config.N)
+    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
     bk = get_backend(backend)
     D, N = config.D, config.N
     state = bk.ghz(D, N)
@@ -631,7 +643,8 @@ def run_entangling_attack(
     trials are sampled from the exactly computed pass probability, which is
     also reported against the analytic column expression.
     """
-    votes = _check_votes(votes, config.N)
+    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
+    pair = _check_pair(pair, config.N)
     bk = get_backend(backend)
     D, N = config.D, config.N
     U = LocalOp(U, D * D)
@@ -668,9 +681,7 @@ def run_classical_eavesdrop(
 ) -> AttackReport:
     """Eavesdropper on the classical zero-sum ballots: read the target's slip
     before and after; the difference is the vote, and nothing can notice."""
-    votes = _check_votes(votes, N)
-    if not 0 <= target < N:
-        raise ValueError("target out of range")
+    votes, target = _check_votes(votes, N), _check_target(target, N)
     D = N + 1
     report = AttackReport(
         kind="classical-eavesdrop",

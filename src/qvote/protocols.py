@@ -48,9 +48,15 @@ def _integers(values, what: str) -> list[int]:
     instead of being truncated, so a vote of 0.9 is not read as a no."""
     values = list(values)
     for v in values:
-        if not isinstance(v, numbers.Integral):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise ValueError(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
+
+
+def _require_room(D: int, N: int, who: str) -> None:
+    """N inputs of weight at least 1 need D > N, or their sum aliases mod D."""
+    if D <= N:
+        raise ValueError(f"{who} requires D > N (got D={D}, N={N})")
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,13 @@ class ProtocolConfig:
 
     def require_tally_room(self) -> None:
         """Shift/phase voting needs D > N so tallies cannot alias mod D."""
-        if self.D <= self.N:
+        _require_room(self.D, self.N, f"scheme {self.scheme!r}")
+
+    def require_announcement_dim(self) -> None:
+        """The announcement variant sums its announcements mod D = N+1."""
+        if self.D != self.N + 1:
             raise ValueError(
-                f"scheme {self.scheme!r} requires D > N (got D={self.D}, N={self.N})"
+                f"the announcement variant requires D = N+1 (got D={self.D}, N={self.N})"
             )
 
     def rng(self) -> np.random.Generator:
@@ -100,7 +110,7 @@ class TallyResult:
 def _check_votes(votes, N) -> list[int]:
     votes = _integers(votes, "votes")
     if len(votes) != N:
-        raise ValueError(f"expected {N} votes, got {len(votes)}")
+        raise ValueError(f"expected {N} entries in votes, got {len(votes)}")
     if any(v not in (0, 1) for v in votes):
         raise ValueError("votes must be 0 (no) or 1 (yes)")
     return votes
@@ -200,8 +210,7 @@ def run_dolev(
     shift vote becomes the inverse diagonal phase and each announcement is a
     Fourier-conjugate basis measurement of the voter's own register.
     """
-    if config.D != config.N + 1:
-        raise ValueError("requires D = N+1")
+    config.require_announcement_dim()
     votes, D = _check_votes(votes, config.N), config.D
     res = _run_ballot(D, config.N, votes, lambda k: k, _weighted(phase_vote_matrix, D, -1),
                       get_backend(backend), config.rng() if rng is None else rng, None,
@@ -210,6 +219,16 @@ def run_dolev(
     labels = [(x - v) % D for x, v in zip(announced, votes)]
     res.transcript.hidden.append({"labels": labels, "label_sum_mod_D": sum(labels) % D})
     return res
+
+
+def _check_broadcast(config: ProtocolConfig, sender, message) -> list[int]:
+    """The broadcast's inputs: a sender in [0, N) and a message in [0, D)."""
+    sender, message = _integers((sender, message), "sender and message")
+    if not 0 <= message < config.D:
+        raise ValueError(f"message {message} out of range [0, {config.D})")
+    if not 0 <= sender < config.N:
+        raise ValueError(f"sender {sender} out of range [0, {config.N})")
+    return [sender, message]
 
 
 def run_broadcast(
@@ -222,16 +241,24 @@ def run_broadcast(
 ) -> TallyResult:
     """One-to-many anonymous broadcast of an integer in [0, D): the sender's
     register carries the message as a phase, the others' carry nothing."""
-    sender, message = _integers((sender, message), "sender and message")
-    if not 0 <= message < config.D:
-        raise ValueError(f"message {message} out of range [0, {config.D})")
-    if not 0 <= sender < config.N:
-        raise ValueError(f"sender {sender} out of range")
+    sender, message = _check_broadcast(config, sender, message)
     D, N = config.D, config.N
     weights = [message if k == sender else 0 for k in range(N)]
     return _run_ballot(D, N, weights, lambda k: k, _weighted(phase_vote_matrix, D, -1),
                        get_backend(backend), config.rng() if rng is None else rng, None,
                        record_states=record_states)
+
+
+def _check_salaries(config: ProtocolConfig, salaries) -> list[int]:
+    """The survey's inputs: N non-negative multiplicities whose sum cannot alias mod D."""
+    salaries = _integers(salaries, "salary multiplicities")
+    if len(salaries) != config.N:
+        raise ValueError(f"expected {config.N} salary entries, got {len(salaries)}")
+    if any(s < 0 for s in salaries):
+        raise ValueError("salary multiplicities must be non-negative")
+    if sum(salaries) >= config.D:
+        raise ValueError(f"requires sum of votes < D (got {sum(salaries)} >= {config.D})")
+    return salaries
 
 
 def run_survey(
@@ -242,15 +269,7 @@ def run_survey(
     record_states: bool = False,
 ) -> TallyResult:
     """Anonymous survey: each participant votes a multiplicity; report the mean."""
-    salaries = _integers(salaries, "salary multiplicities")
-    if len(salaries) != config.N:
-        raise ValueError(f"expected {config.N} salary entries, got {len(salaries)}")
-    if any(s < 0 for s in salaries):
-        raise ValueError("salary multiplicities must be non-negative")
-    total = sum(salaries)
-    if total >= config.D:
-        raise ValueError(f"requires sum of votes < D (got {total} >= {config.D})")
-    D = config.D
+    salaries, D = _check_salaries(config, salaries), config.D
     res = _run_ballot(D, 2, salaries, lambda k: 1, _weighted(shift_matrix, D),
                       get_backend(backend), config.rng() if rng is None else rng,
                       shift_family(D), record_states=record_states)

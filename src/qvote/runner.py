@@ -91,8 +91,8 @@ def _run_honest(cfg: ScenarioConfig, report: RunReport) -> None:
 
 def _run_attack(cfg: ScenarioConfig, report: RunReport) -> None:
     backend = "dense" if cfg.backend == "both" else cfg.backend
-    run = ATTACKS[cfg.attack.kind].run
-    summary, report.trial_records = run(cfg, backend, np.random.default_rng(cfg.seed))
+    run = ATTACKS[cfg.attack.kind].run(cfg)
+    summary, report.trial_records = run(backend, np.random.default_rng(cfg.seed))
     report.summary = _jsonable(summary)
 
 

@@ -2,9 +2,13 @@
 
 Flat ``key = value`` lines under bracketed section headers ([protocol],
 [secrets], [attack], [run]); lists are comma-separated, angles are radians.
-Every constraint of the selected scheme is checked here, before any
-simulation, and diagnostics carry the offending line or field plus the
-precondition they violate.
+A scenario is checked in full before any simulation. The scenario-level
+rules live here: line-numbered parse errors, missing fields, 'votes' against
+'yes_rate', the schemes an attack kind may target and verify's N >= 2 for one
+register per voter. Every protocol rule (D > N, D = N+1, input ranges, the
+secrets, the shift count) is the library entry point's own check, run on the
+scenario's inputs; its ValueError becomes a :class:`ScenarioError` naming the
+section or field, so the parser rejects what the library would, in its words.
 
 :data:`SCHEMES` holds one :class:`Scheme` per scenario scheme and
 :data:`ATTACKS` one :class:`AttackKind` per attack kind: how each validates,
@@ -39,7 +43,7 @@ class ScenarioError(ValueError):
 class AttackSpec:
     kind: str
     target: int = 0
-    pair: tuple[int, int] | None = None
+    pair: list[int] | None = None  # two registers, by attacks._check_pair
     s: int | None = None
     theta_mode: str = "sampled"
     entangler: str = "product"
@@ -109,10 +113,8 @@ class AttackKind:
     """What the parser and the runner know about one attack kind."""
 
     schemes: tuple[str, ...]  # the schemes it attacks
-    run: Callable  # (cfg, backend, rng) -> (summary, trial records)
+    run: Callable  # (cfg) -> (backend, rng) -> (summary, trial records); see "attack runs"
     required: tuple[str, ...] = ()  # [attack] fields without a default
-    casts_vote: bool = False  # the attacker is voter N-1; 'votes' lists the others
-    tally_room: bool = True  # False: D <= N is allowed
 
 
 def _vote_sum(cfg: ScenarioConfig) -> int:
@@ -214,19 +216,15 @@ def _anticheat(variant: str) -> Scheme:
         agg = anticheat.run_repeated(
             cfg.D, cfg.N, secrets, votes, cfg.repetitions, rng, backend=backend, variant=variant
         )
-        return {
-            "qs": agg.qs,
-            "m_inferred": agg.results[0].m_inferred,
-            "cheat_detected": agg.cheat_detected,
-        }
+        return {"qs": agg.qs, "m_inferred": agg.results[0].m_inferred,
+                "cheat_detected": agg.cheat_detected}
 
     def checks(cfg):
         rng = np.random.default_rng(cfg.seed)
         secrets = cfg.authority_secrets(rng)
         votes = cfg.votes or [0] * cfg.N
-        res, round_ = anticheat.run_round(
-            cfg.D, cfg.N, secrets, votes, rng, backend="branch", variant=variant
-        )
+        res, round_ = anticheat.run_round(cfg.D, cfg.N, secrets, votes, rng, backend="branch",
+                                          variant=variant)
         return {
             "honest_readout_deterministic": {
                 "passed": res.q == sum(votes) * secrets.gap and res.probability > 1 - 1e-10,
@@ -260,42 +258,32 @@ def _survey_cases(cfg):
 
 
 # ---------------------------------------------------------------------------
-# attack runs
+# attack runs: ``kind(cfg)`` checks what only the attack reads, then returns the run
 
 
 _REPORT_FIELDS = ("kind", "trials", "detection_rate", "analytic_detection", "leak_accuracy",
                   "outcome_histogram", "statistics")
 
 
-def _eavesdropper(run):
-    """Attack run for the models that return an :class:`attacks.AttackReport`."""
-
-    def summarize(cfg, backend, rng):
-        rep = run(cfg, backend, rng)
-        summary = {name: getattr(rep, name) for name in _REPORT_FIELDS}
-        records = [
-            {"trial": None, "outcome": k, "count": v}
-            for k, v in sorted(rep.outcome_histogram.items())
-        ]
-        return summary, records
-
-    return summarize
+def _report(rep: attacks.AttackReport) -> tuple[dict, list]:
+    records = [{"trial": None, "outcome": k, "count": v}
+               for k, v in sorted(rep.outcome_histogram.items())]
+    return {name: getattr(rep, name) for name in _REPORT_FIELDS}, records
 
 
-def _swap(cfg, backend, rng):
-    att = cfg.attack
-    return attacks.run_swap_attack(
-        cfg.protocol_config(), cfg.votes, att.target, att.pair, rng,
-        trials=cfg.trials, repair=att.repair, backend=backend, seed=cfg.seed,
-    )
+def _swap(cfg):
+    _votes(cfg, cfg.N)
+    return lambda backend, rng: _report(attacks.run_swap_attack(
+        cfg.protocol_config(), cfg.votes, cfg.attack.target, cfg.attack.pair, rng,
+        trials=cfg.trials, repair=cfg.attack.repair, backend=backend, seed=cfg.seed))
 
 
-def _mitm(cfg, backend, rng):
-    att = cfg.attack
-    return attacks.run_mitm_traveling(
-        cfg.protocol_config(), cfg.votes, att.target, rng,
-        backend=backend, repair=att.repair, trials=cfg.trials, seed=cfg.seed,
-    )
+def _mitm(cfg):
+    _tally_room(cfg)
+    _votes(cfg, cfg.N)
+    return lambda backend, rng: _report(attacks.run_mitm_traveling(
+        cfg.protocol_config(), cfg.votes, cfg.attack.target, rng,
+        backend=backend, repair=cfg.attack.repair, trials=cfg.trials, seed=cfg.seed))
 
 
 _ENTANGLERS = {
@@ -305,22 +293,27 @@ _ENTANGLERS = {
 }
 
 
-def _entangling(cfg, backend, rng):
-    att = cfg.attack
-    U = _ENTANGLERS[att.entangler](cfg.D, rng)
-    return attacks.run_entangling_attack(
-        cfg.protocol_config(), cfg.votes, att.target, U, att.pair, rng,
-        trials=cfg.trials, backend=backend, seed=cfg.seed,
-    )
+def _entangling(cfg):
+    _votes(cfg, cfg.N)
+    return lambda backend, rng: _report(attacks.run_entangling_attack(
+        cfg.protocol_config(), cfg.votes, cfg.attack.target,
+        _ENTANGLERS[cfg.attack.entangler](cfg.D, rng), cfg.attack.pair, rng,
+        trials=cfg.trials, backend=backend, seed=cfg.seed))
 
 
-def _classical(cfg, backend, rng):
-    return attacks.run_classical_eavesdrop(
-        cfg.N, cfg.votes, cfg.attack.target, rng, trials=cfg.trials, seed=cfg.seed
-    )
+def _classical(cfg):
+    _votes(cfg, cfg.N)
+    return lambda backend, rng: _report(attacks.run_classical_eavesdrop(
+        cfg.N, cfg.votes, cfg.attack.target, rng, trials=cfg.trials, seed=cfg.seed))
 
 
-def _cheater(cfg, backend, rng):
+def _cheater(cfg):
+    _secrets_valid(cfg)
+    _votes(cfg, cfg.N - 1)  # the cheater is voter N-1; 'votes' lists the others
+    return lambda backend, rng: _cheat(cfg, rng)
+
+
+def _cheat(cfg, rng):
     att = cfg.attack
     secrets = cfg.authority_secrets(rng)
     fixed = (secrets.yes_angle(cfg.D), secrets.no_angle(cfg.D)) if att.theta_mode == "exact" else ()
@@ -329,13 +322,8 @@ def _cheater(cfg, backend, rng):
     counts = np.bincount(run["q"][run["q"] >= 0], minlength=cfg.D)
     records = [{"trial": i, "q": None if q < 0 else q, "r": r, "cheat_flag": flag} for i, (q, r, flag)
                in enumerate(zip(run["q"].tolist(), run["r"].tolist(), run["cheat_flag"].tolist()))]
-    summary = {
-        "kind": "cheater",
-        "trials": cfg.trials,
-        "q_histogram": counts.tolist(),
-        "single_round_flags": int(run["cheat_flag"].sum()),
-        "m_honest": sum(cfg.votes),
-    }
+    summary = {"kind": "cheater", "trials": cfg.trials, "q_histogram": counts.tolist(),
+               "single_round_flags": int(run["cheat_flag"].sum()), "m_honest": sum(cfg.votes)}
     levels = (secrets.yes_level, secrets.no_level)
     if levels == (1, 0) and cfg.D == cfg.N + 1 and cfg.D < 2 * att.s < 2 * cfg.D and cfg.trials > 0:
         analytic = attacks.analytic_pq(cfg.D, att.s, sum(cfg.votes))
@@ -345,62 +333,60 @@ def _cheater(cfg, backend, rng):
 
 
 # ---------------------------------------------------------------------------
-# per-scheme validation
+# validation: the library's checks, named by section or field
+
+
+def _checked(where: str, check: Callable, *args) -> None:
+    """Run ``check(*args)``, one of the library's input checks; its ValueError
+    becomes a ScenarioError that names ``where``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _votes(cfg: ScenarioConfig, count: int) -> None:
+    _checked("section [protocol]", protocols._check_votes, cfg.votes, count)
 
 
 def _tally_room(cfg: ScenarioConfig) -> None:
-    """Shift and phase tallies alias mod D unless D > N."""
-    relaxed = cfg.attack is not None and not ATTACKS[cfg.attack.kind].tally_room
-    if not relaxed and cfg.D <= cfg.N:
-        raise ScenarioError(
-            f"scheme {cfg.scheme!r}: requires D > N (got D={cfg.D}, N={cfg.N})"
-        )
+    _checked("section [protocol]", cfg.protocol_config().require_tally_room)
 
 
 def _dolev_valid(cfg: ScenarioConfig) -> None:
-    if cfg.D != cfg.N + 1:
-        raise ScenarioError(f"scheme {cfg.scheme!r}: requires D = N+1 (got D={cfg.D}, N={cfg.N})")
+    _checked("section [protocol]", cfg.protocol_config().require_announcement_dim)
 
 
 def _broadcast_valid(cfg: ScenarioConfig) -> None:
     if cfg.sender is None or cfg.message is None:
         raise ScenarioError(f"scheme {cfg.scheme!r}: requires 'sender' and 'message'")
-    if not 0 <= cfg.sender < cfg.N:
-        raise ScenarioError(f"field 'sender': requires 0 <= sender < N (got {cfg.sender})")
-    if not 0 <= cfg.message < cfg.D:
-        raise ScenarioError(f"field 'message': requires 0 <= message < D (got {cfg.message})")
+    _checked("section [protocol]", protocols._check_broadcast, cfg.protocol_config(),
+             cfg.sender, cfg.message)
 
 
 def _survey_valid(cfg: ScenarioConfig) -> None:
     if cfg.salaries is None:
         raise ScenarioError(f"scheme {cfg.scheme!r}: missing required field 'salaries'")
-    if len(cfg.salaries) != cfg.N:
-        raise ScenarioError(f"field 'salaries': expected {cfg.N} entries")
-    if any(s < 0 for s in cfg.salaries):
-        raise ScenarioError("field 'salaries': entries must be non-negative")
-    if sum(cfg.salaries) >= cfg.D:
-        raise ScenarioError(
-            f"scheme {cfg.scheme!r}: requires sum of votes < D (got {sum(cfg.salaries)} >= {cfg.D})"
-        )
+    _checked("field 'salaries'", protocols._check_salaries, cfg.protocol_config(), cfg.salaries)
 
 
 def _secrets_valid(cfg: ScenarioConfig) -> None:
+    """The [secrets] levels (a missing offset is drawn valid), or the room to draw them."""
     if cfg.secrets is None:
-        if cfg.D <= cfg.N:
-            raise ScenarioError(
-                f"scheme {cfg.scheme!r}: drawing secrets without a [secrets] section "
-                f"requires D > N (got D={cfg.D}, N={cfg.N})"
-            )
-        return
-    try:
-        AuthoritySecrets(
-            cfg.secrets.yes_level, cfg.secrets.no_level, cfg.secrets.offset or 0.0
-        ).validate(cfg.D, cfg.N)
-    except ValueError as exc:
-        raise ScenarioError(f"section [secrets]: {exc}") from None
+        _checked("section [protocol]", anticheat.max_gap, cfg.D, cfg.N)
+    else:
+        levels = (cfg.secrets.yes_level, cfg.secrets.no_level, cfg.secrets.offset or 0.0)
+        _checked("section [secrets]", AuthoritySecrets(*levels).validate, cfg.D, cfg.N)
 
 
-def _votes_valid(cfg: ScenarioConfig) -> None:
+def validate(cfg: ScenarioConfig) -> None:
+    """Check the scenario-level rules, then run the library's checks on the
+    inputs of the scheme, or of the attack when there is one."""
+    scheme = SCHEMES[cfg.scheme]
+    if (cfg.votes is not None or cfg.yes_rate is not None) != scheme.takes_votes:
+        wanted = ("missing required field 'votes'" if scheme.takes_votes
+                  else "takes no 'votes' or 'yes_rate'")
+        raise ScenarioError(f"scheme {cfg.scheme!r}: {wanted}")
     if cfg.yes_rate is not None:
         if cfg.votes is not None:
             raise ScenarioError("give either 'votes' or 'yes_rate', not both")
@@ -408,46 +394,25 @@ def _votes_valid(cfg: ScenarioConfig) -> None:
             raise ScenarioError("field 'yes_rate': requires a probability in [0, 1]")
         if cfg.attack is not None:
             raise ScenarioError("attack scenarios need explicit 'votes'")
+    if cfg.attack is None:
+        if cfg.votes is not None:
+            _votes(cfg, cfg.N)
+        if scheme.validate is not None:
+            scheme.validate(cfg)
         return
-    if cfg.votes is None:
-        raise ScenarioError(f"scheme {cfg.scheme!r}: missing required field 'votes'")
-    count = cfg.N - (cfg.attack is not None and ATTACKS[cfg.attack.kind].casts_vote)
-    if len(cfg.votes) != count:
-        raise ScenarioError(f"field 'votes': expected {count} entries, got {len(cfg.votes)}")
-    if any(v not in (0, 1) for v in cfg.votes):
-        raise ScenarioError("field 'votes': entries must be 0 or 1")
-
-
-def _attack_valid(cfg: ScenarioConfig) -> None:
-    attack, N = cfg.attack, cfg.N
-    kind = ATTACKS[attack.kind]
+    attack, kind = cfg.attack, ATTACKS[cfg.attack.kind]
     if cfg.scheme not in kind.schemes:
         wanted = " or ".join(repr(s) for s in kind.schemes)
         raise ScenarioError(f"attack {attack.kind!r}: requires scheme {wanted}")
     for name in kind.required:
         if getattr(attack, name) is None:
             raise ScenarioError(f"attack {attack.kind!r}: missing required field {name!r}")
-    if attack.s is not None and attack.s < 1:
-        raise ScenarioError(f"attack {attack.kind!r}: requires s >= 1 (s = 0 is honest)")
-    if not 0 <= attack.target < N:
-        raise ScenarioError(f"field 'target': requires 0 <= target < N (got {attack.target})")
+    _checked("field 'target'", attacks._check_target, attack.target, cfg.N)
     if attack.pair is not None:
-        i, j = attack.pair
-        if i == j or not (0 <= i < N and 0 <= j < N):
-            raise ScenarioError("field 'pair': requires two distinct registers below N")
-
-
-def validate(cfg: ScenarioConfig) -> None:
-    """Check every precondition of the scheme and attack against the fields."""
-    scheme = SCHEMES[cfg.scheme]
-    if cfg.attack is not None:
-        _attack_valid(cfg)
-    if scheme.validate is not None:
-        scheme.validate(cfg)
-    if scheme.takes_votes:
-        _votes_valid(cfg)
-    elif cfg.votes is not None or cfg.yes_rate is not None:
-        raise ScenarioError(f"scheme {cfg.scheme!r}: takes no 'votes' or 'yes_rate'")
+        _checked("field 'pair'", attacks._check_pair, attack.pair, cfg.N)
+    if attack.s is not None:
+        _checked("field 's'", attacks.CheaterPlan, attack.s)
+    kind.run(cfg)
 
 
 SCHEMES: dict[str, Scheme] = {
@@ -473,13 +438,11 @@ SCHEMES: dict[str, Scheme] = {
 
 ATTACKS: dict[str, AttackKind] = {
     # run_cheater_attack simulates the distributed ballot only, in its label frame
-    "cheater": AttackKind(("anticheat-distributed",), _cheater, required=("s",), casts_vote=True),
-    "swap": AttackKind(("distributed",), _eavesdropper(_swap), tally_room=False),
-    "entangling": AttackKind(
-        ("distributed",), _eavesdropper(_entangling), required=("pair",), tally_room=False
-    ),
-    "mitm": AttackKind(("traveling",), _eavesdropper(_mitm)),
-    "classical": AttackKind(("classical-baseline",), _eavesdropper(_classical)),
+    "cheater": AttackKind(("anticheat-distributed",), _cheater, required=("s",)),
+    "swap": AttackKind(("distributed",), _swap),
+    "entangling": AttackKind(("distributed",), _entangling, required=("pair",)),
+    "mitm": AttackKind(("traveling",), _mitm),
+    "classical": AttackKind(("classical-baseline",), _classical),
 }
 
 
@@ -502,19 +465,12 @@ def _int_list(v: str) -> list[int]:
     return [int(x.strip()) for x in v.split(",")]
 
 
-def _pair(v: str) -> tuple[int, int]:
-    parts = _int_list(v)
-    if len(parts) != 2:
-        raise ValueError(v)
-    return parts[0], parts[1]
-
-
 # Keys and value types per section; defaults live on the dataclasses.
 _FIELDS = {
     "protocol": {"scheme": str, "D": int, "N": int, "votes": _int_list, "yes_rate": float,
                  "salaries": _int_list, "sender": int, "message": int},
     "secrets": {"yes_level": int, "no_level": int, "offset": float},
-    "attack": {"kind": str, "target": int, "pair": _pair, "s": int, "theta_mode": str,
+    "attack": {"kind": str, "target": int, "pair": _int_list, "s": int, "theta_mode": str,
                "entangler": str, "repair": _bool},
     "run": {"backend": str, "seed": int, "trials": int, "repetitions": int},
 }

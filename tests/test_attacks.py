@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -654,6 +655,8 @@ class TestEntangling:
                 cfg, [1, 0, 1], 0, np.eye(9), (0, 1), np.random.default_rng(5), backend=backend
             )
             assert rep.statistics["pass_probability"] <= 1.0
+            swap = run_swap_attack(cfg, [1, 0, 1], 0, (1, 2), np.random.default_rng(5), backend=backend)
+            assert swap.statistics["pass_probability"] <= 1.0
 
     def test_swap_entangler_nondetection_is_one_over_d(self):
         for D in (2, 3, 4, 8):
@@ -802,3 +805,49 @@ def test_conditional_oracle_validates_its_secrets():
         cheater_conditional_distribution(5, 3, AuthoritySecrets(0, 1, 0.1), 1, 3, 1.1, 0.4, 2)
     with pytest.raises(ValueError, match="offset"):
         cheater_conditional_distribution(5, 3, AuthoritySecrets(1, 0, 2.0), 1, 3, 1.1, 0.4, 2)
+
+
+_PARTY_RUNS = {
+    "swap": lambda target, pair: run_swap_attack(_CFG, [1, 0, 1], target, pair, np.random.default_rng(0)),
+    "entangling": lambda target, pair: run_entangling_attack(_CFG, [1, 0, 1], target, np.eye(9), pair,
+                                                             np.random.default_rng(0)),
+    "rho_e1": lambda target, pair: entangling_rho_e1(_CFG, [1, 0, 1], target, np.eye(9)),
+    "mitm": lambda target, pair: run_mitm_traveling(ProtocolConfig(D=4, N=3), [1, 0, 1], target,
+                                                    np.random.default_rng(0)),
+    "classical": lambda target, pair: run_classical_eavesdrop(3, [1, 0, 1], target,
+                                                              np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("run, target, pair, words", [
+    *[(run, True, (0, 1), "attack targets must be integers, got True") for run in sorted(_PARTY_RUNS)],
+    *[(run, 1.5, (0, 1), "attack targets must be integers, got 1.5") for run in sorted(_PARTY_RUNS)],
+    *[(run, 3, (0, 1), "target out of range [0, 3): 3") for run in sorted(_PARTY_RUNS)],
+    *[(run, -1, (0, 1), "target out of range [0, 3): -1") for run in sorted(_PARTY_RUNS)],
+    # the entangling pair check is run by two voters; register 3 is the attacker's ancilla
+    ("entangling", 0, (0, 3), "pair check requires two distinct registers below 3, got (0, 3)"),
+    ("entangling", 0, (1, 1), "pair check requires two distinct registers below 3, got (1, 1)"),
+    ("entangling", 0, (0, 1, 2), "pair check requires two distinct registers below 3, got (0, 1, 2)"),
+    ("entangling", 0, (0, True), "pair registers must be integers, got True"),
+    ("swap", 0, (2, 2), "pair check requires two distinct registers below 4, got (2, 2)"),
+    ("swap", 0, (0, 4), "pair check requires two distinct registers below 4, got (0, 4)"),
+    ("swap", 0, (0, 1.5), "pair registers must be integers, got 1.5"),
+])
+def test_attack_party_inputs_rejected_with_their_words(run, target, pair, words):
+    """Each attack entry point checks its target and pair the same way: an
+    integer voter in [0, N), and two distinct registers; a bool or a
+    fractional index is not read as a voter."""
+    with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+        _PARTY_RUNS[run](target, pair)
+
+
+def test_mitm_requires_the_traveling_tally_room():
+    with pytest.raises(ValueError, match=re.escape("scheme 'traveling' requires D > N (got D=3, N=3)")):
+        run_mitm_traveling(ProtocolConfig(D=3, N=3, scheme="traveling"), [1, 0, 1], 0,
+                           np.random.default_rng(0))
+
+
+def test_pair_check_registers_lie_in_the_state():
+    bk = get_backend("branch")
+    with pytest.raises(ValueError, match=re.escape("two distinct registers below 2, got (0, 2)")):
+        run_pair_check(bk.ghz(2, 2), (0, 2), np.random.default_rng(0))
