@@ -464,7 +464,7 @@ def run_mitm_traveling(
     stays intact. Nothing in the scheme can flag this. The outcome tree (the
     decoy reading, the tally) is enumerated once, as in :func:`run_swap_attack`.
     """
-    config.require_tally_room()
+    config.require_tally_room("traveling")
     votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
     bk = get_backend(backend)
     D = config.D
@@ -521,8 +521,8 @@ def run_swap_attack(
     the requested number of trials is sampled from it.
     """
     votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
-    if pair_check is not None:  # any two registers of the attacked state, the ancilla N included
-        pair_check = _check_pair(pair_check, config.N + 1)
+    if pair_check is not None:  # run by two voters, never on the attacker's ancilla N
+        pair_check = _check_pair(pair_check, config.N)
     bk = get_backend(backend)
     D, N = config.D, config.N
     ancilla = N

@@ -75,9 +75,9 @@ class ProtocolConfig:
         if self.N < 1:
             raise ValueError("requires N >= 1")
 
-    def require_tally_room(self) -> None:
-        """Shift/phase voting needs D > N so tallies cannot alias mod D."""
-        _require_room(self.D, self.N, f"scheme {self.scheme!r}")
+    def require_tally_room(self, scheme: str | None = None) -> None:
+        """Voting needs D > N so tallies cannot alias mod D; errors name ``scheme`` or the config's."""
+        _require_room(self.D, self.N, f"scheme {scheme or self.scheme!r}")
 
     def require_announcement_dim(self) -> None:
         """The announcement variant sums its announcements mod D = N+1."""
@@ -173,7 +173,7 @@ def run_traveling(
     record_states: bool = False,
 ) -> TallyResult:
     """Traveling two-register ballot; each yes vote shifts the moving register."""
-    config.require_tally_room()
+    config.require_tally_room("traveling")
     votes, D = _check_votes(votes, config.N), config.D
     return _run_ballot(D, 2, votes, lambda k: 1, _weighted(shift_matrix, D), get_backend(backend),
                        config.rng() if rng is None else rng, shift_family(D),
@@ -189,7 +189,7 @@ def run_distributed(
     record_states: bool = False,
 ) -> TallyResult:
     """Distributed N-register ballot; each yes vote applies the diagonal phase."""
-    config.require_tally_room()
+    config.require_tally_room("distributed")
     votes, D, N = _check_votes(votes, config.N), config.D, config.N
     return _run_ballot(D, N, votes, lambda k: k, _weighted(phase_vote_matrix, D),
                        get_backend(backend), config.rng() if rng is None else rng,

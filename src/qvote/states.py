@@ -9,7 +9,10 @@ Both backends check each operator once, as a :class:`LocalOp` (the protocols'
 repeated ones cached by :func:`cached_op`), and each measurement family (0/1
 masks, diagonal matrices, kets) with :func:`_parse_family`. Every dense
 measurement scores each member in place (masks by row norms, kets by
-contraction), and :func:`_sample` expands only the drawn member.
+contraction), and :func:`_sample` expands only the drawn member. States and
+post-states are renormalized by :func:`_scaled`, numpy's division to the bit; the
+constructor scans the amplitudes once, for the norm, and for non-finite entries
+only when the norm fails its check, to name the fault.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ def _kept_dim(keep: Sequence[int], dims: tuple[int, ...]) -> tuple[list[int], in
     return keep, kdim
 
 
+def _scaled(x: np.ndarray, n: float) -> np.ndarray:
+    """``x / n`` for a real ``n``, bit for bit: numpy divides a complex ``x`` as
+    ``(re + im*0) * (1/n)``, ``(im - re*0) * (1/n)``, which is this multiply, signed
+    zeros included, at three times the speed."""
+    return x * complex(1.0 / n, -0.0) if x.dtype.kind == "c" else x / n
+
+
 class DenseState(_Frozen):
     """Normalized pure state over an ordered list of qudit registers."""
 
@@ -98,13 +108,13 @@ class DenseState(_Frozen):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, dims {dims} need {expected}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN or infinite norm fails too
+            if not np.all(np.isfinite(amps.view(float))):
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         # Renormalize exactly so float drift never compounds across operations.
-        amps = amps / norm
+        amps = _scaled(amps, norm)
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -374,7 +384,7 @@ def _parse_family(
             n = np.linalg.norm(P)
             if P.size != sub or not abs(n - 1.0) <= NORM_TOL:
                 raise ValueError("rank-1 projector ket must be normalized and match the register")
-            kets.append(P / n)
+            kets.append(_scaled(P, n))
         elif P.ndim == 2:
             if P.shape != (sub, sub):
                 raise ValueError(f"projector shape {P.shape} does not match subspace {sub}")
@@ -393,8 +403,9 @@ def _parse_family(
         if np.max(sum(masks, np.zeros(sdims))) > 1 + 1e-9:
             raise ValueError("diagonal projectors overlap")
     else:
-        V = np.asarray(kets)
-        if not np.max(np.abs(V.conj() @ V.T - np.eye(len(kets)))) <= NORM_TOL:
+        V = kets[0] if len(kets) == 1 else np.asarray(kets)  # one ket's Gram is its squared norm
+        gram = np.vdot(V, V) if V.ndim == 1 else V.conj() @ V.T
+        if not np.max(np.abs(gram - np.eye(len(kets)))) <= NORM_TOL:
             raise ValueError("projector kets are not mutually orthogonal")
     return masks, kets
 
@@ -489,7 +500,7 @@ def _sample(
     k = _draw_outcome(weights, rank, mat.shape[0], rng)
     post = expand(k) if k < len(weights) else mat - sum(map(expand, range(len(weights))))
     p = float(np.real(np.vdot(post, post)))
-    return k, _from_matrix(state, post / np.sqrt(p), perm), p
+    return k, _from_matrix(state, _scaled(post, np.sqrt(p)), perm), p
 
 
 def measure_projective(
@@ -526,7 +537,7 @@ def project(
     p = float(np.real(np.vdot(post, post)))
     if p <= VANISHING_PROB:
         return p, None
-    return p, _from_matrix(state, post / np.sqrt(p), perm)
+    return p, _from_matrix(state, _scaled(post, np.sqrt(p)), perm)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from qvote.matrices import (
     shift_matrix,
     swap_pair_matrix,
 )
-from qvote.protocols import ProtocolConfig, sample_zero_sum_ballots
+from qvote.protocols import ProtocolConfig, run_distributed, run_traveling, sample_zero_sum_ballots
 from qvote.states import cached_op, sample_index, trace_distance
 
 SECRETS = AuthoritySecrets(yes_level=1, no_level=0, offset=0.3)
@@ -483,7 +483,8 @@ class TestSwapAttack:
             assert set(rep.outcome_histogram) == {expected}
 
     def test_pair_check_detection_probability(self):
-        for D in (2, 4):
+        # D=2 allows one voter (D > N), too few for a pair check run by two voters
+        for D in (3, 4):
             cfg = ProtocolConfig(D=D, N=2 if D == 3 else min(D - 1, 3), scheme="distributed", seed=0)
             rng = np.random.default_rng(6)
             votes = [1] * cfg.N
@@ -829,8 +830,9 @@ _PARTY_RUNS = {
     ("entangling", 0, (1, 1), "pair check requires two distinct registers below 3, got (1, 1)"),
     ("entangling", 0, (0, 1, 2), "pair check requires two distinct registers below 3, got (0, 1, 2)"),
     ("entangling", 0, (0, True), "pair registers must be integers, got True"),
-    ("swap", 0, (2, 2), "pair check requires two distinct registers below 4, got (2, 2)"),
-    ("swap", 0, (0, 4), "pair check requires two distinct registers below 4, got (0, 4)"),
+    # so is the swap attack's; register 3 is its ancilla too
+    ("swap", 0, (2, 2), "pair check requires two distinct registers below 3, got (2, 2)"),
+    ("swap", 0, (0, 3), "pair check requires two distinct registers below 3, got (0, 3)"),
     ("swap", 0, (0, 1.5), "pair registers must be integers, got 1.5"),
 ])
 def test_attack_party_inputs_rejected_with_their_words(run, target, pair, words):
@@ -845,6 +847,17 @@ def test_mitm_requires_the_traveling_tally_room():
     with pytest.raises(ValueError, match=re.escape("scheme 'traveling' requires D > N (got D=3, N=3)")):
         run_mitm_traveling(ProtocolConfig(D=3, N=3, scheme="traveling"), [1, 0, 1], 0,
                            np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("run, scheme, ballot", [
+    (lambda cfg: run_traveling(cfg, [1, 0, 1]), "distributed", "traveling"),
+    (lambda cfg: run_mitm_traveling(cfg, [1, 0, 1], 0, np.random.default_rng(0)), "distributed", "traveling"),
+    (lambda cfg: run_distributed(cfg, [1, 0, 1]), "traveling", "distributed"),
+], ids=["run_traveling", "run_mitm_traveling", "run_distributed"])
+def test_room_error_names_the_ballot_run(run, scheme, ballot):
+    """The error names the ballot that was run, not the config's scheme (by default 'distributed')."""
+    with pytest.raises(ValueError, match=re.escape(f"scheme '{ballot}' requires D > N (got D=3, N=3)")):
+        run(ProtocolConfig(D=3, N=3, scheme=scheme))
 
 
 def test_pair_check_registers_lie_in_the_state():

@@ -345,6 +345,7 @@ def test_cli_exit_codes_and_repeatable_reports(sections):
         return
     text = _text(sections)
     accepted = _accepts(text) is None
+    on_branch = sections.get("run", {}).get("backend") == "branch"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.ini"
         path.write_text(text)
@@ -356,6 +357,8 @@ def test_cli_exit_codes_and_repeatable_reports(sections):
                 with contextlib.redirect_stderr(err):
                     code = main([command, str(path), "--format", "json-lines", "--out", str(out)])
                 assert code in (0, 1, 3), (command, text, err.getvalue())
+                # a budget error already on the branch backend hints at no switch
+                assert not (code == 3 and on_branch and "switch to backend = branch" in err.getvalue())
                 assert accepted or code == 1, (command, text)
                 outputs.append(out.read_bytes() if out.exists() else None)
             assert outputs[0] == outputs[1], (command, text)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -81,6 +82,50 @@ class TestConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             DenseState((2,), np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("amps, words", [
+        ([np.nan, 0.0], "amplitudes must be finite"),
+        ([0.0, complex(0.0, np.nan)], "amplitudes must be finite"),
+        ([np.inf, 0.0], "amplitudes must be finite"),
+        ([1.0, -np.inf], "amplitudes must be finite"),
+        ([1.0, 1.0], "state norm 1.4142135623730951 deviates from 1 beyond 1e-10"),
+        ([1e200, 1e200], "state norm inf deviates from 1 beyond 1e-10"),
+        ([0.0, 0.0], "state norm 0.0 deviates from 1 beyond 1e-10"),
+    ])
+    def test_construction_messages(self, amps, words):
+        """The norm is checked first; a failed check names a non-finite amplitude
+        before the norm, and a finite vector whose norm overflows by its norm."""
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}$"), np.errstate(over="ignore"):
+            DenseState((2,), np.array(amps))
+
+
+_TOL = states_module.NORM_TOL
+# signed zeros, subnormals and the smallest normal among the entries
+_ENTRIES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-160])
+            | st.floats(-1.0, 1.0, allow_subnormal=True))
+# a norm within NORM_TOL of 1, or the root of a probability that is not vanishing
+_SCALES = (st.floats(1.0 - _TOL, 1.0 + _TOL)
+           | st.floats(states_module.VANISHING_PROB, 1.0, exclude_min=True).map(np.sqrt))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=2, max_size=24), _SCALES, st.integers(1, 3))
+def test_reciprocal_scaling_is_the_division_bit_for_bit(entries, n, step):
+    """``x * complex(1/n, -0.0)`` is numpy's ``x / n`` for a complex ``x``, signed
+    zeros and subnormals included, over the scales the dense state divides by:
+    a norm within NORM_TOL of 1 and the square root of a non-vanishing probability."""
+    x = np.empty(len(entries), dtype=complex)
+    x.real, x.imag = np.array(entries).T
+    views = [x, x[::step], x[::-1]] + ([x.reshape(2, -1).T] if len(x) % 2 == 0 else [])
+    for v in views:
+        assert (v * complex(1.0 / n, -0.0)).tobytes() == (v / n).tobytes()
+        assert states_module._scaled(v, n).tobytes() == (v / n).tobytes()
+    norm = float(np.linalg.norm(x))
+    if norm > 0.0:  # the constructor renormalizes a vector within NORM_TOL of unit norm
+        unit = (x / norm) * n if abs(n - 1.0) <= _TOL else x / norm
+        norm = float(np.linalg.norm(unit))
+        if abs(norm - 1.0) <= _TOL:
+            assert DenseState((len(x),), unit).amps.tobytes() == (unit / norm).tobytes()
 
 
 class TestApplyLocal:
