@@ -321,7 +321,6 @@ def run_round(
     rng: np.random.Generator,
     backend: str = "branch",
     variant: str = "distributed",
-    correction_register: int = 0,
 ) -> tuple[ReadoutResult, AntiCheatRound]:
     """Full honest round: setup, all votes, corrections, readout."""
     votes = _check_votes(votes, N)
@@ -329,7 +328,7 @@ def run_round(
     cast = vote_distributed if variant == "distributed" else vote_traveling
     for voter, v in enumerate(votes):
         cast(round_, voter, v, rng)
-    authority_correct(round_, register=correction_register)
+    authority_correct(round_)
     result = authority_readout(round_, rng)
     return result, round_
 
@@ -362,6 +361,7 @@ def run_repeated(
     its own round). ``round_fn(rng) -> ReadoutResult`` swaps in a different
     per-round procedure, e.g. an attacked round.
     """
+    (K,) = _integers((K,), "repetition counts")
     if K < 1:
         raise ValueError("need at least one repetition")
     if round_fn is None:

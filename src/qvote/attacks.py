@@ -16,8 +16,9 @@ perfectly, caught by a pair agreement check with probability 1 - 1/D), the
 general entangling attack (detection probability computable from the
 attack's columns; undetectable product-form attacks leave the eavesdropper
 with a vote-independent reduced state), and the classical baseline
-eavesdropper (perfect leak, no detection possible). Eavesdroppers draw their
-trials from an outcome tree enumerated once.
+eavesdropper (perfect leak, no detection possible). Each eavesdropper
+enumerates its outcome tree once; one function, ``_tree_report``, draws the
+trials from it and counts each drawn leaf into the report.
 """
 
 from __future__ import annotations
@@ -138,9 +139,14 @@ class CheaterPlan:
             )
         if self.s < 0:
             raise ValueError("shift count must be >= 1")
-        for est in (self.theta_yes_est, self.theta_no_est):
-            if est is not None and not math.isfinite(est):
-                raise ValueError(f"angle estimates must be finite, got {est!r}")
+        _check_estimates(self.theta_yes_est, self.theta_no_est)
+
+
+def _check_estimates(*estimates) -> None:
+    """Fixed angle estimates (None: to be sampled) are finite numbers."""
+    for est in estimates:
+        if est is not None and not math.isfinite(est):
+            raise ValueError(f"angle estimates must be finite, got {est!r}")
 
 
 def run_cheater_attack(
@@ -243,6 +249,8 @@ def conditional_pq(
     Probability that the corrected state lands on readout index q given the
     cheater's announced r, his angle estimates, and m honest yes votes.
     """
+    _integers((D, s, m, r), "D, s, m and r")
+    _check_estimates(theta_yes_est, theta_no_est)
     theta_n = secrets.no_angle(D)
     delta_angle = 2 * np.pi * secrets.gap / D
     phi = m * delta_angle - theta_n - 2 * np.pi * np.arange(D) / D
@@ -273,6 +281,8 @@ def cheater_conditional_distribution(
     projection instead of sampling, and returns the readout distribution over
     all q in [0, D).
     """
+    _integers((D, N, s, m, r), "D, N, s, m and r")
+    _check_estimates(theta_yes_est, theta_no_est)
     if not 0 <= m <= N - 1:
         raise ValueError("m must be an honest yes-count in [0, N-1]")
     if not 0 <= r < D:
@@ -303,8 +313,7 @@ def analytic_pq(D: int, s: int, m: int, q: int | None = None):
     Outside the stated parameter regime the formula is not claimed and the
     call is rejected.
     """
-    if not (isinstance(s, (int, np.integer)) and isinstance(m, (int, np.integer))):
-        raise ValueError("s and m must be integers")
+    _integers((D, s, m), "D, s and m")
     if not 2 * s > D:
         raise ValueError(f"closed form requires s > D/2 (got s={s}, D={D})")
     if not s < D:
@@ -332,6 +341,7 @@ def monte_carlo_pq(
     register bookkeeping contracted away. m enters only through its phase
     multiple, so values up to D-1 are accepted.
     """
+    _integers((D, s, m), "D, s and m")
     if not 2 * s > D or not s < D:
         raise ValueError(f"Monte Carlo regime requires D/2 < s < D (got s={s}, D={D})")
     _check_trials(trials)
@@ -413,6 +423,22 @@ def _batched_counts(trials: int, draw):
             yield values[i].item(), int(counts[i])
 
 
+def _tree_report(kind, trials, draw, row, vote, seed, analytic_detection=None, **statistics):
+    """A report over ``trials`` outcomes of ``draw(n)``, drawn by :func:`_batched_counts`:
+    outcome k is the tree leaf ``row(k) = (detected, reading, histogram key)``, and a
+    reading other than None is a leak attempt, correct when it equals ``vote``."""
+    report = AttackReport(kind, trials, analytic_detection=analytic_detection,
+                          statistics=statistics, seed=seed)
+    for k, count in _batched_counts(trials, draw):
+        detected, reading, key = row(k)
+        report.detected_count += count if detected else 0
+        if reading is not None:
+            report.leak_attempts += count
+            report.leak_correct += count if reading == vote else 0
+        report._bump(key, count)
+    return report
+
+
 def _check_target(target, N: int) -> int:
     """The attacked voter: an integer in [0, N)."""
     (target,) = _integers((target,), "attack targets")
@@ -476,25 +502,18 @@ def run_mitm_traveling(
 
     state = bk.attach(bk.ghz(D, 2), D, 0)  # the decoy qudit, register 2
     state = cast(cast(state, votes[:target]), votes[target:target + 1], reg=2)
-    branches = []  # (probability, leak reading, tally)
+    probs, rows = [], []  # per leaf of the tree (decoy reading, tally)
     for leak in range(D):
         p_leak, st = bk.project_ket(state, 2, np.eye(D, dtype=complex)[leak])
-        if st is not None and p_leak > 1e-14:
+        if st is not None:
             if repair and leak:
                 st = bk.apply_local(st, 1, cached_op(shift_matrix, D, leak))
             st = bk.drop(cast(st, votes[target + 1:]), 2)
-            branches += [(p_leak * bk.target_probability(st, t), leak, tally)
-                         for tally, t in enumerate(shift_family(D))]
-    report = AttackReport(kind="mitm-traveling", trials=trials, seed=seed)
-    probs = [p for p, _, _ in branches]
-    for k, count in _batched_counts(trials, lambda n: sample_index(probs, rng, n)):
-        _, leak, tally = branches[k]
-        report.leak_attempts += count
-        if leak == votes[target]:
-            report.leak_correct += count
-        report._bump(f"tally={tally}", count)
-    report.statistics["expected_tally"] = sum(votes)
-    return report
+            for tally, t in enumerate(shift_family(D)):
+                probs.append(p_leak * bk.target_probability(st, t))
+                rows.append((False, leak, f"tally={tally}"))
+    return _tree_report("mitm-traveling", trials, lambda n: sample_index(probs, rng, n),
+                        rows.__getitem__, votes[target], seed, expected_tally=sum(votes))
 
 
 def run_swap_attack(
@@ -537,9 +556,9 @@ def run_swap_attack(
     else:
         p_pass, passed = 1.0, state
 
-    # Continuation after a passed (or absent) check.
-    branches = []  # (probability, leak reading, tally)
-    if passed is not None and p_pass > 1e-14:
+    # The leaves: a failed check, then each (reading, tally) after a passed or absent one.
+    probs, rows = [1.0 - p_pass], [(True, None, "detected")]
+    if passed is not None:
         st2 = passed
         for voter, v in enumerate(votes):
             if v:
@@ -547,36 +566,18 @@ def run_swap_attack(
         st2 = bk.swap(st2, ancilla, target)
         for y in range(D):
             p_y, st_y = bk.project_ket(st2, ancilla, phase_state(D, 2 * np.pi * y / D))
-            if st_y is None or p_y <= 1e-14:
+            if st_y is None:
                 continue
             if repair and y:
                 st_y = bk.apply_local(st_y, target, cached_op(phase_vote_matrix, D, y))
             st_y = bk.drop(st_y, ancilla)
             tally_probs = [bk.target_probability(st_y, t) for t in phase_family(D, N)]
-            tally = int(np.argmax(tally_probs))
-            branches.append((p_pass * p_y, y, tally))
-
-    probs = [1.0 - p_pass] + [p for p, _, _ in branches]
-    report = AttackReport(
-        kind="swap",
-        trials=trials,
-        analytic_detection=(1.0 - 1.0 / D) if checked else 0.0,
-        seed=seed,
-    )
-    for k, count in _batched_counts(trials, lambda n: sample_index(probs, rng, n)):
-        if k == 0:
-            report.detected_count += count
-            report._bump("detected", count)
-        else:
-            _, y, tally = branches[k - 1]
-            report.leak_attempts += count
-            if y == votes[target]:
-                report.leak_correct += count
-            report._bump(f"reading={y},tally={tally}", count)
-    # a Born sum can exceed 1 by a few ulps; the draws above keep the value as it is
-    report.statistics["pass_probability"] = min(p_pass, 1.0)
-    report.statistics["expected_tally"] = sum(votes)
-    return report
+            probs.append(p_pass * p_y)
+            rows.append((False, y, f"reading={y},tally={int(np.argmax(tally_probs))}"))
+    # a Born sum can exceed 1 by a few ulps; the draws keep the value as it is
+    return _tree_report("swap", trials, lambda n: sample_index(probs, rng, n), rows.__getitem__,
+                        votes[target], seed, (1.0 - 1.0 / D) if checked else 0.0,
+                        pass_probability=min(p_pass, 1.0), expected_tally=sum(votes))
 
 
 def random_product_attack(D: int, rng: np.random.Generator) -> np.ndarray:
@@ -605,6 +606,17 @@ def analytic_nondetection(U: np.ndarray, D: int) -> float:
     return total / D
 
 
+def _entangled_ballot(config: ProtocolConfig, votes, target, U, backend):
+    """The distributed ballot before voting, the ancilla |0> at register N entangled
+    with the target by U: (votes, target, backend, U as a LocalOp, state)."""
+    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
+    bk = get_backend(backend)
+    D, N = config.D, config.N
+    U = LocalOp(U, D * D)
+    state = bk.attach(bk.ghz(D, N), D, 0)
+    return votes, target, bk, U, bk.apply_pair(state, (N, target), U)
+
+
 def entangling_rho_e1(
     config: ProtocolConfig,
     votes,
@@ -613,16 +625,11 @@ def entangling_rho_e1(
     backend: str = "branch",
 ) -> np.ndarray:
     """Reduced state on (ancilla, target register) after the attack and voting."""
-    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
-    bk = get_backend(backend)
-    D, N = config.D, config.N
-    state = bk.ghz(D, N)
-    state = bk.attach(state, D, 0)
-    state = bk.apply_pair(state, (N, target), U)
+    votes, target, bk, _, state = _entangled_ballot(config, votes, target, U, backend)
     for voter, v in enumerate(votes):
         if v:
-            state = bk.apply_local(state, voter, cached_op(phase_vote_matrix, D, 1))
-    return bk.reduced(state, [N, target])
+            state = bk.apply_local(state, voter, cached_op(phase_vote_matrix, config.D, 1))
+    return bk.reduced(state, [config.N, target])
 
 
 def run_entangling_attack(
@@ -643,32 +650,15 @@ def run_entangling_attack(
     trials are sampled from the exactly computed pass probability, which is
     also reported against the analytic column expression.
     """
-    votes, target = _check_votes(votes, config.N), _check_target(target, config.N)
     pair = _check_pair(pair, config.N)
-    bk = get_backend(backend)
-    D, N = config.D, config.N
-    U = LocalOp(U, D * D)
-    state = bk.ghz(D, N)
-    state = bk.attach(state, D, 0)
-    state = bk.apply_pair(state, (N, target), U)
-    p_pass, _ = bk.project_diag(state, list(pair), pair_agree_mask(D))
-
-    report = AttackReport(
-        kind="entangling",
-        trials=trials,
-        analytic_detection=1.0 - analytic_nondetection(U.matrix, D) if target in pair else None,
-        seed=seed,
-    )
-    for detected, count in _batched_counts(trials, lambda n: rng.random(n) < 1.0 - p_pass):
-        if detected:
-            report.detected_count += count
-            report._bump("detected", count)
-        else:
-            report._bump("passed", count)
-    # a Born sum can exceed 1 by a few ulps; the draws above never fire either way
-    report.statistics["pass_probability"] = min(p_pass, 1.0)
-    report.statistics["analytic_nondetection"] = analytic_nondetection(U.matrix, D)
-    return report
+    votes, target, bk, U, state = _entangled_ballot(config, votes, target, U, backend)
+    p_pass, _ = bk.project_diag(state, list(pair), pair_agree_mask(config.D))
+    nondetection = analytic_nondetection(U.matrix, config.D)
+    # a Born sum can exceed 1 by a few ulps; the draws never fire either way
+    return _tree_report("entangling", trials, lambda n: rng.random(n) < 1.0 - p_pass,
+                        [(False, None, "passed"), (True, None, "detected")].__getitem__,
+                        votes[target], seed, 1.0 - nondetection if target in pair else None,
+                        pass_probability=min(p_pass, 1.0), analytic_nondetection=nondetection)
 
 
 def run_classical_eavesdrop(
@@ -683,23 +673,13 @@ def run_classical_eavesdrop(
     before and after; the difference is the vote, and nothing can notice."""
     votes, target = _check_votes(votes, N), _check_target(target, N)
     D = N + 1
-    report = AttackReport(
-        kind="classical-eavesdrop",
-        trials=trials,
-        analytic_detection=0.0,
-        seed=seed,
-    )
 
     def draw(n):  # each trial's (leak, tally) as leak * D + tally
         labels = sample_zero_sum_ballots(N, n, rng)
         marked = (labels + votes) % D
         return (marked[:, target] - labels[:, target]) % D * D + marked.sum(axis=1) % D
 
-    for outcome, count in _batched_counts(trials, draw):
-        leak, tally = divmod(outcome, D)
-        report.leak_attempts += count
-        if leak == votes[target]:
-            report.leak_correct += count
-        report._bump(f"tally={tally}", count)
-    report.statistics["expected_tally"] = sum(votes)
-    return report
+    # the D * D leaves are made as they are drawn; D = N + 1 has no bound
+    return _tree_report("classical-eavesdrop", trials, draw,
+                        lambda k: (False, k // D, f"tally={k % D}"), votes[target], seed, 0.0,
+                        expected_tally=sum(votes))

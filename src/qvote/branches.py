@@ -54,6 +54,7 @@ from .states import (
     DensityMatrix,
     LocalOp,
     _check_dims,
+    _check_ghz,
     _check_registers,
     _draw_outcome,
     _Frozen,
@@ -213,13 +214,6 @@ class BranchState(_Frozen):
 
 
 _FAMILY_CACHE = 512  # states; holds every readout family of a D = 49 round and more
-
-
-def _check_ghz(D: int, N: int) -> None:
-    if D < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {D}")
-    if N < 1:
-        raise ValueError(f"register count must be >= 1, got {N}")
 
 
 @lru_cache(maxsize=64)

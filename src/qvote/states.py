@@ -225,12 +225,16 @@ def _initial_vector(dim: int, initial: int | np.ndarray) -> np.ndarray:
     return amps
 
 
-def make_uniform_ghz(D: int, N: int) -> DenseState:
-    """Correlated state (1/sqrt(D)) sum_j |j>^(x N)."""
+def _check_ghz(D: int, N: int) -> None:
     if D < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {D}")
     if N < 1:
         raise ValueError(f"register count must be >= 1, got {N}")
+
+
+def make_uniform_ghz(D: int, N: int) -> DenseState:
+    """Correlated state (1/sqrt(D)) sum_j |j>^(x N)."""
+    _check_ghz(D, N)
     dims = _check_dims((D,) * N)
     amps = np.zeros(D**N, dtype=complex)
     stride = (D**N - 1) // (D - 1)  # index of |j,j,...,j> is j * stride
@@ -289,8 +293,7 @@ def cached_op(builder: Callable[..., np.ndarray], *args) -> LocalOp:
 
 def apply_local(state: DenseState, register: int, U: LocalOp | np.ndarray) -> DenseState:
     """Apply a single-register unitary: (I x ... x U x ... x I)|state>."""
-    if not 0 <= register < state.num_registers:
-        raise ValueError(f"register {register} out of range")
+    _check_registers([register], state.num_registers)
     U = LocalOp.of(U, state.dims[register]).matrix
     t = state.tensor()
     t = np.moveaxis(np.tensordot(U, t, axes=([1], [register])), 0, register)
@@ -549,8 +552,7 @@ def drop_product_register(state: DenseState, register: int) -> DenseState:
 
     Raises if the register is entangled (Schmidt rank > 1 within tolerance).
     """
-    if not 0 <= register < state.num_registers:
-        raise ValueError(f"register {register} out of range")
+    _check_registers([register], state.num_registers)
     if state.num_registers == 1:
         raise ValueError("cannot drop the only register")
     mat, perm = _as_matrix(state, [register])

@@ -20,6 +20,7 @@ from qvote.anticheat import (
     _cast_vote_on,
     authority_correct,
     authority_readout,
+    run_repeated,
     setup,
     vote_distributed,
 )
@@ -570,13 +571,18 @@ class TestBatchedSampling:
         assert a.random(7).tolist() == [b.random() for _ in range(7)]
 
     @pytest.mark.parametrize("trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
-    @pytest.mark.parametrize("attack", ["swap", "entangling"])
+    @pytest.mark.parametrize("attack", ["swap", "swap-unrepaired", "swap-pair-off-target",
+                                        "entangling", "classical"])
     def test_reports_equal_the_per_trial_loop(self, attack, trials):
         cfg = ProtocolConfig(D=3, N=3, scheme="distributed", seed=0)
 
         def run(rng):
-            if attack == "swap":
-                return run_swap_attack(cfg, [1, 0, 1], 0, (0, 1), rng, trials=trials)
+            if attack.startswith("swap"):
+                pair = (1, 2) if attack == "swap-pair-off-target" else (0, 1)
+                return run_swap_attack(cfg, [1, 0, 1], 0, pair, rng, trials=trials,
+                                       repair=attack != "swap-unrepaired")
+            if attack == "classical":
+                return run_classical_eavesdrop(4, [1, 0, 1, 1], 2, rng, trials=trials, seed=4)
             return run_entangling_attack(cfg, [1, 0, 1], 0, swap_pair_matrix(3), (0, 1), rng,
                                          trials=trials)
 
@@ -841,6 +847,37 @@ def test_attack_party_inputs_rejected_with_their_words(run, target, pair, words)
     fractional index is not read as a voter."""
     with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
         _PARTY_RUNS[run](target, pair)
+
+
+@pytest.mark.parametrize("call, words", [
+    # a fractional or bool count is not truncated into another count
+    (lambda: cheater_conditional_distribution(4, 3, SECRETS, 1.5, 3, 1.1, 0.4, 1),
+     "D, N, s, m and r must be integers, got 1.5"),
+    (lambda: cheater_conditional_distribution(4, 3, SECRETS, 1, 2.5, 1.1, 0.4, 1),
+     "D, N, s, m and r must be integers, got 2.5"),
+    (lambda: cheater_conditional_distribution(4, 3, SECRETS, 1, 3, 1.1, 0.4, 1.5),
+     "D, N, s, m and r must be integers, got 1.5"),
+    (lambda: cheater_conditional_distribution(4, 3, SECRETS, 1, 3, 1.1, 0.4, True),
+     "D, N, s, m and r must be integers, got True"),
+    (lambda: cheater_conditional_distribution(4, 3, SECRETS, 1, 3, np.nan, 0.4, 1),
+     "angle estimates must be finite, got nan"),
+    (lambda: conditional_pq(4, 2.5, 1, 1, 1.1, 0.4, SECRETS), "D, s, m and r must be integers, got 2.5"),
+    (lambda: conditional_pq(4.0, 3, 1, 1, 1.1, 0.4, SECRETS), "D, s, m and r must be integers, got 4.0"),
+    (lambda: conditional_pq(4, 3, 1, 1, 1.1, np.nan, SECRETS), "angle estimates must be finite, got nan"),
+    (lambda: monte_carlo_pq(8, 5.5, 6, 50, np.random.default_rng(0)), "D, s and m must be integers, got 5.5"),
+    (lambda: monte_carlo_pq(8, 5, 6.5, 50, np.random.default_rng(0)), "D, s and m must be integers, got 6.5"),
+    (lambda: analytic_pq(8, 5, True), "D, s and m must be integers, got True"),
+    (lambda: run_repeated(8, 3, SECRETS, [1, 0, 1], 2.5, np.random.default_rng(0)),
+     "repetition counts must be integers, got 2.5"),
+    (lambda: run_repeated(8, 3, SECRETS, [1, 0, 1], True, np.random.default_rng(0)),
+     "repetition counts must be integers, got True"),
+], ids=["ccd-m", "ccd-s", "ccd-r", "ccd-r-bool", "ccd-nan", "cpq-s", "cpq-D", "cpq-nan",
+        "mc-s", "mc-m", "analytic-m-bool", "repeated-K", "repeated-K-bool"])
+def test_cheater_analysis_inputs_rejected_with_their_words(call, words):
+    """The cheater's analysis functions and repeated rounds take integer counts
+    and finite estimates, as :class:`CheaterPlan` and the round itself do."""
+    with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+        call()
 
 
 def test_mitm_requires_the_traveling_tally_room():
