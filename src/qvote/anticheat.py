@@ -11,7 +11,10 @@ exposes manipulation.
 
 Both the distributed variant (one ballot register per voter, final state on
 2N registers) and the traveling variant (two-register ballot, voting
-register disentangled and discarded after each vote) are provided.
+register disentangled and discarded after each vote) are provided. Every
+state of either is label-diagonal, sum_j c_j |j...j>, so the branch backend
+plays a round as D coefficients (:func:`_label_rounds`, the cheater's engine
+too); the dense backend, the oracle, plays each step (:func:`play`).
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from .backends import get_backend
-from .branches import MeasurementFamily, phase_family
+from .branches import BranchState, MeasurementFamily, _ghz_rows, phase_family
 from .matrices import phase_state, shift_matrix
 from .protocols import Transcript, _check_votes, _integers, _require_room
-from .states import cached_op
+from .states import _draw_rows, cached_op
 
 VARIANTS = ("distributed", "traveling")
 
@@ -146,8 +149,7 @@ def setup(
     product state that never touches the ballot, so it is simply never
     attached to the simulation.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    _check_variant(variant)
     D, N = _integers((D, N), "D and N")
     if secrets is None:
         secrets = random_secrets(D, N, rng)
@@ -165,6 +167,11 @@ def setup(
         ballot_regs=list(range(regs)),
         announced=[None] * N,
     )
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def _cast_vote_on(
@@ -289,28 +296,51 @@ def authority_readout(round_: AntiCheatRound, rng: np.random.Generator) -> Reado
     if not round_.corrected:
         raise ValueError("apply authority corrections before reading out")
     bk = round_.backend
-    D = round_.D
-    gap = round_.secrets.gap
-    family = phase_family(D, len(bk.dims(round_.state)), gap)
+    family = phase_family(round_.D, len(bk.dims(round_.state)), round_.secrets.gap)
     outcome, _, p = bk.measure_targets(round_.state, family, rng)
-    if outcome >= len(family):
-        res = ReadoutResult(
-            q=None, m_inferred=None, cheat_detected=True, error_outcome=True, probability=p
-        )
-    else:
-        m = outcome  # the readout index is q = m * gap
-        legal = m <= round_.N
-        res = ReadoutResult(
-            q=m * gap,
-            m_inferred=m if legal else None,
-            cheat_detected=not legal,
-            error_outcome=False,
-            probability=p,
-        )
-    round_.transcript.public.append(
-        {"event": "readout", "q": res.q, "error": res.error_outcome}
-    )
+    return _readout(round_, None if outcome >= len(family) else outcome, p)
+
+
+def _readout(round_: AntiCheatRound, m: int | None, p: float) -> ReadoutResult:
+    """Record readout member m (q = m * gap; None, the error outcome), drawn with
+    probability p: cheating shows as the error or as m above N."""
+    legal = m is not None and m <= round_.N
+    res = ReadoutResult(None if m is None else m * round_.secrets.gap, m if legal else None,
+                        not legal, m is None, p)
+    round_.transcript.public.append({"event": "readout", "q": res.q, "error": res.error_outcome})
     return res
+
+
+def _label_rounds(c, secrets: AuthoritySecrets, angles, u: np.ndarray, variant: str, shift=None):
+    """Rounds in the label frame from the (n, D) ballot coefficients ``c`` of
+    sum_j c_j |j...j>, each drawn by its row of ``u``: one uniform per voter, as
+    :func:`qvote.states.sample_index` compares it, then the readout's. A vote keeps
+    voting label j - r, which its shift (traveling: the controlled shift to 0 and
+    the drop) returns to j; every other step, and ``shift``, the cheater's angle
+    per round, is diagonal. ``angles[v]``: a number or one per round. Returns each
+    voter's r, the corrected ``c``, the readout member (-1: the error outcome) and
+    its probability."""
+    (n, D), j = c.shape, np.arange(c.shape[1])
+    rows, rolled = np.arange(n), (j - j[:, None]) % D  # [r, j]: voting label j - r
+    rs = []
+    for voter, theta in enumerate(angles):
+        theta = np.full((1, 1), theta) if np.ndim(theta) == 0 else theta[:, None]
+        a = np.exp(1j * j * theta) / np.sqrt(D)  # the voting qudits, one row or one per round
+        p = ((abs(a) ** 2)[:, rolled] @ (abs(c) ** 2)[:, :, None])[:, :, 0]
+        rs.append(_draw_rows(p, u[:, voter], complete=True))
+        c = c * a[rows[:, None] % len(a), rolled[rs[-1]]] / np.sqrt(p[rows, rs[-1]])[:, None]
+        if variant == "traveling":  # the authority undoes the wrap phase right away
+            c = np.where(j < rs[-1][:, None], c * np.exp(-1j * D * secrets.offset), c)
+    if shift is not None:
+        c = c * np.exp(1j * j * shift[:, None])
+    for r in rs if variant == "distributed" else ():  # the wrap corrections, then the no-angle removal
+        c = np.where(j < r[:, None], c * np.exp(-1j * D * secrets.offset), c)
+    c = c * np.exp(-1j * j * len(angles) * secrets.no_angle(D))
+    probs = abs(np.fft.fft(c, axis=1)[:, ::secrets.gap]) ** 2 / D  # phase_family(D, regs, gap)
+    k = _draw_rows(probs, u[:, len(angles)])
+    error = k == probs.shape[1]
+    return rs, c, np.where(error, -1, k), np.where(error, 1.0 - probs.cumsum(axis=1)[:, -1],
+                                                   probs[rows, np.minimum(k, probs.shape[1] - 1)])
 
 
 def run_round(
@@ -322,15 +352,32 @@ def run_round(
     backend: str = "branch",
     variant: str = "distributed",
 ) -> tuple[ReadoutResult, AntiCheatRound]:
-    """Full honest round: setup, all votes, corrections, readout."""
+    """Full honest round: setup, all votes, corrections, readout; played step by
+    step on the dense backend, in the label frame on branch, where the corrected
+    ballot is a D-row label state on 2N registers (distributed) or 2."""
     votes = _check_votes(votes, N)
     round_ = setup(D, N, secrets, rng, variant=variant, backend=backend)
-    cast = vote_distributed if variant == "distributed" else vote_traveling
+    if round_.backend_name == "dense":
+        return play(round_, votes, rng), round_
+    D, N, secrets = round_.D, round_.N, round_.secrets  # checked, or drawn
+    angles = [secrets.yes_angle(D) if v else secrets.no_angle(D) for v in votes]
+    c = np.full((1, D), 1.0 / np.sqrt(D), dtype=complex)
+    rs, c, (k,), (p,) = _label_rounds(c, secrets, angles, rng.random((1, N + 1)), variant)
+    for voter, (v, r) in enumerate(zip(votes, rs)):
+        _announce(round_, voter, v, int(r[0]))
+    regs = 2 * N if variant == "distributed" else 2
+    round_.state = BranchState._trusted((D,) * regs, list(zip(c[0].tolist(), _ghz_rows(D, regs))))
+    round_.corrected = True
+    return _readout(round_, None if k < 0 else int(k), float(p)), round_
+
+
+def play(round_: AntiCheatRound, votes, rng: np.random.Generator) -> ReadoutResult:
+    """Play an honest round step by step on its backend, the oracle of the label frame."""
+    cast = vote_distributed if round_.variant == "distributed" else vote_traveling
     for voter, v in enumerate(votes):
         cast(round_, voter, v, rng)
     authority_correct(round_)
-    result = authority_readout(round_, rng)
-    return result, round_
+    return authority_readout(round_, rng)
 
 
 @dataclass

@@ -5,10 +5,10 @@ POVM (Fejer-kernel density, drawn exactly as a uniform phase followed by a
 shifted Fourier measurement), votes no with the estimate, and shifts s yes
 votes to no votes with a diagonal phase applied s times. The readout
 index the authority measures then follows a broad distribution peaked at
-(m - s) mod D, reproduced here three ways: the protocol's rounds, run as
-one batch of D label coefficients per trial (every state of the round is
-label-diagonal), a vectorized Monte Carlo over the exact per-trial
-amplitudes, and the closed form valid for D = N+1, levels (1, 0), s > D/2.
+(m - s) mod D, reproduced here three ways: the protocol's rounds of either
+variant, run as one batch of D label coefficients per trial by the anti-cheat
+round engine, a vectorized Monte Carlo over the exact per-trial amplitudes,
+and the closed form valid for D = N+1, levels (1, 0), s > D/2.
 
 Eavesdroppers: man-in-the-middle on the traveling ballot (undetectable,
 leaks perfectly), the swap attack on the distributed ballot (leaks
@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anticheat import AuthoritySecrets, ReadoutResult, _cast_vote_on, authority_correct, setup
+from .anticheat import (AuthoritySecrets, ReadoutResult, _cast_vote_on, _check_variant,
+                        _label_rounds, authority_correct, setup)
 from .backends import get_backend
 from .branches import phase_family, shift_family
 from .matrices import (
@@ -39,7 +40,7 @@ from .matrices import (
     shift_matrix,
 )
 from .protocols import ProtocolConfig, _check_votes, _integers, sample_zero_sum_ballots
-from .states import LocalOp, _draw_rows, cached_op, sample_index
+from .states import LocalOp, _inverse_cdf, cached_op, sample_index
 
 
 def total_variation(p, q) -> float:
@@ -57,13 +58,6 @@ def total_variation(p, q) -> float:
 
 # ---------------------------------------------------------------------------
 # phase estimation
-
-
-def _inverse_cdf_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row of (unnormalized) ``weights``, the index drawn by the uniform ``u``;
-    u < 1 keeps it below the row length."""
-    cum = np.cumsum(weights, axis=1)
-    return (cum < u[:, None] * cum[:, -1:]).sum(axis=1)
 
 
 class PhasePOVM:
@@ -110,7 +104,7 @@ class PhasePOVM:
         """The estimates drawn by the rows of an (n, 2) block of uniforms."""
         phi = u[:, 0] * (2 * np.pi / self.D)
         amps = np.exp(1j * np.outer(self.theta - phi, np.arange(self.D)))
-        k = _inverse_cdf_rows(np.abs(np.fft.fft(amps)) ** 2, u[:, 1])
+        k = _inverse_cdf(np.abs(np.fft.fft(amps)) ** 2, u[:, 1])
         return (phi + 2 * np.pi * k / self.D) % (2 * np.pi)  # the sum can round up to 2 pi
 
 
@@ -158,14 +152,16 @@ def run_cheater_attack(
     rng: np.random.Generator,
     cheater_position: int | None = None,
     trials: int | None = None,
+    variant: str = "distributed",
 ):
-    """Rounds with one cheating voter (the last one by default).
+    """Rounds of either anti-cheat variant with one cheating voter (the last
+    one by default).
 
     The cheater measures both his voting qudits with the phase POVM, votes no
     with the estimated no-angle (announcing his genuine outcome r), then
-    applies the estimated yes-to-no phase shift s times to his ballot
-    register. The voting order does not change the outcome statistics;
-    ``cheater_position`` exists to verify exactly that.
+    applies the estimated yes-to-no phase shift s times to the ballot
+    register he holds. The voting order does not change the outcome
+    statistics; ``cheater_position`` exists to verify exactly that.
 
     ``trials=None`` plays one round and returns ``(ReadoutResult, info)``. An
     integer returns a dict of per-trial arrays: the readout index ``q`` (-1
@@ -180,6 +176,7 @@ def run_cheater_attack(
     if type(cheater) is bool or not isinstance(cheater, numbers.Integral) or not 0 <= cheater < N:
         raise ValueError(f"cheater position must be an integer in [0, {N}), got {cheater!r}")
     secrets.validate(D, N)
+    _check_variant(variant)
     D, N, n = int(D), int(N), 1 if trials is None else trials
     _check_trials(n)
     ests = [(plan.theta_yes_est, secrets.yes_angle(D)), (plan.theta_no_est, secrets.no_angle(D))]
@@ -188,8 +185,17 @@ def run_cheater_attack(
     angles = [None if v is None else ests[1 - v][1] for v in votes]
     width, out = 2 * sum(p is not None for p in povms) + N + 1, {}
     for start in range(0, max(n, 1), _DRAW_CHUNK):
-        u = rng.random((min(_DRAW_CHUNK, n - start), width))
-        for key, values in _cheater_rounds(D, N, secrets, plan, povms, angles, u).items():
+        u, col, est = rng.random((min(_DRAW_CHUNK, n - start), width)), 0, []
+        for (fixed, _), povm in zip(ests, povms):
+            est.append(povm._estimates(u[:, col:col + 2]) if povm else np.full(len(u), float(fixed)))
+            col += 0 if povm is None else 2
+        th_y, th_n = est  # the cheater votes with th_n, then shifts s times by the estimated gap
+        c = np.full((len(u), D), 1.0 / np.sqrt(D), dtype=complex)  # the GHZ ballot
+        rs, _, k, p = _label_rounds(c, secrets, [th_n if a is None else a for a in angles],
+                                    u[:, col:], variant, plan.s * (th_n - th_y))
+        chunk = {"q": np.where(k < 0, -1, k * secrets.gap), "r": rs[cheater], "probability": p,
+                 "cheat_flag": (k < 0) | (k > N), "theta_yes_est": th_y, "theta_no_est": th_n}
+        for key, values in chunk.items():
             out.setdefault(key, np.empty(n, values.dtype))[start:start + len(values)] = values
     if trials is not None:
         return out
@@ -197,42 +203,6 @@ def run_cheater_attack(
     result = ReadoutResult(None if q < 0 else q, None if flag else q // secrets.gap, flag, q < 0, p)
     est = {key: float(out[key][0]) for key in ("theta_yes_est", "theta_no_est")}
     return result, {"r": int(out["r"][0]), **est, "m_honest": sum(honest_votes)}
-
-
-def _cheater_rounds(D, N, secrets, plan, povms, angles, u) -> dict[str, np.ndarray]:
-    """The rounds drawn by the rows of ``u``; ``angles[v]`` is voter v's angle,
-    None for the cheater. Every state is label-diagonal, sum_j c_j |j>^(x
-    registers): a vote keeps voting label j - r, which the shift by r returns
-    to j, and every other step is diagonal. So a round is its D coefficients."""
-    n, j, col, est = len(u), np.arange(D), 0, []
-    rows, rolled = np.arange(n), (j - j[:, None]) % D  # [r, j]: voting label j - r
-    for fixed, povm in zip((plan.theta_yes_est, plan.theta_no_est), povms):
-        est.append(np.full(n, float(fixed)) if povm is None else povm._estimates(u[:, col:col + 2]))
-        col += 0 if povm is None else 2
-    th_y, th_n = est
-    c, rs = np.full((n, D), 1.0 / np.sqrt(D), dtype=complex), []  # the GHZ ballot
-    for voter, theta in enumerate(angles):
-        theta = th_n[:, None] if theta is None else np.full((1, 1), theta)
-        a = np.exp(1j * j * theta) / np.sqrt(D)  # the voting qudits, one row or one per trial
-        p = ((abs(a) ** 2)[:, rolled] @ (abs(c) ** 2)[:, :, None])[:, :, 0]
-        rs.append(_draw_rows(p, u[:, col + voter], complete=True))
-        c = c * a[rows[:, None] % len(a), rolled[rs[-1]]] / np.sqrt(p[rows, rs[-1]])[:, None]
-    c = c * np.exp(1j * j * (plan.s * (th_n - th_y))[:, None])  # s estimated yes-to-no shifts
-    for r in rs:  # the authority's wrap corrections, then the no-angle removal
-        c = np.where(j < r[:, None], c * np.exp(-1j * D * secrets.offset), c)
-    c = c * np.exp(-1j * j * N * secrets.no_angle(D))
-    probs = abs(np.fft.fft(c, axis=1)[:, ::secrets.gap]) ** 2 / D  # phase_family(D, 2N, gap)
-    k = _draw_rows(probs, u[:, -1])
-    error = k == probs.shape[1]
-    return {
-        "q": np.where(error, -1, k * secrets.gap),
-        "r": rs[angles.index(None)],
-        "cheat_flag": error | (k > N),
-        "probability": np.where(error, 1.0 - probs.cumsum(axis=1)[:, -1],
-                                probs[rows, np.minimum(k, probs.shape[1] - 1)]),
-        "theta_yes_est": th_y,
-        "theta_no_est": th_n,
-    }
 
 
 def conditional_pq(
@@ -251,6 +221,7 @@ def conditional_pq(
     """
     _integers((D, s, m, r), "D, s, m and r")
     _check_estimates(theta_yes_est, theta_no_est)
+    _check_counts(D, m, r, (D - 1) // secrets.gap)  # the most voters the secrets allow
     theta_n = secrets.no_angle(D)
     delta_angle = 2 * np.pi * secrets.gap / D
     phi = m * delta_angle - theta_n - 2 * np.pi * np.arange(D) / D
@@ -261,6 +232,14 @@ def conditional_pq(
     low = terms[:r].sum(axis=0) if r > 0 else 0.0
     high = terms[r:].sum(axis=0)
     return np.abs(wrap * low + high) ** 2 / D**2
+
+
+def _check_counts(D: int, m: int, r: int, N: int) -> None:
+    """m honest yes votes of a round with N voters, and an announced r below D."""
+    if not 0 <= m <= N - 1:
+        raise ValueError("m must be an honest yes-count in [0, N-1]")
+    if not 0 <= r < D:
+        raise ValueError("r out of range")
 
 
 def cheater_conditional_distribution(
@@ -283,10 +262,7 @@ def cheater_conditional_distribution(
     """
     _integers((D, N, s, m, r), "D, N, s, m and r")
     _check_estimates(theta_yes_est, theta_no_est)
-    if not 0 <= m <= N - 1:
-        raise ValueError("m must be an honest yes-count in [0, N-1]")
-    if not 0 <= r < D:
-        raise ValueError("r out of range")
+    _check_counts(D, m, r, N)
     round_ = setup(D, N, secrets, None, backend=backend)
     bk = round_.backend
     for voter in range(N - 1):
@@ -318,6 +294,8 @@ def analytic_pq(D: int, s: int, m: int, q: int | None = None):
         raise ValueError(f"closed form requires s > D/2 (got s={s}, D={D})")
     if not s < D:
         raise ValueError(f"closed form requires s < D (got s={s}, D={D})")
+    if q is not None and not 0 <= _integers((q,), "readout indices")[0] < D:
+        raise ValueError("q out of range")
     c = broadness_coefficient(D, s)
     qs = np.arange(D) if q is None else np.asarray(q)
     p = (1 + c * np.cos(2 * np.pi * (m - s - qs) / D)) / D
@@ -369,7 +347,7 @@ def monte_carlo_pq(
     amps = np.where(j[None, :] < r[:, None], wrap[:, None] * amps, amps)
     probs = np.abs(np.fft.fft(amps, axis=1)) ** 2 / D**2  # <target_q|state> over q
 
-    return np.bincount(_inverse_cdf_rows(probs, rng.random(trials)), minlength=D)
+    return np.bincount(_inverse_cdf(probs, rng.random(trials)), minlength=D)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,8 @@ def _anticheat(variant: str) -> Scheme:
         rng = np.random.default_rng(cfg.seed)
         secrets = cfg.authority_secrets(rng)
         votes = cfg.votes or [0] * cfg.N
-        res, round_ = anticheat.run_round(cfg.D, cfg.N, secrets, votes, rng, backend="branch",
-                                          variant=variant)
+        round_ = anticheat.setup(cfg.D, cfg.N, secrets, rng, variant, backend="branch")
+        res = anticheat.play(round_, votes, rng)  # step by step: the oracle reports the probability
         return {
             "honest_readout_deterministic": {
                 "passed": res.q == sum(votes) * secrets.gap and res.probability > 1 - 1e-10,
@@ -318,7 +318,8 @@ def _cheat(cfg, rng):
     secrets = cfg.authority_secrets(rng)
     fixed = (secrets.yes_angle(cfg.D), secrets.no_angle(cfg.D)) if att.theta_mode == "exact" else ()
     plan = attacks.CheaterPlan(att.s, *fixed)  # estimates left out are sampled
-    run = attacks.run_cheater_attack(cfg.D, cfg.N, secrets, cfg.votes, plan, rng, trials=cfg.trials)
+    run = attacks.run_cheater_attack(cfg.D, cfg.N, secrets, cfg.votes, plan, rng, trials=cfg.trials,
+                                     variant=cfg.scheme.removeprefix("anticheat-"))
     counts = np.bincount(run["q"][run["q"] >= 0], minlength=cfg.D)
     records = [{"trial": i, "q": None if q < 0 else q, "r": r, "cheat_flag": flag} for i, (q, r, flag)
                in enumerate(zip(run["q"].tolist(), run["r"].tolist(), run["cheat_flag"].tolist()))]
@@ -437,8 +438,7 @@ SCHEMES: dict[str, Scheme] = {
 }
 
 ATTACKS: dict[str, AttackKind] = {
-    # run_cheater_attack simulates the distributed ballot only, in its label frame
-    "cheater": AttackKind(("anticheat-distributed",), _cheater, required=("s",)),
+    "cheater": AttackKind(("anticheat-distributed", "anticheat-traveling"), _cheater, required=("s",)),
     "swap": AttackKind(("distributed",), _swap),
     "entangling": AttackKind(("distributed",), _entangling, required=("pair",)),
     "mitm": AttackKind(("traveling",), _mitm),

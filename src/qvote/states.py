@@ -485,12 +485,19 @@ def _draw_rows(probs: np.ndarray, u: np.ndarray, complete: bool = False) -> np.n
         raise ValueError(f"projector family does not resolve the identity on the state "
                          f"(probabilities sum to {float(total[bad][0])!r})")
     extra = 1.0 - total > 1e-10  # the rows that draw a remainder, as the last outcome
-    cum = np.concatenate([np.maximum(probs, 0.0), np.where(extra, 1.0 - total, 0.0)[:, None]], axis=1)
-    cum = cum.cumsum(axis=1)
+    k = _inverse_cdf(np.concatenate([np.maximum(probs, 0.0), np.where(extra, 1.0 - total, 0.0)[:, None]],
+                                    axis=1), u)
+    return np.minimum(k, probs.shape[1] - 1 + extra)  # a row without a remainder never draws it
+
+
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`sample_index`'s rule on each row of non-negative weights, which need
+    not sum to 1, drawn by the uniforms ``u``: the first running sum above u times
+    the row's total, or the last index when none is."""
+    cum = weights.cumsum(axis=1)
     if not (cum[:, -1] > 0.0).all():
         raise ValueError("all outcome probabilities vanish")
-    k = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(k, probs.shape[1] - 1 + extra)  # the last index when no sum is above u
+    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), weights.shape[1] - 1)
 
 
 def _sample(

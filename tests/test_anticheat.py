@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qvote.anticheat import (
+    VARIANTS,
     AuthoritySecrets,
     RepeatedReadout,
     authority_correct,
     authority_readout,
+    play,
     random_secrets,
     run_repeated,
     run_round,
@@ -315,6 +320,49 @@ class TestRepeated:
         assert len(round_.backend.dims(round_.state)) == 12
         # the branch representation never grew past D branches
         assert len(round_.state.branches) <= 8
+
+
+class TestLabelFrame:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_engine_equals_the_played_round(self, data):
+        """A branch round in the label frame against the same round played step
+        by step on branch, the reference: per repetition the same records,
+        announcements, transcript and drawn secrets, the probability at 1e-12,
+        and a corrected state that reads out again alike; then the generator's
+        next draw."""
+        D = data.draw(hst.integers(2, 8))
+        N = data.draw(hst.integers(1, D - 1))
+        gap = data.draw(hst.integers(1, (D - 1) // N))
+        no = data.draw(hst.integers(0, D - 1 - gap))
+        offset = data.draw(hst.floats(0.0, 2 * np.pi / D, exclude_max=True))
+        secrets = data.draw(hst.sampled_from([None, AuthoritySecrets(no + gap, no, offset)]))
+        votes = data.draw(hst.lists(hst.integers(0, 1), min_size=N, max_size=N))
+        variant = data.draw(hst.sampled_from(VARIANTS))
+        K = data.draw(hst.integers(1, 3))
+        seed = data.draw(hst.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def played(r):
+            round_ = setup(D, N, secrets, r, variant, backend="branch")
+            return play(round_, votes, r), round_
+
+        for _ in range(K):
+            got, round_ = run_round(D, N, secrets, votes, rng, "branch", variant)
+            ref, ref_round = played(ref_rng)
+            assert got.probability == pytest.approx(ref.probability, abs=1e-12)
+            assert dataclasses.replace(got, probability=0.0) == dataclasses.replace(ref, probability=0.0)
+            assert (round_.announced, round_.secrets, round_.corrected) == \
+                (ref_round.announced, ref_round.secrets, True)
+            assert round_.transcript == ref_round.transcript
+            assert round_.state.dims == ref_round.state.dims
+            assert abs(branch_inner(ref_round.state, round_.state)) == pytest.approx(1.0, abs=1e-12)
+            assert authority_readout(round_, rng).q == authority_readout(ref_round, ref_rng).q
+        agg = run_repeated(D, N, secrets, votes, K, rng, variant=variant)
+        ref_agg = run_repeated(D, N, secrets, votes, K, ref_rng, variant=variant,
+                               round_fn=lambda r: played(r)[0])
+        assert (agg.qs, agg.cheat_detected) == (ref_agg.qs, ref_agg.cheat_detected)
+        assert rng.random() == ref_rng.random()
 
 
 class TestImmutability:

@@ -16,6 +16,7 @@ from scipy.stats import chisquare, kstest
 
 from qvote import attacks
 from qvote.anticheat import (
+    VARIANTS,
     AuthoritySecrets,
     _cast_vote_on,
     authority_correct,
@@ -411,6 +412,24 @@ class TestCheaterBatch:
         out = run_cheater_attack(3, 2, secrets, [1], CheaterPlan(s=2), rng, trials=trials)
         assert _batch_records(out) == _records(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=_cheater_cases(), seed=hst.integers(0, 2**32 - 1))
+    def test_traveling_cheater_equals_the_distributed_one(self, case, seed):
+        """The variants differ only in when the wrap corrections multiply, so
+        under the same uniforms the traveling trials are the distributed ones,
+        their probabilities at 1e-12."""
+        D, N, secrets, votes, plan, pos, _ = case
+        dist, trav = (run_cheater_attack(D, N, secrets, votes, plan, np.random.default_rng(seed), pos,
+                                         trials=20, variant=variant) for variant in VARIANTS)
+        for key in ("q", "r", "cheat_flag", "theta_yes_est", "theta_no_est"):
+            assert np.array_equal(dist[key], trav[key])
+        assert np.max(np.abs(dist["probability"] - trav["probability"])) <= 1e-12
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'relay'"):
+            run_cheater_attack(4, 3, SECRETS, [1, 0], CheaterPlan(s=3), np.random.default_rng(0),
+                               trials=2, variant="relay")
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_cheater_cases(), seed=hst.integers(0, 2**32 - 1))
@@ -867,12 +886,24 @@ def test_attack_party_inputs_rejected_with_their_words(run, target, pair, words)
     (lambda: monte_carlo_pq(8, 5.5, 6, 50, np.random.default_rng(0)), "D, s and m must be integers, got 5.5"),
     (lambda: monte_carlo_pq(8, 5, 6.5, 50, np.random.default_rng(0)), "D, s and m must be integers, got 6.5"),
     (lambda: analytic_pq(8, 5, True), "D, s and m must be integers, got True"),
+    # an out-of-range count is not read as some other count
+    (lambda: conditional_pq(4, 3, 1, -1, 1.1, 0.4, SECRETS), "r out of range"),
+    (lambda: conditional_pq(4, 3, 1, 7, 1.1, 0.4, SECRETS), "r out of range"),
+    (lambda: conditional_pq(4, 3, 9, 1, 1.1, 0.4, SECRETS), "m must be an honest yes-count in [0, N-1]"),
+    (lambda: conditional_pq(4, 3, -1, 1, 1.1, 0.4, SECRETS), "m must be an honest yes-count in [0, N-1]"),
+    (lambda: cheater_conditional_distribution(4, 3, SECRETS, 1, 3, 1.1, 0.4, -1), "r out of range"),
+    (lambda: analytic_pq(8, 5, 1, 2.5), "readout indices must be integers, got 2.5"),
+    (lambda: analytic_pq(8, 5, 1, True), "readout indices must be integers, got True"),
+    (lambda: analytic_pq(8, 5, 1, 99), "q out of range"),
+    (lambda: analytic_pq(8, 5, 1, -1), "q out of range"),
     (lambda: run_repeated(8, 3, SECRETS, [1, 0, 1], 2.5, np.random.default_rng(0)),
      "repetition counts must be integers, got 2.5"),
     (lambda: run_repeated(8, 3, SECRETS, [1, 0, 1], True, np.random.default_rng(0)),
      "repetition counts must be integers, got True"),
 ], ids=["ccd-m", "ccd-s", "ccd-r", "ccd-r-bool", "ccd-nan", "cpq-s", "cpq-D", "cpq-nan",
-        "mc-s", "mc-m", "analytic-m-bool", "repeated-K", "repeated-K-bool"])
+        "mc-s", "mc-m", "analytic-m-bool", "cpq-r-low", "cpq-r-high", "cpq-m-high", "cpq-m-low",
+        "ccd-r-low", "analytic-q-frac", "analytic-q-bool", "analytic-q-high", "analytic-q-low",
+        "repeated-K", "repeated-K-bool"])
 def test_cheater_analysis_inputs_rejected_with_their_words(call, words):
     """The cheater's analysis functions and repeated rounds take integer counts
     and finite estimates, as :class:`CheaterPlan` and the round itself do."""

@@ -132,11 +132,10 @@ class TestParse:
         with pytest.raises(ScenarioError, match="anticheat"):
             parse_scenario(bad)
 
-    def test_cheater_rejects_traveling_variant(self):
-        # the cheater simulation runs the distributed ballot only
-        bad = CHEATER.replace("anticheat-distributed", "anticheat-traveling")
-        with pytest.raises(ScenarioError, match="requires scheme 'anticheat-distributed'"):
-            parse_scenario(bad)
+    def test_cheater_accepts_traveling_variant(self):
+        # the label-frame round engine plays the traveling round as well
+        cfg = parse_scenario(CHEATER.replace("anticheat-distributed", "anticheat-traveling"))
+        assert (cfg.scheme, cfg.attack.kind) == ("anticheat-traveling", "cheater")
 
     def test_anticheat_without_secrets_needs_room(self):
         # drawn secrets need a level gap g with g * N < D, so D > N
@@ -343,10 +342,16 @@ class TestCli:
         assert main(["sweep", str(path)]) == 1
         assert capsys.readouterr().err.startswith("scenario error:")
 
-    def test_cheater_on_traveling_exit_one(self, tmp_path, capsys):
-        path = self._write(tmp_path, CHEATER.replace("anticheat-distributed", "anticheat-traveling"))
-        assert main(["attack", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("scenario error:")
+    def test_cheater_on_traveling_runs(self, tmp_path):
+        # under one seed the traveling cheater's trials are the distributed cheater's
+        trials = {}
+        for scheme in ("anticheat-distributed", "anticheat-traveling"):
+            path = self._write(tmp_path, CHEATER.replace("anticheat-distributed", scheme))
+            out = tmp_path / f"{scheme}.jsonl"
+            assert main(["attack", str(path), "--format", "json-lines", "--out", str(out)]) == 0
+            trials[scheme] = [json.loads(ln) for ln in out.read_text().splitlines()][:-1]
+        assert len(trials["anticheat-traveling"]) == 40
+        assert trials["anticheat-traveling"] == trials["anticheat-distributed"]
 
     def test_usage_error_exit_one(self, tmp_path, capsys):
         path = self._write(tmp_path, DISTRIBUTED)

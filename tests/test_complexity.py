@@ -1,0 +1,77 @@
+"""Deterministic work counts as a complexity gate.
+
+Wall time on a shared host swings by 2x, but the number of Python and C
+calls one op makes does not. Each branch op below is run once warm at N=16
+and N=32 with D = N+1, counted under ``sys.setprofile``, and its growth
+exponent log2(calls at 32 / calls at 16) is held under a bound. Each bound is
+the exponent measured when it was set plus a margin of 0.1; a bound only
+ever tightens. Counts can depend on drawn outcomes, so two seeds are checked.
+The counts are printed; only the exponents are asserted.
+
+Measured exponents under pytest, the same for both seeds: distributed 1.575,
+traveling 1.485, dolev 2.744; the anti-cheat rounds, played in the label
+frame, 0.911 for either variant (2.66 and 2.58 when they were played on
+branch states, step by step).
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from qvote import anticheat, protocols
+from qvote.anticheat import AuthoritySecrets
+
+BOUNDS = {
+    "distributed": 1.575 + 0.1,
+    "traveling": 1.485 + 0.1,
+    "dolev": 2.744 + 0.1,
+    "anticheat-distributed": 0.911 + 0.1,
+    "anticheat-traveling": 0.911 + 0.1,
+}
+
+
+def _op(name: str, N: int, seed: int):
+    D, votes = N + 1, [k % 2 for k in range(N)]
+    if name.startswith("anticheat-"):
+        secrets = AuthoritySecrets(1, 0, 0.1)
+        variant = name.removeprefix("anticheat-")
+        return lambda: anticheat.run_round(D, N, secrets, votes, np.random.default_rng(seed),
+                                           "branch", variant)
+    run = getattr(protocols, f"run_{name}")
+    cfg = protocols.ProtocolConfig(D=D, N=N, scheme=name)
+    return lambda: run(cfg, votes, "branch", rng=np.random.default_rng(seed))
+
+
+def _calls(op) -> int:
+    """Python and C calls made by one run of ``op``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_call_count_growth_exponent(name):
+    for seed in (0, 1):
+        counts = []
+        for N in (16, 32):
+            op = _op(name, N, seed)
+            op()  # warm: cached families and operators are built here
+            counts.append(_calls(op))
+        exponent = math.log2(counts[1] / counts[0])
+        print(f"{name} seed {seed}: calls {counts[0]} at N=16, {counts[1]} at N=32, "
+              f"exponent {exponent:.3f}")
+        assert exponent <= BOUNDS[name], (name, seed, counts)

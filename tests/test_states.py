@@ -496,3 +496,28 @@ def test_row_draws_equal_the_single_draw(rows, complete, seed):
             assert str(exc.value) == errors[0]
         return
     assert states_module._draw_rows(np.array(rows), u, complete).tolist() == expected
+
+
+def test_one_inverse_cdf_rule_skips_a_leading_zero_weight():
+    """Born rows and unnormalized weights (the phase estimates') draw by one rule,
+    sample_index's: the first running sum above u times the total, so u = 0
+    never draws a zero-weight outcome."""
+    w, u = np.array([[0.0, 0.5, 0.5]]), np.array([0.0])
+    assert states_module._inverse_cdf(w, u).tolist() == [1]
+    assert states_module._inverse_cdf(4 * w, u).tolist() == [1]
+    assert states_module._draw_rows(w, u, complete=True).tolist() == [1]
+    assert states_module.sample_index([0.0, 0.5, 0.5], mock.Mock(random=lambda: 0.0)) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+           st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 50.0), min_size=m, max_size=m)
+           .filter(lambda row: sum(row) > 0.0), min_size=1, max_size=8)),
+       st.integers(0, 2**32 - 1))
+def test_inverse_cdf_draws_each_row_as_sample_index(rows, seed):
+    """Unnormalized rows, ties and zero weights included, against one
+    sample_index call per row on the same stream."""
+    ref_rng = np.random.default_rng(seed)
+    expected = [states_module.sample_index(row, ref_rng) for row in rows]
+    u = np.random.default_rng(seed).random(len(rows))
+    assert states_module._inverse_cdf(np.array(rows), u).tolist() == expected
