@@ -337,8 +337,7 @@ def monte_carlo_pq(
     # Announced r: the vote measurement pairs the uniform-magnitude ballot
     # branches with the uniform-magnitude estimate state, so every outcome
     # carries weight sum_j (1/D)(1/D) = 1/D; sample from that exact law.
-    r_probs = np.full(D, 1.0 / D)
-    r = np.searchsorted(np.cumsum(r_probs), rng.random(trials), side="right").clip(0, D - 1)
+    r = sample_index(np.full(D, 1.0 / D), rng, trials)
 
     alpha = s * (th_n_est - th_y_est) + m * (2 * np.pi / D) + th_n_est - theta_n
     j = np.arange(D)

@@ -8,8 +8,9 @@ checked once; a monomial one keeps labels as labels), register attachment and
 swaps, label-controlled shifts, two-register unitaries (for the entangling
 eavesdropper), diagonal projective measurements, and rank-1 measurements
 whose targets are themselves branch states. Anything else must be routed
-through the dense backend. The GHZ families are valid by construction and
-skip the factor checks; they are renormalized as the public constructor does.
+through the dense backend. The ballot and its tally targets come from one
+GHZ builder, cached by value: valid by construction, it skips the factor
+checks and renormalizes as the public constructor does.
 
 Every factor is local to one register: a basis label (a plain ``int``) or a
 :class:`VecFactor`. The ballot correlations sit in the labels, so overlaps
@@ -224,41 +225,34 @@ def _ghz_rows(D: int, N: int) -> tuple[tuple[int, ...], ...]:
     return tuple((j,) * N for j in range(D))
 
 
-def _ghz_state(D: int, N: int, branches: list[Branch]) -> BranchState:
-    """Label rows valid by construction, built unchecked and renormalized as the constructor does."""
-    return BranchState._trusted((int(D),) * N, branches)._renormalized()
+@lru_cache(maxsize=_FAMILY_CACHE)
+def _ghz(D: int, offsets: tuple[int, ...], theta: float) -> BranchState:
+    """(1/sqrt(D)) sum_j e^{i j theta} |j+o_0> |j+o_1> ... with offsets mod D:
+    the ballot and every tally target. Label rows are valid by construction,
+    so the state is built unchecked and renormalized as the constructor does.
+    Cached by value; the state is immutable, so callers share it."""
+    N = len(offsets)
+    rows = _ghz_rows(D, N)  # checks D and N
+    if any(offsets):
+        rows = [tuple((j + o) % D for o in offsets) for j in range(D)]
+    c = 1.0 / np.sqrt(D)
+    branches = [(c * np.exp(1j * j * theta), row) for j, row in enumerate(rows)]
+    return BranchState._trusted((D,) * N, branches)._renormalized()
 
 
 def ghz_branches(D: int, N: int) -> BranchState:
     """The uniform correlated ballot state as D basis branches."""
-    rows = _ghz_rows(D, N)
-    c = 1.0 / np.sqrt(D)
-    return _ghz_state(D, N, [(c, row) for row in rows])
+    return _ghz(int(D), (0,) * N, 0.0)
 
 
-@lru_cache(maxsize=_FAMILY_CACHE)
 def phase_ghz(D: int, N: int, theta: float) -> BranchState:
-    """(1/sqrt(D)) sum_j e^{i j theta} |j>^(x N).
-
-    Cached by value, as the readout families are the same every round; the
-    state is immutable, so callers share it.
-    """
-    rows = _ghz_rows(D, N)
-    c = 1.0 / np.sqrt(D)
-    return _ghz_state(D, N, [(c * np.exp(1j * j * theta), row) for j, row in enumerate(rows)])
+    """(1/sqrt(D)) sum_j e^{i j theta} |j>^(x N), a tally target."""
+    return _ghz(int(D), (0,) * N, theta)
 
 
 def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
-    """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D,
-    cached by value as :func:`phase_ghz` is."""
-    return _shifted_ghz(int(D), tuple(int(o) for o in offsets))
-
-
-@lru_cache(maxsize=_FAMILY_CACHE)
-def _shifted_ghz(D: int, offsets: tuple[int, ...]) -> BranchState:
-    _check_ghz(D, len(offsets))
-    c = 1.0 / np.sqrt(D)
-    return _ghz_state(D, len(offsets), [(c, tuple((j + o) % D for o in offsets)) for j in range(D)])
+    """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D."""
+    return _ghz(int(D), tuple(int(o) for o in offsets), 0.0)
 
 
 @lru_cache(maxsize=64)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .runner import emit_report, execute
-from .scenario import ScenarioError, parse_scenario
+from .scenario import BACKENDS, ScenarioError, parse_scenario
 from .states import DenseBudgetError
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("scenario", type=Path, help="path to the scenario file")
     common.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    common.add_argument("--backend", choices=["dense", "branch", "both"], default=None,
+    common.add_argument("--backend", choices=BACKENDS, default=None,
                         help="override [run] backend")
     common.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
     common.add_argument("--format", choices=["text", "json-lines"], default="text", dest="fmt",

@@ -185,8 +185,7 @@ def _ballot(run: str, validate, announces=False, tally_basis=False, per_voter=Fa
         out = {
             "privacy_reduced_density": {"passed": worst <= 1e-12, "max_trace_distance": worst},
             "tally_correct": {"passed": branch.m == sum(votes), "tally": branch.m},
-            "backend_amplitudes": (amplitude_agreement(cfg) if cfg.votes is None
-                                   else _amplitude_deviation(dense, branch)),
+            "backend_amplitudes": _amplitude_deviation(dense, branch),
         }
         if tally_basis:
             out["tally_basis_orthonormal"] = _orthonormal(cfg.D, cfg.N)

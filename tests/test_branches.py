@@ -125,7 +125,7 @@ class TestFamilyCache:
 
     def test_cached_state_equals_a_fresh_build_bitwise(self):
         D, N, theta = 7, 4, 2 * np.pi * 3 / 7
-        fresh = phase_ghz.__wrapped__(D, N, theta)
+        fresh = branches_module._ghz.__wrapped__(D, (0,) * N, theta)
         cached = phase_ghz(D, N, theta)
         assert [c for c, _ in cached.branches] == [c for c, _ in fresh.branches]
         assert np.array([c for c, _ in cached.branches]).tobytes() == \
@@ -137,6 +137,72 @@ class TestFamilyCache:
         assert all(phase_ghz(D, N, 2 * np.pi * q / D) is s for q, s in enumerate(family))
         rows = {id(fs) for s in family for _, fs in s.branches}
         assert len(rows) == D
+
+
+def _old_ghz_state(D, N, branches):
+    """With the three builders below, the separate GHZ builders that the one
+    cached builder replaced, kept as its references."""
+    return BranchState._trusted((int(D),) * N, branches)._renormalized()
+
+
+def _old_ghz_branches(D, N):
+    c = 1.0 / np.sqrt(D)
+    return _old_ghz_state(D, N, [(c, (j,) * N) for j in range(D)])
+
+
+def _old_phase_ghz(D, N, theta):
+    c = 1.0 / np.sqrt(D)
+    return _old_ghz_state(D, N, [(c * np.exp(1j * j * theta), (j,) * N) for j in range(D)])
+
+
+def _old_shifted_ghz(D, offsets):
+    c = 1.0 / np.sqrt(D)
+    return _old_ghz_state(D, len(offsets), [(c, tuple((j + o) % D for o in offsets)) for j in range(D)])
+
+
+def _bits(state):
+    """Everything a GHZ state holds, its coefficients as bytes (signed zeros included)."""
+    return (state.dims, [fs for _, fs in state.branches],
+            b"".join(np.complex128(c).tobytes() for c, _ in state.branches), state._unit)
+
+
+class TestOneGhzBuilder:
+    def test_builder_equals_the_three_old_builders_bitwise(self):
+        for D in range(2, 10):
+            for N in range(1, 6):
+                assert _bits(ghz_branches(D, N)) == _bits(_old_ghz_branches(D, N))
+                for q in range(D):
+                    theta = 2 * np.pi * q / D
+                    assert _bits(phase_ghz(D, N, theta)) == _bits(_old_phase_ghz(D, N, theta))
+                rng = np.random.default_rng(10 * D + N)
+                for offsets in [(0,) * N, tuple(int(o) for o in rng.integers(1, D, N)),
+                                (0,) * (N - 1) + (D - 1,)]:
+                    assert _bits(shifted_ghz(D, offsets)) == _bits(_old_shifted_ghz(D, offsets))
+                assert all(type(f) is int for _, fs in ghz_branches(D, N).branches for f in fs)
+
+    @pytest.mark.parametrize("D,N", [(2, 1), (3, 2), (5, 3), (9, 5)])
+    def test_ballot_is_the_zero_phase_and_zero_shift_target(self, D, N):
+        ballot = ghz_branches(D, N)
+        assert ballot is phase_ghz(D, N, 0.0) is phase_ghz(D, N, 0)
+        assert ballot is shifted_ghz(D, (0,) * N) is branches_module.phase_family(D, N)[0]
+        assert ballot is BranchBackend().ghz(D, N)
+
+    def test_anticheat_setup_holds_the_cached_ballot(self):
+        from qvote import anticheat
+
+        D, N = 5, 3
+        assert anticheat.setup(D, N, None, np.random.default_rng(0), backend="branch").state \
+            is ghz_branches(D, N)
+
+    @pytest.mark.parametrize("build,words", [
+        (lambda: ghz_branches(1, 1), "qudit dimension must be >= 2, got 1"),
+        (lambda: ghz_branches(3, 0), "register count must be >= 1, got 0"),
+        (lambda: shifted_ghz(3, ()), "register count must be >= 1, got 0"),
+        (lambda: shifted_ghz(1, (0, 0)), "qudit dimension must be >= 2, got 1"),
+    ])
+    def test_rejections_keep_their_messages(self, build, words):
+        with pytest.raises(ValueError, match=re.escape(words)):
+            build()
 
 
 class TestLocalOps:
@@ -930,11 +996,12 @@ def test_ghz_families_by_construction_match_the_public_constructor():
             if D >= 60:
                 continue
             for theta in (0.0, 2 * np.pi / D, 2 * np.pi * (D - 1) / D, 0.37):
-                _assert_same_branches(phase_ghz.__wrapped__(D, N, theta), _public_ghz(D, N, theta))
+                _assert_same_branches(branches_module._ghz.__wrapped__(D, (0,) * N, theta),
+                                      _public_ghz(D, N, theta))
         if D < 60:
             rng = np.random.default_rng(D)
             for offsets in [(0, m) for m in range(D)] + [tuple(int(o) for o in rng.integers(0, D, 4))]:
-                _assert_same_branches(branches_module._shifted_ghz.__wrapped__(D, offsets),
+                _assert_same_branches(branches_module._ghz.__wrapped__(D, offsets, 0.0),
                                       _public_ghz(D, 0, offsets=offsets))
     assert renormalized  # the constructor moves bits, so a build without it would fail here
 

@@ -283,6 +283,17 @@ class TestCli:
         assert "switch to backend" not in err and "use the branch backend" not in err
         assert main(["run", str(path)]) == 0
 
+    def test_verify_on_a_yes_rate_ballot_measures_the_amplitudes(self, tmp_path):
+        text = DISTRIBUTED.replace("D = 5", "D = 4").replace("N = 4", "N = 3").replace(
+            "votes = 1,0,1,1", "yes_rate = 0.5")
+        out = tmp_path / "verify.jsonl"
+        assert main(["verify", str(self._write(tmp_path, text)), "--format", "json-lines",
+                     "--out", str(out)]) == 0
+        (summary,) = [json.loads(ln) for ln in out.read_text().splitlines()]
+        check = summary["invariants"]["backend_amplitudes"]
+        assert check["passed"] and "note" not in check
+        assert isinstance(check["max_deviation"], float) and check["max_deviation"] <= 1e-12
+
     def test_cheater_past_the_dense_budget_runs_on_every_backend(self, tmp_path):
         # the cheater builds no backend state: D^(2N) = 8^14 amplitudes would exit 3 on dense
         big = CHEATER.replace("D = 4", "D = 8").replace("N = 3", "N = 7").replace(

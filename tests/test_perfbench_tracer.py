@@ -48,13 +48,17 @@ def test_tracer_counts_tallies_and_uninstalls():
         for backend in ("branch", "dense"):
             result = protocols.run_distributed(cfg, [1, 0, 1], backend, rng=np.random.default_rng(0))
             assert result.m == 2
+        # The cached ballot needs no norm walk, so score one target to reach branch_inner.
+        branch = backends.get_backend("branch")
+        ballot = branch.ghz(4, 3)
+        assert abs(branch.target_probability(ballot, ballot) - 1.0) <= 1e-12
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
     assert metrics["branches.branch_measure.calls"] == 1
     assert metrics["branches.branch_inner.calls"] >= 1
-    # Two yes votes on each backend.
-    for op, calls in {"ghz": 2, "apply_local": 4, "measure_targets": 2}.items():
+    # Two yes votes on each backend, and the scored ballot.
+    for op, calls in {"ghz": 3, "apply_local": 4, "measure_targets": 2, "target_probability": 1}.items():
         assert metrics[f"backends.op.{op}"] == calls
     # The tracer reads ``cls.__dict__[op]`` on both backend classes.
     assert set(tracer_module.BACKEND_OPS) <= set(vars(backends.BranchBackend))
