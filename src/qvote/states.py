@@ -283,6 +283,15 @@ class LocalOp(_Frozen):
         perm.flags.writeable = phases.flags.writeable = False
         return perm, phases
 
+    @cached_property
+    def diagonal(self) -> tuple[complex, ...] | None:
+        """The phases of a diagonal monomial (the identity permutation, as a vote
+        phase has) as Python complex numbers, or None; tested once per operator."""
+        mono = self.monomial
+        if mono is None or np.any(mono[0] != np.arange(self.dim)):
+            return None
+        return tuple(mono[1].tolist())
+
 
 @lru_cache(maxsize=256)
 def cached_op(builder: Callable[..., np.ndarray], *args) -> LocalOp:
@@ -476,17 +485,21 @@ def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Genera
 def _draw_rows(probs: np.ndarray, u: np.ndarray, complete: bool = False) -> np.ndarray:
     """:func:`_draw_outcome` on each row of Born weights (a complete family's
     when ``complete``), drawn by the uniforms ``u``: the same checks, and
-    :func:`sample_index`'s rule, with row sums in the order ``sum`` adds."""
+    :func:`sample_index`'s rule, with row sums in the order ``sum`` adds. A finite
+    sum within the bounds is checked once: it implies the looser bound."""
     if not np.isfinite(probs).all():
         raise ValueError("outcome weights must be finite")
     total = probs.cumsum(axis=1)[:, -1]
-    bad = ~(total <= 1.0 + NORM_TOL) | complete & ~(abs(total - 1.0) <= NORM_TOL)
-    if bad.any():
+    if not (abs(total - 1.0) <= NORM_TOL if complete else total <= 1.0 + NORM_TOL).all():
+        bad = ~(total <= 1.0 + NORM_TOL) | complete & ~(abs(total - 1.0) <= NORM_TOL)
         raise ValueError(f"projector family does not resolve the identity on the state "
                          f"(probabilities sum to {float(total[bad][0])!r})")
-    extra = 1.0 - total > 1e-10  # the rows that draw a remainder, as the last outcome
-    k = _inverse_cdf(np.concatenate([np.maximum(probs, 0.0), np.where(extra, 1.0 - total, 0.0)[:, None]],
-                                    axis=1), u)
+    if complete:  # a sum within NORM_TOL of 1 leaves no remainder to draw
+        return _inverse_cdf(np.maximum(probs, 0.0), u)
+    remainder = 1.0 - total
+    extra = remainder > 1e-10  # the rows that draw a remainder, as the last outcome
+    cum = np.maximum(probs, 0.0).cumsum(axis=1)
+    k = _first_above(cum, cum[:, -1] + np.where(extra, remainder, 0.0), u)
     return np.minimum(k, probs.shape[1] - 1 + extra)  # a row without a remainder never draws it
 
 
@@ -495,9 +508,15 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     not sum to 1, drawn by the uniforms ``u``: the first running sum above u times
     the row's total, or the last index when none is."""
     cum = weights.cumsum(axis=1)
-    if not (cum[:, -1] > 0.0).all():
+    return np.minimum(_first_above(cum, cum[:, -1], u), weights.shape[1] - 1)
+
+
+def _first_above(cum: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the number of running sums ``cum`` at or below u times the row's
+    ``total`` (the sum of its weights): the index of the first one above."""
+    if not (total > 0.0).all():
         raise ValueError("all outcome probabilities vanish")
-    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), weights.shape[1] - 1)
+    return (cum <= (u * total)[:, None]).sum(axis=1)
 
 
 def _sample(

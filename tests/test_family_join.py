@@ -259,3 +259,128 @@ def test_any_family_kind_is_measured_alike(backend):
         want = branch_measure(ghz_branches(3, 3), mask, np.random.default_rng(seed), registers=[0])
         assert (k, p) == pytest.approx(want[::2], abs=1e-12)
 
+
+def test_announcement_looks_up_each_row_once(monkeypatch):
+    """Each announcement of a D=13 dolev ballot takes one label lookup per
+    state row, as the tally does, and scores the members as one array."""
+    D, rng = 13, np.random.default_rng(2)
+    state = ghz_branches(D, D - 1)
+    for k in (1, 2, 7):
+        state = apply_branch_local(state, k, phase_vote_matrix(D))
+    family = fourier_family(D)
+    labels, arrays = _counting(monkeypatch, "_labels"), _counting(monkeypatch, "_cmul")
+    for r in range(D - 1):
+        before, rows = len(labels), len(state.branches)
+        _, state, _ = branch_measure(state, family, rng, registers=[r])
+        assert len(labels) - before == rows
+    assert len(arrays) == 2 * (D - 1)
+
+
+def _pair_loop(state, regs, family):
+    """``branches._project`` by the pair loops, the reference: a full-register
+    family scores each member by its own join of the state's rows; a subset family
+    collapses the state onto each target and pairs the collapse with itself."""
+    rest = [r for r in range(state.num_registers) if r not in regs]
+    if not rest:
+        ket = [(c, tuple(fs[r] for r in regs)) for c, fs in state.branches]
+        amps = [_per_member_inner(family.dims, t.branches, ket) for t in family.targets]
+        slots = np.argsort(regs)
+        return [float(abs(a) ** 2) for a in amps], lambda k, n: [
+            ((amps[k] * c) / n, tuple(tf[i] for i in slots)) for c, tf in family.targets[k].branches]
+    rdims = tuple(state.dims[r] for r in rest)
+    chis = [_per_member_collapse(state, t, regs, rest) for t in family.targets]
+    slots = np.argsort(regs + rest)
+    return [max(_per_member_inner(rdims, chi, chi).real, 0.0) for chi in chis], lambda k, n: [
+        (tc * (c / n), tuple((tf + rf)[i] for i in slots))
+        for tc, tf in family.targets[k].branches for c, rf in chis[k]]
+
+
+def _unit(dims, rows):
+    """The rows as a state of norm 1."""
+    n = np.sqrt(branches._branch_norm_sq(dims, rows))
+    return BranchState._trusted(dims, [(c / n, fs) for c, fs in rows])
+
+
+def _scoring_case(kind, rng):
+    """A (state, measured registers, family) on either side of the size gate."""
+    if kind == "tally":  # a full-register all-label family on distinct label rows
+        D = int(rng.integers(3, 12))
+        family = phase_family(D, int(rng.integers(2, 5)), int(rng.integers(1, 3))) if rng.random() < 0.5 \
+            else shift_family(int(rng.integers(3, 41)))
+        regs = [int(r) for r in rng.permutation(len(family.dims))]
+        state = _state("labels", family, regs, rng, max_rows=64)
+        return _unit(state.dims, branches._merge_rows(state.branches)), regs, family
+    D = int(rng.integers(2, 10))
+    if kind == "mitm":  # the decoy's one-hot projection, a ket that tidies into a label
+        D = int(rng.integers(2, 41))
+        state = branches.attach_register(ghz_branches(D, 2), D, 0)
+        state = apply_branch_local(state, 1, np.roll(np.eye(D), int(rng.integers(D)), axis=0))
+        state = apply_branch_local(state, 2, np.roll(np.eye(D), int(rng.integers(2)), axis=0))
+        return state, [2], MeasurementFamily((D,), [np.eye(D, dtype=complex)[int(rng.integers(2))]])
+    kets = {"fourier": fourier_basis_kets(D), "unitary": list(_unitary(rng, D).T),
+            "one-hot": list(np.eye(D, dtype=complex)), "sparse": [np.eye(D)[0], np.eye(D)[D - 1] * 1j]}
+    family = MeasurementFamily((D,), kets[str(rng.choice(list(kets)))])
+    N = int(rng.integers(2, 7))
+    state = ghz_branches(D, N)
+    for k in range(N):
+        state = apply_branch_local(state, k, phase_vote_matrix(D, int(rng.integers(D))))
+    if kind == "free":  # a register entangled row by row: per-pair overlaps, the loop
+        state = branches.attach_register(state, 2, _unitary(rng, 2)[:, 0])
+        state = apply_pair_unitary(state, (0, N), _unitary(rng, 2 * D))
+    if rng.random() < 0.3:  # vanishing coefficients: their collapses are dropped
+        state = _unit(state.dims, [(c * 1e-15 if j % 3 == 1 else c, fs) for j, (c, fs) in enumerate(state.branches)])
+    order = [int(r) for r in rng.permutation(N)]
+    for r in order[: int(rng.integers(N))]:  # earlier announcements: a shared vector on the rest
+        _, state, _ = branch_measure(state, fourier_family(D), rng, registers=[r])
+    return state, [order[-1]], family
+
+
+def _gated(state, regs, family):
+    """Whether the array form must score: the loop's pairs at the gate or above,
+    every row's measured factors labels and, off one register, no free register."""
+    rows = [fs for _, fs in state.branches]
+    if len(regs) == state.num_registers:
+        if family.join[4] is None or len(set(rows)) < len(rows):
+            return False
+        ket = {tuple(fs[r] for r in regs) for fs in rows}
+        pairs = sum(tf in ket for t in family.targets for _, tf in t.branches)
+        return pairs >= branches._JOIN_MIN_PAIRS
+    rest = [r for r in range(state.num_registers) if r not in regs]
+    free = branches._join_key(state.dims, [(0, tuple(fs[r] for r in rest)) for fs in rows])[2]
+    return (all(len(t.branches) == 1 for t in family.targets) and not free
+            and all(type(fs[regs[0]]) is int for fs in rows)
+            and len(family) * len(rows) >= branches._JOIN_MIN_PAIRS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), kind=hst.sampled_from(["tally", "announce", "mitm", "free"]))
+def test_array_scoring_equals_the_pair_loop(seed, kind):
+    """Full-register tally families and one-register ket families, scored as
+    arrays at or above the gate (and by the loop below it, with a free register,
+    or with a vector on the measured register): the same probability bytes,
+    post-state coefficient bytes and rows, drawn outcome and next draw as the
+    pair loop. Cases: repeated rest rows in one bucket (a last announcement),
+    a shared announced vector on the rest, vanishing coefficients, one-hot kets."""
+    rng = np.random.default_rng(seed)
+    state, regs, family = _scoring_case(kind, rng)
+    calls, cmul = [], branches._cmul
+    with mock.patch.object(branches, "_cmul", side_effect=lambda *a: calls.append(1) or cmul(*a)):
+        probs, post = branches._project(state, regs, family)
+    assert bool(calls) == _gated(state, regs, family)
+    want_probs, want_post = _pair_loop(state, regs, family)
+    assert [float(p).hex() for p in probs] == [float(p).hex() for p in want_probs]
+    for k, p in enumerate(probs):
+        if p > 1e-12:
+            n = np.sqrt(p)
+            assert _branch_list_bytes(post(k, n)) == _branch_list_bytes(want_post(k, n))
+    if kind == "mitm":
+        return
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = branch_measure(state, family, got_rng, registers=regs)
+    with mock.patch.object(branches, "_project", _pair_loop):
+        want = branch_measure(state, family, want_rng, registers=regs)
+    assert got[0] == want[0] and float(got[2]).hex() == float(want[2]).hex()
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert _branch_list_bytes(got[1].branches) == _branch_list_bytes(want[1].branches)
+    assert got_rng.random() == want_rng.random()

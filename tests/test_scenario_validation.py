@@ -26,6 +26,7 @@ from qvote import scenario
 from qvote.anticheat import AuthoritySecrets
 from qvote.cli import main
 from qvote.scenario import ATTACKS, SCHEMES, ScenarioError, parse_scenario
+from qvote.states import DENSE_AMP_BUDGET
 
 # ---------------------------------------------------------------------------
 # reference: the validation the parser ran before it called the library's
@@ -185,12 +186,14 @@ def _mutated(key, convert):
 
 
 @hst.composite
-def _scenarios(draw, mutations=("none", "none", "drop", "set")):
+def _scenarios(draw, mutations=("none", "none", "drop", "set"), past_budget=None):
     """{section: {key: value}}: a mostly valid scenario, maybe with one field
-    dropped or set to a drawn value."""
-    scheme = draw(hst.sampled_from(sorted(SCHEMES)))
-    entry, N = SCHEMES[scheme], draw(hst.integers(1, 4))
-    D = draw(hst.one_of(hst.just(N + 1), hst.integers(2, 6)))
+    dropped or set to a drawn value; with ``past_budget``, a (scheme, backend) pair,
+    one whose N registers of dimension D exceed the dense budget, under a size cap
+    (N = 8, D <= 10)."""
+    scheme = past_budget[0] if past_budget else draw(hst.sampled_from(sorted(SCHEMES)))
+    entry, N = SCHEMES[scheme], 8 if past_budget else draw(hst.integers(1, 4))
+    D = draw(hst.sampled_from([N + 1, N + 2]) if past_budget else hst.one_of(hst.just(N + 1), hst.integers(2, 6)))
     proto = {"scheme": scheme, "N": N}
     if not (entry.d_follows_n and D == N + 1 and draw(hst.booleans())):
         proto["D"] = D
@@ -226,10 +229,12 @@ def _scenarios(draw, mutations=("none", "none", "drop", "set")):
         if draw(hst.booleans()):
             secrets["offset"] = draw(hst.sampled_from([0.0, 0.2]))
         sections["secrets"] = secrets
-    sections["run"] = {"backend": draw(hst.sampled_from(scenario.BACKENDS)),
+    sections["run"] = {"backend": past_budget[1] if past_budget else draw(hst.sampled_from(scenario.BACKENDS)),
                        "seed": draw(hst.integers(0, 3)), "trials": draw(hst.sampled_from([0, 1, 3])),
                        "repetitions": draw(hst.integers(1, 2))}
     mutation = draw(hst.sampled_from(mutations))
+    if past_budget:
+        sections["run"]["repetitions"] = 1
     if mutation == "drop":
         section = draw(hst.sampled_from(sorted(sections)))
         if sections[section]:
@@ -360,5 +365,48 @@ def test_cli_exit_codes_and_repeatable_reports(sections):
                 # a budget error already on the branch backend hints at no switch
                 assert not (code == 3 and on_branch and "switch to backend = branch" in err.getvalue())
                 assert accepted or code == 1, (command, text)
+                outputs.append(out.read_bytes() if out.exists() else None)
+            assert outputs[0] == outputs[1], (command, text)
+
+
+_PAST_BUDGET = ("anticheat-distributed", "anticheat-traveling", "broadcast", "distributed", "dolev")
+
+
+@pytest.mark.parametrize("backend", ["branch", "dense"])
+@pytest.mark.parametrize("scheme", _PAST_BUDGET)
+@settings(max_examples=2, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=hst.data())
+def test_cli_past_the_dense_budget(scheme, backend, data):
+    """Past the dense budget, a dense state exits 3 with the hint to switch to the
+    branch backend, verify's dense-oracle checks exit 3 on either backend, and
+    every other command runs to the end; each report is the same bytes twice."""
+    sections = data.draw(_scenarios(mutations=("none",), past_budget=(scheme, backend)))
+    proto = sections["protocol"]
+    assert proto.get("D", proto["N"] + 1) ** proto["N"] > DENSE_AMP_BUDGET
+    text = _text(sections)
+    accepted = _accepts(text) is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        path.write_text(text)
+        for command in ("run", "verify", "sweep", "attack"):
+            outputs = []
+            for i in range(2):
+                out = Path(tmp) / f"{command}-{i}.jsonl"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, str(path), "--format", "json-lines", "--out", str(out)])
+                message = err.getvalue()
+                assert code in (0, 1, 3), (command, text, message)
+                assert code != 1 or message.startswith("scenario error: "), message
+                assert accepted or code == 1, (command, text)
+                assert code == 1 or command != "attack" or "attack" in sections
+                if code == 3 and command == "verify":
+                    assert message.startswith("budget error in verify's dense-oracle ballot checks"), message
+                elif code == 3:
+                    assert backend == "dense" and message.startswith("budget error: ") and message.endswith(
+                        "(hint: switch to backend = branch)\n"), message
+                if command == "run" and accepted:
+                    assert code == 0 or (code == 3 and backend == "dense"), (text, message)
                 outputs.append(out.read_bytes() if out.exists() else None)
             assert outputs[0] == outputs[1], (command, text)
