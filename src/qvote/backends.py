@@ -7,7 +7,10 @@ each member in place (targets by contraction with the amplitudes) and expands
 only the drawn member, through :func:`qvote.states._sample`.
 Both backends consume randomness through the same inverse-CDF sampler, so a
 shared seed yields identical outcome sequences whenever the Born
-probabilities agree.
+probabilities agree. ``score_targets`` is the scoring step of
+``measure_targets`` on its own: the Born weights, the family's rank and the
+measured space's dimension, which :func:`qvote.states._draw_outcome` draws
+from as ``measure_targets`` does, with no post-state, as often as asked.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from .branches import BranchState
 from .states import DenseState
 
 
-def _measure_dense(state, regs, family, rng):
-    """Any family kind, measured on a dense state: masks and kets scored from the family's
-    parse as :func:`st.measure_projective` scores them; targets by contraction, the
-    drawn one expanded as its parsed ket."""
+def _scored_dense(state, regs, family):
+    """Any family kind, scored on a dense state: the (measured, rest) matrix, its axis
+    permutation, each member's Born weight and ``expand(j)``. Masks and kets are scored
+    from the family's parse as :func:`st.measure_projective` scores them; targets by
+    contraction, the drawn one expanded as its parsed ket."""
     mat, perm = st._as_matrix(state, regs)
     if family.masks or family.kets:
-        weights, expand = st._scored(mat, family.masks, family.kets)
-        return st._sample(state, rng, mat, perm, family.rank, weights, expand)
+        return mat, perm, *st._scored(mat, family.masks, family.kets)
     targets, tensor = family.targets, mat.reshape(family.dims + (-1,))
 
     def expand(j):
@@ -37,7 +40,13 @@ def _measure_dense(state, regs, family, rng):
         return np.outer(v, v.conj() @ mat)
 
     amps = (br._contract_target(t, tensor) for t in targets)
-    weights = [float(np.real(np.vdot(a, a))) for a in amps]
+    return mat, perm, [float(np.real(np.vdot(a, a))) for a in amps], expand
+
+
+def _measure_dense(state, regs, family, rng):
+    """Any family kind, measured on a dense state: :func:`_scored_dense`, then the
+    drawn member expanded."""
+    mat, perm, weights, expand = _scored_dense(state, regs, family)
     return st._sample(state, rng, mat, perm, family.rank, weights, expand)
 
 
@@ -80,6 +89,11 @@ class DenseBackend:
 
     def measure_targets(self, state, targets, rng, registers=None):
         return _measure_dense(state, *br._family(state, targets, registers, False), rng)
+
+    def score_targets(self, state, targets, registers=None):
+        regs, family = br._family(state, targets, registers, False)
+        mat, _, weights, _ = _scored_dense(state, regs, family)
+        return weights, family.rank, mat.shape[0]
 
     def measure_diag(self, state, registers, masks: Sequence[np.ndarray], rng):
         return _measure_dense(state, *br._family(state, masks, registers, True), rng)
@@ -138,6 +152,9 @@ class BranchBackend:
 
     def measure_targets(self, state, targets, rng, registers=None):
         return br.branch_measure(state, targets, rng, registers=registers)
+
+    def score_targets(self, state, targets, registers=None):
+        return br._scores(state, targets, registers, False)[:3]
 
     def measure_diag(self, state, registers, masks, rng):
         return br.branch_measure(state, masks, rng, registers=registers, diagonal=True)

@@ -977,6 +977,15 @@ def _project(
     ]
 
 
+def _scores(state: BranchState, projectors, registers: Sequence[int] | None, diagonal: bool) -> tuple:
+    """What :func:`branch_measure` draws from: each member's Born weight, the family's
+    rank and the measured space's dimension (:func:`_draw_outcome`'s arguments), and
+    :func:`_project`'s ``post``."""
+    regs, family = _family(state, projectors, registers, diagonal)
+    probs, post = _project(state, regs, family)
+    return probs, family.rank, int(np.prod([state.dims[r] for r in regs])), post
+
+
 def branch_measure(
     state: BranchState,
     projectors: MeasurementFamily | Sequence[np.ndarray | BranchState],
@@ -1003,9 +1012,8 @@ def branch_measure(
     branch, with the coefficients of equal factor rows summed, so it may
     exceed the usual branch count; it is None if it cannot be normalized.
     """
-    regs, family = _family(state, projectors, registers, diagonal)
-    probs, post = _project(state, regs, family)
-    k = _draw_outcome(probs, family.rank, int(np.prod([state.dims[r] for r in regs])), rng)
+    probs, rank, dim, post = _scores(state, projectors, registers, diagonal)
+    k = _draw_outcome(probs, rank, dim, rng)
     if k < len(probs):
         return k, BranchState._trusted(state.dims, post(k, np.sqrt(probs[k]))), probs[k]
     remainder = 1.0 - float(sum(probs))

@@ -3,7 +3,7 @@
 Exit codes: 0 success (``--help`` included); 1 the command line or the
 scenario is invalid (a usage error, an unreadable file, a command the scheme
 does not support); 2 an invariant failed during the run, or an internal error
-stopped it; 3 resource budget exceeded.
+stopped it; 3 resource budget exceeded (a dense state, or a sweep's case count).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .runner import emit_report, execute
+from .runner import SweepBudgetError, emit_report, execute
 from .scenario import BACKENDS, ScenarioError, parse_scenario
 from .states import DenseBudgetError
 
@@ -89,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
     command = "run" if args.command == "attack" else args.command
     try:
         report = execute(cfg, command=command)
+    except SweepBudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except DenseBudgetError as exc:
         step = " in verify's dense-oracle ballot checks" if command == "verify" else ""
         hint = "" if step or cfg.backend == "branch" else " (hint: switch to backend = branch)"

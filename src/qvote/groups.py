@@ -21,7 +21,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import BranchState, MeasurementFamily, VecFactor, phase_family
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
-from .protocols import _integers, _run_ballot, _weighted
+from .protocols import Ballot, _integers, _run_ballot, _weighted
 from .states import LocalOp
 
 TRACE_TOL = 1e-10
@@ -256,9 +256,10 @@ def run_group_traveling(
             raise ValueError(f"choice {g} is not a group element index")
     # Protocol-ready runs are deterministic: a fixed fallback seed suffices. Every
     # party acts, also with element index 0, which need not be the identity.
-    res = _run_ballot(rep.dim, 2, choices, lambda k: 1, lambda g: rep.ops[int(group.inverse[g])],
-                      get_backend(backend), np.random.default_rng(0) if rng is None else rng,
-                      rep.candidate_family, record_privacy)
+    ballot = Ballot(rep.dim, 2, choices, lambda k: 1, lambda g: rep.ops[int(group.inverse[g])],
+                    rep.candidate_family)
+    res = _run_ballot(ballot, get_backend(backend), np.random.default_rng(0) if rng is None else rng,
+                      record_privacy)
     if res.m >= group.order:
         raise RuntimeError("measurement leaked into the residual projector")
     if any(e["trace_distance"] > 1e-12 for e in res.transcript.privacy):
@@ -295,7 +296,7 @@ def run_abelian_distributed(
     rng = rng if rng is not None else np.random.default_rng(0)
     n = len(choices)
     return tuple(
-        _run_ballot(d, n, [ch[f] for ch in choices], lambda k: k, _weighted(phase_vote_matrix, d),
-                    bk, rng, phase_family(d, n)).m
+        _run_ballot(Ballot(d, n, [ch[f] for ch in choices], lambda k: k,
+                           _weighted(phase_vote_matrix, d), phase_family(d, n)), bk, rng).m
         for f, d in enumerate(factors)
     )

@@ -6,11 +6,13 @@ mod-D variant with public announcements, one-to-many anonymous broadcast,
 an anonymous survey, and a purely classical baseline for comparison.
 
 Every quantum scheme here, and the group products of :mod:`qvote.groups`,
-is one protocol run by :func:`_run_ballot`: parties apply local unitaries to
-their registers of a shared GHZ state, then a collector measures one family,
-or every register is measured in the Fourier-conjugate basis and the
-announced values are summed mod D. Party inputs must be integers; a
-fractional one raises rather than being truncated.
+is one :class:`Ballot` run by :func:`_run_ballot`: parties apply local
+unitaries to their registers of a shared GHZ state, then a collector
+measures one family, or every register is measured in the Fourier-conjugate
+basis and the announced values are summed mod D. Party inputs must be
+integers; a fractional one raises rather than being truncated. Each
+``run_*`` is one run; :meth:`Ballot.tallies` plays many trials of one
+input vector from one preparation, drawing each from its own stream.
 
 The announcement-based schemes are simulated in the frame where the ballot
 is the plain correlated state; their literal ballot is the registerwise
@@ -23,15 +25,17 @@ backends.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .backends import get_backend
-from .branches import fourier_family, phase_family, shift_family
+from .branches import MeasurementFamily, fourier_family, phase_family, shift_family
 from .matrices import phase_vote_matrix, shift_matrix
-from .states import cached_op, maximally_mixed, trace_distance
+from .states import LocalOp, _draw_outcome, cached_op, maximally_mixed, trace_distance
 
 SCHEMES = (
     "traveling",
@@ -122,46 +126,112 @@ def _weighted(builder, D: int, sign: int = 1):
     return lambda w: cached_op(builder, D, sign * w) if w else None
 
 
-def _run_ballot(D, registers, weights, register, op, bk, rng, readout,
-                record_privacy=False, record_states=False) -> TallyResult:
-    """The GHZ ballot every scheme shares. On the ``registers``-register GHZ state
-    of dimension ``D``, party k applies ``op(weights[k])`` (None: nothing) to
-    register ``register(k)``. Then the collector measures the family ``readout``;
-    or, when it is None, every register is measured in the Fourier-conjugate
-    basis and announced, and the tally is the sum mod D. ``record_privacy``
-    checks every register's reduced state after each step."""
-    t = Transcript()
-    mixed = maximally_mixed(D).matrix if record_privacy else None
+class Ballot(NamedTuple):
+    """The GHZ ballot every scheme shares, for fixed inputs. On the
+    ``registers``-register GHZ state of dimension ``D``, party k applies
+    ``op(weights[k])`` (None: nothing) to register ``register(k)``. Then the
+    collector measures the family ``readout``; or, when it is None, every
+    register is measured in the Fourier-conjugate basis and announced, and the
+    tally is the sum mod D. Only the readout draws randomness, so the state
+    before it is a function of the inputs."""
+
+    D: int
+    registers: int
+    weights: list[int]
+    register: Callable[[int], int]
+    op: Callable[[int], LocalOp | None]
+    readout: MeasurementFamily | None
+
+    def prepare(self, bk, record=None):
+        """The state before the readout; ``record(state, label, step)`` sees the
+        ballot (step 0) and the state after each party (step k+1)."""
+        state = bk.ghz(self.D, self.registers)
+        if record is not None:
+            record(state, "ballot", 0)
+        for k, w in enumerate(self.weights):
+            U = self.op(w)
+            if U is not None:
+                state = bk.apply_local(state, self.register(k), U)
+            if record is not None:
+                record(state, f"after-voter-{k}", k + 1)
+        return state
+
+    def announce(self, state, bk, rng, public: list) -> tuple[int, object]:
+        """Every register measured in the Fourier-conjugate basis, in order, each
+        value appended to ``public``: the tally (their sum mod D) and the post-state."""
+        kets, m = fourier_family(self.D), 0
+        for r in range(self.registers):
+            x, state, _ = bk.measure_local_kets(state, r, kets, rng)
+            public.append({"event": "announce", "voter": r, "value": int(x)})
+            m = (m + int(x)) % self.D
+        return m, state
+
+    def tallies(self, bk, rngs) -> list[tuple[int, list[int] | None]]:
+        """The tally :func:`_run_ballot` reads on each stream of ``rngs``, with the
+        announced values (None under a collector's readout), from one preparation.
+        A collector's family is scored once and each stream draws an outcome from
+        those weights, as ``measure_targets`` draws, building no post-state;
+        announcements are played per stream."""
+        state = self.prepare(bk)
+        if self.readout is not None:
+            scores = bk.score_targets(state, self.readout)
+            return [(int(_draw_outcome(*scores, rng)), None) for rng in rngs]
+        out = []
+        for rng in rngs:
+            public: list = []
+            m, _ = self.announce(state, bk, rng, public)
+            out.append((m, [e["value"] for e in public]))
+        return out
+
+
+def _recorder(t: Transcript, bk, ballot: Ballot, record_privacy: bool, record_states: bool):
+    """``record(state, label, step)`` for :meth:`Ballot.prepare`: a state snapshot
+    when ``record_states``, and with ``record_privacy`` every register's trace
+    distance from the maximally mixed state at each step, computed once per
+    distinct state object (a party that applied nothing repeats the entries).
+    None when nothing is recorded."""
+    if not (record_privacy or record_states):
+        return None
+    mixed = maximally_mixed(ballot.D).matrix if record_privacy else None
+    last: list = [None, []]  # the state last checked, and its distances
 
     def record(state, label, step=None):
         if record_states:
             t.states.append({"label": label, "state": state, "backend": bk.name})
         if record_privacy and step is not None:
-            for r in range(registers):
-                d = trace_distance(bk.reduced(state, [r]), mixed)
-                t.privacy.append({"step": step, "register": r, "trace_distance": d})
+            if state is not last[0]:
+                last[:] = state, [trace_distance(bk.reduced(state, [r]), mixed)
+                                  for r in range(ballot.registers)]
+            t.privacy.extend({"step": step, "register": r, "trace_distance": d}
+                             for r, d in enumerate(last[1]))
 
-    state = bk.ghz(D, registers)
-    record(state, "ballot", 0)
-    for k, w in enumerate(weights):
-        U = op(w)
-        if U is not None:
-            state = bk.apply_local(state, register(k), U)
-        t.hidden.append({"voter": k, "vote": w})
-        record(state, f"after-voter-{k}", k + 1)
-    if readout is not None:
-        m, state, p = bk.measure_targets(state, readout, rng)
+    return record
+
+
+def _run_ballot(ballot: Ballot, bk, rng, record_privacy=False, record_states=False) -> TallyResult:
+    """One run of ``ballot`` on backend ``bk``, its readout through
+    ``bk.measure_targets`` or the announcements, with its transcript.
+    ``record_privacy`` checks every register's reduced state after each step."""
+    t = Transcript()
+    record = _recorder(t, bk, ballot, record_privacy, record_states)
+    state = ballot.prepare(bk, record)
+    t.hidden.extend([{"voter": k, "vote": w} for k, w in enumerate(ballot.weights)])
+    if ballot.readout is not None:
+        m, state, p = bk.measure_targets(state, ballot.readout, rng)
         m = int(m)
         t.public.append({"event": "tally", "m": m, "probability": p})
     else:
-        kets, m = fourier_family(D), 0
-        for r in range(registers):
-            x, state, _ = bk.measure_local_kets(state, r, kets, rng)
-            t.public.append({"event": "announce", "voter": r, "value": int(x)})
-            m = (m + int(x)) % D
+        m, state = ballot.announce(state, bk, rng, t.public)
         t.public.append({"event": "tally", "m": m})
-    record(state, "post-measurement")
+    if record is not None:
+        record(state, "post-measurement")
     return TallyResult(m=m, transcript=t)
+
+
+def _traveling_ballot(config: ProtocolConfig, votes) -> Ballot:
+    config.require_tally_room("traveling")
+    votes, D = _check_votes(votes, config.N), config.D
+    return Ballot(D, 2, votes, lambda k: 1, _weighted(shift_matrix, D), shift_family(D))
 
 
 def run_traveling(
@@ -173,11 +243,14 @@ def run_traveling(
     record_states: bool = False,
 ) -> TallyResult:
     """Traveling two-register ballot; each yes vote shifts the moving register."""
-    config.require_tally_room("traveling")
-    votes, D = _check_votes(votes, config.N), config.D
-    return _run_ballot(D, 2, votes, lambda k: 1, _weighted(shift_matrix, D), get_backend(backend),
-                       config.rng() if rng is None else rng, shift_family(D),
-                       record_privacy, record_states)
+    return _run_ballot(_traveling_ballot(config, votes), get_backend(backend),
+                       config.rng() if rng is None else rng, record_privacy, record_states)
+
+
+def _distributed_ballot(config: ProtocolConfig, votes) -> Ballot:
+    config.require_tally_room("distributed")
+    votes, D, N = _check_votes(votes, config.N), config.D, config.N
+    return Ballot(D, N, votes, lambda k: k, _weighted(phase_vote_matrix, D), phase_family(D, N))
 
 
 def run_distributed(
@@ -189,11 +262,14 @@ def run_distributed(
     record_states: bool = False,
 ) -> TallyResult:
     """Distributed N-register ballot; each yes vote applies the diagonal phase."""
-    config.require_tally_room("distributed")
-    votes, D, N = _check_votes(votes, config.N), config.D, config.N
-    return _run_ballot(D, N, votes, lambda k: k, _weighted(phase_vote_matrix, D),
-                       get_backend(backend), config.rng() if rng is None else rng,
-                       phase_family(D, N), record_privacy, record_states)
+    return _run_ballot(_distributed_ballot(config, votes), get_backend(backend),
+                       config.rng() if rng is None else rng, record_privacy, record_states)
+
+
+def _dolev_ballot(config: ProtocolConfig, votes) -> Ballot:
+    config.require_announcement_dim()
+    votes, D = _check_votes(votes, config.N), config.D
+    return Ballot(D, config.N, votes, lambda k: k, _weighted(phase_vote_matrix, D, -1), None)
 
 
 def run_dolev(
@@ -210,14 +286,12 @@ def run_dolev(
     shift vote becomes the inverse diagonal phase and each announcement is a
     Fourier-conjugate basis measurement of the voter's own register.
     """
-    config.require_announcement_dim()
-    votes, D = _check_votes(votes, config.N), config.D
-    res = _run_ballot(D, config.N, votes, lambda k: k, _weighted(phase_vote_matrix, D, -1),
-                      get_backend(backend), config.rng() if rng is None else rng, None,
+    ballot = _dolev_ballot(config, votes)
+    res = _run_ballot(ballot, get_backend(backend), config.rng() if rng is None else rng,
                       record_privacy, record_states)
     announced = [e["value"] for e in res.transcript.public if e["event"] == "announce"]
-    labels = [(x - v) % D for x, v in zip(announced, votes)]
-    res.transcript.hidden.append({"labels": labels, "label_sum_mod_D": sum(labels) % D})
+    labels = [(x - v) % ballot.D for x, v in zip(announced, ballot.weights)]
+    res.transcript.hidden.append({"labels": labels, "label_sum_mod_D": sum(labels) % ballot.D})
     return res
 
 
@@ -231,6 +305,14 @@ def _check_broadcast(config: ProtocolConfig, sender, message) -> list[int]:
     return [sender, message]
 
 
+def _broadcast_ballot(config: ProtocolConfig, sender, message) -> Ballot:
+    """The sender's register carries the message as a phase, the others' carry nothing."""
+    sender, message = _check_broadcast(config, sender, message)
+    D, N = config.D, config.N
+    weights = [message if k == sender else 0 for k in range(N)]
+    return Ballot(D, N, weights, lambda k: k, _weighted(phase_vote_matrix, D, -1), None)
+
+
 def run_broadcast(
     config: ProtocolConfig,
     sender: int,
@@ -241,12 +323,8 @@ def run_broadcast(
 ) -> TallyResult:
     """One-to-many anonymous broadcast of an integer in [0, D): the sender's
     register carries the message as a phase, the others' carry nothing."""
-    sender, message = _check_broadcast(config, sender, message)
-    D, N = config.D, config.N
-    weights = [message if k == sender else 0 for k in range(N)]
-    return _run_ballot(D, N, weights, lambda k: k, _weighted(phase_vote_matrix, D, -1),
-                       get_backend(backend), config.rng() if rng is None else rng, None,
-                       record_states=record_states)
+    return _run_ballot(_broadcast_ballot(config, sender, message), get_backend(backend),
+                       config.rng() if rng is None else rng, record_states=record_states)
 
 
 def _check_salaries(config: ProtocolConfig, salaries) -> list[int]:
@@ -261,6 +339,11 @@ def _check_salaries(config: ProtocolConfig, salaries) -> list[int]:
     return salaries
 
 
+def _survey_ballot(config: ProtocolConfig, salaries) -> Ballot:
+    salaries, D = _check_salaries(config, salaries), config.D
+    return Ballot(D, 2, salaries, lambda k: 1, _weighted(shift_matrix, D), shift_family(D))
+
+
 def run_survey(
     config: ProtocolConfig,
     salaries,
@@ -269,10 +352,8 @@ def run_survey(
     record_states: bool = False,
 ) -> TallyResult:
     """Anonymous survey: each participant votes a multiplicity; report the mean."""
-    salaries, D = _check_salaries(config, salaries), config.D
-    res = _run_ballot(D, 2, salaries, lambda k: 1, _weighted(shift_matrix, D),
-                      get_backend(backend), config.rng() if rng is None else rng,
-                      shift_family(D), record_states=record_states)
+    res = _run_ballot(_survey_ballot(config, salaries), get_backend(backend),
+                      config.rng() if rng is None else rng, record_states=record_states)
     res.average = Fraction(res.m, config.N)
     res.transcript.public.append({"event": "average", "value": str(res.average)})
     return res

@@ -3,9 +3,11 @@
 Every per-scheme and per-attack fact comes from the registry entries in
 :mod:`qvote.scenario`; this module only drives them. Reports are
 deterministic given (scenario, seed): trial RNG streams are spawned from the
-seed in a fixed order, and the json-lines serialization carries no timing
-data, so re-running a scenario reproduces it byte for byte. Wall-clock time
-appears only in the text rendering.
+seed in a fixed order, one per trial, and the json-lines serialization
+carries no timing data, so re-running a scenario reproduces it byte for byte.
+The trials of one input vector are played as one batch, which gives each
+trial the record it would get alone. Wall-clock time appears only in the
+text rendering.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .scenario import ATTACKS, SCHEMES, ScenarioConfig, ScenarioError, amplitude_agreement, validate
+
+# Cases one sweep may run; every shipped sweep runs at most 27.
+SWEEP_CASE_BUDGET = 4096
+
+
+class SweepBudgetError(ValueError):
+    """A sweep would run more than SWEEP_CASE_BUDGET cases."""
 
 
 @dataclass
@@ -57,16 +66,28 @@ def _trial_votes(cfg: ScenarioConfig, rng) -> list[int] | None:
     return [int(v) for v in rng.random(cfg.N) < cfg.yes_rate]
 
 
+def _trial_records(cfg: ScenarioConfig, backend: str) -> list[dict]:
+    """Every trial of an honest run on one backend, in trial order. Trial i draws its
+    votes (under a 'yes_rate') and then its outcome from its own spawned stream; the
+    trials that share an input vector are played as one batch, one after another."""
+    scheme = SCHEMES[cfg.scheme]
+    streams = np.random.default_rng(cfg.seed).spawn(cfg.trials)
+    votes = [_trial_votes(cfg, rng) for rng in streams]
+    batches: dict[tuple | None, list[int]] = {}
+    for i, v in enumerate(votes):
+        batches.setdefault(None if v is None else tuple(v), []).append(i)
+    records: list = [None] * cfg.trials
+    for trials in batches.values():
+        played = scheme.play(cfg, votes[trials[0]], backend, [streams[i] for i in trials])
+        for i, rec in zip(trials, played):
+            records[i] = dict(rec, trial=i, backend=backend)
+    return records
+
+
 def _run_honest(cfg: ScenarioConfig, report: RunReport) -> None:
     scheme = SCHEMES[cfg.scheme]
     backends = _backends(cfg)
-    per_backend: dict[str, list[dict]] = {}
-    for backend in backends:
-        streams = np.random.default_rng(cfg.seed).spawn(cfg.trials)
-        per_backend[backend] = [
-            dict(scheme.trial(cfg, _trial_votes(cfg, rng), backend, rng), trial=i, backend=backend)
-            for i, rng in enumerate(streams)
-        ]
+    per_backend = {backend: _trial_records(cfg, backend) for backend in backends}
     canonical = per_backend[backends[0]]
     report.trial_records = canonical
 
@@ -130,16 +151,21 @@ def execute(cfg: ScenarioConfig, command: str = "run") -> RunReport:
 
     verify and sweep run the honest scheme, so a scenario with an [attack]
     must also be valid without it; sweep needs a scheme with sweep cases.
-    Both are reported as :class:`ScenarioError`.
+    Both are reported as :class:`ScenarioError`. A sweep of more than
+    :data:`SWEEP_CASE_BUDGET` cases raises :class:`SweepBudgetError` before
+    any case runs.
     """
     start = time.perf_counter()
-    if command == "sweep" and SCHEMES[cfg.scheme].sweep is None:
+    scheme = SCHEMES[cfg.scheme]
+    if command == "sweep" and scheme.sweep is None:
         raise ScenarioError(f"sweep does not support scheme {cfg.scheme!r}")
     if command in ("verify", "sweep") and cfg.attack is not None:
         try:
             validate(replace(cfg, attack=None))
         except ScenarioError as exc:
             raise ScenarioError(f"{command} runs the honest scheme: {exc}") from None
+    if command == "sweep" and (cases := scheme.cases(cfg)) > SWEEP_CASE_BUDGET:
+        raise SweepBudgetError(f"sweep would run {cases} cases (budget {SWEEP_CASE_BUDGET})")
     report = RunReport(
         scenario=_jsonable(cfg.raw), command=command, backend=cfg.backend, seed=cfg.seed
     )

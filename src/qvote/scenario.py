@@ -12,20 +12,25 @@ section or field, so the parser rejects what the library would, in its words.
 
 :data:`SCHEMES` holds one :class:`Scheme` per scenario scheme and
 :data:`ATTACKS` one :class:`AttackKind` per attack kind: how each validates,
-runs one trial, verifies and sweeps. The parser and :mod:`qvote.runner` read
-only these entries, so adding a scheme means adding one entry.
+plays its trials, verifies and sweeps. A ballot scheme plays all the trials
+of one input vector from one preparation, drawing each from its own stream.
+The parser and :mod:`qvote.runner` read only these entries, so adding a
+scheme means adding one entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
 from . import anticheat, attacks, protocols
 from .anticheat import AuthoritySecrets
+from .backends import get_backend
 from .branches import branch_inner, phase_ghz, to_dense
 from .matrices import swap_pair_matrix
 from .protocols import ProtocolConfig
@@ -97,15 +102,20 @@ class ScenarioConfig:
 class Scheme:
     """What the parser and the runner know about one scenario scheme."""
 
-    trial: Callable  # (cfg, votes, backend, rng) -> record of one honest trial
+    play: Callable  # (cfg, votes, backend, rngs) -> one honest trial's record per stream
     outcome_key: str  # the record field the outcome histogram counts
     checks: Callable  # (cfg) -> {name: check} for verify, in report order
     validate: Callable | None = None  # (cfg) -> None; raises ScenarioError
     expected: Callable | None = None  # (cfg) -> the outcome an honest trial must give
     sweep: Callable | None = None  # (cfg) -> field overrides, one per sweep case
+    cases: Callable | None = None  # (cfg) -> how many cases sweep yields, not enumerated
     ballot: str | None = None  # protocols.run_* that records states and privacy
     takes_votes: bool = True  # a 0/1 'votes' vector or a 'yes_rate'
     d_follows_n: bool = False  # D defaults to N+1
+
+    def trial(self, cfg, votes, backend, rng) -> dict:
+        """One honest trial's record: :attr:`play` on one stream."""
+        return self.play(cfg, votes, backend, [rng])[0]
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,10 @@ def _vote_vectors(cfg: ScenarioConfig):
     return ({"votes": list(v)} for v in itertools.product((0, 1), repeat=cfg.N))
 
 
+def _vote_vector_count(cfg: ScenarioConfig) -> int:
+    return 2 ** cfg.N
+
+
 def _orthonormal(D: int, regs: int) -> dict:
     """Gram deviation of the phase-GHZ family on ``regs`` registers."""
     targets = [phase_ghz(D, regs, 2 * np.pi * q / D) for q in range(D)]
@@ -141,11 +155,16 @@ def _ballot_runs(cfg: ScenarioConfig, votes, **record) -> list:
 
 
 def _amplitude_deviation(dense, branch) -> dict:
-    """Largest per-step amplitude gap between two runs that recorded states."""
-    dev = 0.0
+    """Largest per-step amplitude gap between two runs that recorded states; a step
+    whose two states are both the previous step's objects adds nothing new."""
+    dev, last = 0.0, (None, None)
     for sa, sb in zip(dense.transcript.states, branch.transcript.states):
-        da = align_global_phase(sa["state"].amps)
-        db = align_global_phase(to_dense(sb["state"]).amps)
+        a, b = sa["state"], sb["state"]
+        if a is last[0] and b is last[1]:
+            continue
+        last = a, b
+        da = align_global_phase(a.amps)
+        db = align_global_phase(to_dense(b).amps)
         dev = max(dev, float(np.max(np.abs(da - db))))
     return {"passed": dev <= 1e-12, "max_deviation": dev}
 
@@ -160,19 +179,17 @@ def amplitude_agreement(cfg: ScenarioConfig) -> dict:
         return {"passed": True, "max_deviation": None, "note": "dense budget exceeded"}
 
 
-def _ballot(run: str, validate, announces=False, tally_basis=False, per_voter=False, **kw) -> Scheme:
-    """A quantum ballot tallied by ``protocols.<run>``, looked up at call time
-    so that wrappers installed on the module see every call; a ``per_voter``
-    ballot has one register per voter."""
+def _ballot(run: str, build: Callable, validate, tally_basis=False, per_voter=False, **kw) -> Scheme:
+    """A quantum ballot: its trials play the :class:`~qvote.protocols.Ballot` that
+    ``build(config, votes)`` makes, their records listing any announced values, and
+    verify runs ``protocols.<run>``, looked up at call time so that wrappers
+    installed on the module see every call; a ``per_voter`` ballot has one register
+    per voter."""
 
-    def trial(cfg, votes, backend, rng):
-        res = getattr(protocols, run)(cfg.protocol_config(), votes, backend, rng=rng)
-        record = {"tally": res.m, "votes": votes}
-        if announces:
-            record["announced"] = [
-                e["value"] for e in res.transcript.public if e["event"] == "announce"
-            ]
-        return record
+    def play(cfg, votes, backend, rngs):
+        ballot = build(cfg.protocol_config(), votes)
+        return [{"tally": m, "votes": votes} | ({} if announced is None else {"announced": announced})
+                for m, announced in ballot.tallies(get_backend(backend), rngs)]
 
     def checks(cfg):
         if per_voter and cfg.N < 2:
@@ -191,8 +208,8 @@ def _ballot(run: str, validate, announces=False, tally_basis=False, per_voter=Fa
             out["tally_basis_orthonormal"] = _orthonormal(cfg.D, cfg.N)
         return out
 
-    return Scheme(trial, "tally", checks, validate, expected=_vote_sum, sweep=_vote_vectors,
-                  ballot=run, **kw)
+    return Scheme(play, "tally", checks, validate, expected=_vote_sum, sweep=_vote_vectors,
+                  cases=_vote_vector_count, ballot=run, **kw)
 
 
 def _outcome_check(name: str):
@@ -207,6 +224,11 @@ def _outcome_check(name: str):
         return {name: {"passed": got == scheme.expected(cfg), "value": got}}
 
     return checks
+
+
+def _per_stream(trial: Callable) -> Callable:
+    """``play`` for a scheme that prepares nothing: ``trial(cfg, votes, backend, rng)`` per stream."""
+    return lambda cfg, votes, backend, rngs: [trial(cfg, votes, backend, rng) for rng in rngs]
 
 
 def _anticheat(variant: str) -> Scheme:
@@ -233,17 +255,18 @@ def _anticheat(variant: str) -> Scheme:
             "readout_basis_orthonormal": _orthonormal(cfg.D, len(round_.backend.dims(round_.state))),
         }
 
-    return Scheme(trial, "qs", checks, _secrets_valid)
+    return Scheme(_per_stream(trial), "qs", checks, _secrets_valid)
 
 
-def _broadcast_trial(cfg, votes, backend, rng):
-    res = protocols.run_broadcast(cfg.protocol_config(), cfg.sender, cfg.message, backend, rng=rng)
-    return {"reconstructed": res.m}
+def _broadcast_play(cfg, votes, backend, rngs):
+    ballot = protocols._broadcast_ballot(cfg.protocol_config(), cfg.sender, cfg.message)
+    return [{"reconstructed": m} for m, _ in ballot.tallies(get_backend(backend), rngs)]
 
 
-def _survey_trial(cfg, votes, backend, rng):
-    res = protocols.run_survey(cfg.protocol_config(), cfg.salaries, backend, rng=rng)
-    return {"total": res.m, "average": str(res.average)}
+def _survey_play(cfg, votes, backend, rngs):
+    ballot = protocols._survey_ballot(cfg.protocol_config(), cfg.salaries)
+    return [{"total": m, "average": str(Fraction(m, cfg.N))}
+            for m, _ in ballot.tallies(get_backend(backend), rngs)]
 
 
 def _classical_trial(cfg, votes, backend, rng):
@@ -254,6 +277,16 @@ def _survey_cases(cfg):
     for sal in itertools.product(range(min(3, cfg.D)), repeat=cfg.N):
         if sum(sal) < cfg.D:
             yield {"salaries": list(sal)}
+
+
+def _survey_case_count(cfg) -> int:
+    """How many salary vectors :func:`_survey_cases` yields, N entries below
+    t = min(3, D) summing to at most D-1, without enumerating them: the N-tuples
+    of non-negative integers summing to at most S number C(S+N, N), and
+    inclusion-exclusion removes those with j entries at t or more."""
+    t, D, N = min(3, cfg.D), cfg.D, cfg.N
+    return sum((-1) ** j * math.comb(N, j) * math.comb(D - 1 - j * t + N, N)
+               for j in range(min(N, (D - 1) // t) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +449,25 @@ def validate(cfg: ScenarioConfig) -> None:
 
 
 SCHEMES: dict[str, Scheme] = {
-    "traveling": _ballot("run_traveling", _tally_room),
-    "distributed": _ballot("run_distributed", _tally_room, tally_basis=True, per_voter=True),
-    "dolev": _ballot("run_dolev", _dolev_valid, announces=True, per_voter=True, d_follows_n=True),
+    "traveling": _ballot("run_traveling", protocols._traveling_ballot, _tally_room),
+    "distributed": _ballot("run_distributed", protocols._distributed_ballot, _tally_room,
+                           tally_basis=True, per_voter=True),
+    "dolev": _ballot("run_dolev", protocols._dolev_ballot, _dolev_valid, per_voter=True,
+                     d_follows_n=True),
     "broadcast": Scheme(
-        _broadcast_trial, "reconstructed", _outcome_check("message_reconstructed"),
+        _broadcast_play, "reconstructed", _outcome_check("message_reconstructed"),
         _broadcast_valid, expected=lambda cfg: cfg.message, takes_votes=False,
         sweep=lambda cfg: ({"sender": s, "message": m} for s in range(cfg.N) for m in range(cfg.D)),
+        cases=lambda cfg: cfg.N * cfg.D,
     ),
     "survey": Scheme(
-        _survey_trial, "total", _outcome_check("total_correct"), _survey_valid,
-        expected=lambda cfg: sum(cfg.salaries), sweep=_survey_cases, takes_votes=False,
+        _survey_play, "total", _outcome_check("total_correct"), _survey_valid,
+        expected=lambda cfg: sum(cfg.salaries), sweep=_survey_cases, cases=_survey_case_count,
+        takes_votes=False,
     ),
     "classical-baseline": Scheme(
-        _classical_trial, "tally", _outcome_check("tally_correct"),
-        expected=_vote_sum, sweep=_vote_vectors, d_follows_n=True,
+        _per_stream(_classical_trial), "tally", _outcome_check("tally_correct"),
+        expected=_vote_sum, sweep=_vote_vectors, cases=_vote_vector_count, d_follows_n=True,
     ),
     "anticheat-distributed": _anticheat("distributed"),
     "anticheat-traveling": _anticheat("traveling"),

@@ -119,6 +119,16 @@ class DenseState(_Frozen):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...], amps: np.ndarray) -> DenseState:
+        """A state from checked ``dims`` and amplitudes already normalized as the
+        constructor leaves them, made read-only here: no norm pass."""
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     @property
     def num_registers(self) -> int:
         return len(self.dims)
@@ -232,14 +242,27 @@ def _check_ghz(D: int, N: int) -> None:
         raise ValueError(f"register count must be >= 1, got {N}")
 
 
-def make_uniform_ghz(D: int, N: int) -> DenseState:
-    """Correlated state (1/sqrt(D)) sum_j |j>^(x N)."""
-    _check_ghz(D, N)
-    dims = _check_dims((D,) * N)
+def _ghz_amps(D: int, N: int, value) -> np.ndarray:
+    """Zeros, with ``value`` at each |j,j,...,j>."""
     amps = np.zeros(D**N, dtype=complex)
     stride = (D**N - 1) // (D - 1)  # index of |j,j,...,j> is j * stride
-    amps[np.arange(D) * stride] = 1.0 / np.sqrt(D)
-    return DenseState(dims, amps)
+    amps[np.arange(D) * stride] = value
+    return amps
+
+
+@lru_cache(maxsize=64)
+def _ghz_amplitude(D: int, N: int) -> complex:
+    """The amplitude of each |j,j,...,j> once the constructor has normalized the
+    ballot; the same at every j, and the zeros stay +0.0. Computed once per size."""
+    return DenseState((D,) * N, _ghz_amps(D, N, 1.0 / np.sqrt(D))).amps[0]
+
+
+def make_uniform_ghz(D: int, N: int) -> DenseState:
+    """Correlated state (1/sqrt(D)) sum_j |j>^(x N), built from its normalized
+    amplitude with no norm pass: the constructor's bits."""
+    _check_ghz(D, N)
+    dims = _check_dims((D,) * N)
+    return DenseState._trusted(dims, _ghz_amps(D, N, _ghz_amplitude(D, N)))
 
 
 # ---------------------------------------------------------------------------
