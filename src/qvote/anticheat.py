@@ -28,7 +28,7 @@ from .backends import get_backend
 from .branches import BranchState, MeasurementFamily, _ghz_rows, phase_family
 from .matrices import phase_state, shift_matrix
 from .protocols import Transcript, _check_votes, _integers, _require_room
-from .states import _draw_rows, cached_op
+from .states import _draw_outcome, _draw_rows, cached_op
 
 VARIANTS = ("distributed", "traveling")
 
@@ -297,8 +297,9 @@ def authority_readout(round_: AntiCheatRound, rng: np.random.Generator) -> Reado
         raise ValueError("apply authority corrections before reading out")
     bk = round_.backend
     family = phase_family(round_.D, len(bk.dims(round_.state)), round_.secrets.gap)
-    outcome, _, p = bk.measure_targets(round_.state, family, rng)
-    return _readout(round_, None if outcome >= len(family) else outcome, p)
+    probs, rank, dim = bk.score_targets(round_.state, family)  # no post-state: nothing reads it
+    k = _draw_outcome(probs, rank, dim, rng)  # k = len(family): the error outcome, of weight 1 - sum
+    return _readout(round_, k, probs[k]) if k < len(family) else _readout(round_, None, 1.0 - sum(probs))
 
 
 def _readout(round_: AntiCheatRound, m: int | None, p: float) -> ReadoutResult:

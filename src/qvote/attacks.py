@@ -272,8 +272,7 @@ def cheater_conditional_distribution(
     cheat = angle_phase_matrix(D, s * (theta_no_est - theta_yes_est))  # s yes-to-no shifts
     round_.state = bk.apply_local(round_.state, N - 1, cheat)
     authority_correct(round_)
-    regs = len(bk.dims(round_.state))
-    return np.array([bk.target_probability(round_.state, t) for t in phase_family(D, regs)])
+    return np.array(bk.score_targets(round_.state, phase_family(D, len(bk.dims(round_.state))))[0])
 
 
 def broadness_coefficient(D: int, s: int) -> float:
@@ -437,17 +436,6 @@ def pair_agree_mask(D: int) -> np.ndarray:
     return np.eye(D)
 
 
-def run_pair_check(state, pair: tuple[int, int], rng: np.random.Generator, backend="branch"):
-    """Joint agreement test by two voters; True = ballots agree, proceed."""
-    bk = get_backend(backend)
-    i, j = _check_pair(pair, len(bk.dims(state)))
-    D = bk.dims(state)[i]
-    mask = pair_agree_mask(D)
-    comp = np.ones((D, D)) - mask
-    outcome, post, _ = bk.measure_diag(state, [i, j], [mask, comp], rng)
-    return outcome == 0, post
-
-
 def run_mitm_traveling(
     config: ProtocolConfig,
     votes,
@@ -486,9 +474,8 @@ def run_mitm_traveling(
             if repair and leak:
                 st = bk.apply_local(st, 1, cached_op(shift_matrix, D, leak))
             st = bk.drop(cast(st, votes[target + 1:]), 2)
-            for tally, t in enumerate(shift_family(D)):
-                probs.append(p_leak * bk.target_probability(st, t))
-                rows.append((False, leak, f"tally={tally}"))
+            probs += [p_leak * p for p in bk.score_targets(st, shift_family(D))[0]]
+            rows += [(False, leak, f"tally={tally}") for tally in range(D)]
     return _tree_report("mitm-traveling", trials, lambda n: sample_index(probs, rng, n),
                         rows.__getitem__, votes[target], seed, expected_tally=sum(votes))
 
@@ -548,7 +535,7 @@ def run_swap_attack(
             if repair and y:
                 st_y = bk.apply_local(st_y, target, cached_op(phase_vote_matrix, D, y))
             st_y = bk.drop(st_y, ancilla)
-            tally_probs = [bk.target_probability(st_y, t) for t in phase_family(D, N)]
+            tally_probs = bk.score_targets(st_y, phase_family(D, N))[0]
             probs.append(p_pass * p_y)
             rows.append((False, y, f"reading={y},tally={int(np.argmax(tally_probs))}"))
     # a Born sum can exceed 1 by a few ulps; the draws keep the value as it is

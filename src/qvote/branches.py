@@ -69,6 +69,7 @@ from .states import (
     _draw_outcome,
     _Frozen,
     _initial_vector,
+    _integers,
     _kept_dim,
     _parse_family as _parse_arrays,
 )
@@ -251,42 +252,44 @@ def _ghz(D: int, offsets: tuple[int, ...], theta: float) -> BranchState:
 
 def ghz_branches(D: int, N: int) -> BranchState:
     """The uniform correlated ballot state as D basis branches."""
-    return _ghz(int(D), (0,) * N, 0.0)
+    D, N = _check_ghz(D, N)
+    return _ghz(D, (0,) * N, 0.0)
 
 
 def phase_ghz(D: int, N: int, theta: float) -> BranchState:
     """(1/sqrt(D)) sum_j e^{i j theta} |j>^(x N), a tally target."""
-    return _ghz(int(D), (0,) * N, theta)
+    D, N = _check_ghz(D, N)
+    return _ghz(D, (0,) * N, theta)
 
 
 def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
-    """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register offsets mod D."""
-    return _ghz(int(D), tuple(int(o) for o in offsets), 0.0)
+    """(1/sqrt(D)) sum_j |j+o_0> |j+o_1> ... with per-register integer offsets mod D."""
+    offsets = tuple(_integers(offsets, "GHZ offsets"))
+    return _ghz(_check_ghz(D, len(offsets))[0], offsets, 0.0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 4.0 or True is checked and refused, not served 4 or 1
 def phase_family(D: int, N: int, step: int = 1) -> MeasurementFamily:
     """``phase_ghz(D, N, 2 pi q / D)`` for q = 0, step, 2 step, ... below D, the
     tally (step 1) and anti-cheat readout families, checked once and cached."""
+    D, N = _check_ghz(D, N)
+    if _integers((step,), "readout steps")[0] < 1:
+        raise ValueError(f"readout step must be >= 1, got {step}")
     return MeasurementFamily((D,) * N, [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(0, D, step)])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def shift_family(D: int) -> MeasurementFamily:
     """The two-register tally family ``shifted_ghz(D, (0, m))``, m in [0, D), cached."""
+    D, _ = _check_ghz(D, 2)
     return MeasurementFamily((D, D), [shifted_ghz(D, (0, m)) for m in range(D)])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def fourier_family(D: int) -> MeasurementFamily:
     """The one-register Fourier-conjugate kets of the announcements, checked once and cached."""
+    D, _ = _check_ghz(D, 1)
     return MeasurementFamily((D,), fourier_basis_kets(D))
-
-
-def tensor_branches(a: BranchState, b: BranchState) -> BranchState:
-    """Product of two branch states on disjoint register groups (a's first)."""
-    branches = [(ca * cb, fa + fb) for ca, fa in a.branches for cb, fb in b.branches]
-    return BranchState._trusted(a.dims + b.dims, branches)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ backends.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +34,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import MeasurementFamily, fourier_family, phase_family, shift_family
 from .matrices import phase_vote_matrix, shift_matrix
-from .states import LocalOp, _draw_outcome, cached_op, maximally_mixed, trace_distance
+from .states import LocalOp, _draw_outcome, _integers, cached_op, maximally_mixed, trace_distance
 
 SCHEMES = (
     "traveling",
@@ -45,16 +44,6 @@ SCHEMES = (
     "survey",
     "classical-baseline",
 )
-
-
-def _integers(values, what: str) -> list[int]:
-    """``values`` as ints; an entry that is not an integer (Python or numpy) raises
-    instead of being truncated, so a vote of 0.9 is not read as a no."""
-    values = list(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{what} must be integers, got {v!r}")
-    return [int(v) for v in values]
 
 
 def _require_room(D: int, N: int, who: str) -> None:

@@ -109,7 +109,7 @@ class Scheme:
     expected: Callable | None = None  # (cfg) -> the outcome an honest trial must give
     sweep: Callable | None = None  # (cfg) -> field overrides, one per sweep case
     cases: Callable | None = None  # (cfg) -> how many cases sweep yields, not enumerated
-    ballot: str | None = None  # protocols.run_* that records states and privacy
+    ballot: Callable | None = None  # (protocol config, votes) -> the protocols.Ballot verify runs
     takes_votes: bool = True  # a 0/1 'votes' vector or a 'yes_rate'
     d_follows_n: bool = False  # D defaults to N+1
 
@@ -149,8 +149,8 @@ def _orthonormal(D: int, regs: int) -> dict:
 
 def _ballot_runs(cfg: ScenarioConfig, votes, **record) -> list:
     """One honest ballot per backend, dense first, under the scenario's seed."""
-    run = getattr(protocols, SCHEMES[cfg.scheme].ballot)
-    return [run(cfg.protocol_config(), votes, backend, rng=np.random.default_rng(cfg.seed), **record)
+    ballot = SCHEMES[cfg.scheme].ballot(cfg.protocol_config(), votes)
+    return [protocols._run_ballot(ballot, get_backend(backend), np.random.default_rng(cfg.seed), **record)
             for backend in ("dense", "branch")]
 
 
@@ -179,12 +179,10 @@ def amplitude_agreement(cfg: ScenarioConfig) -> dict:
         return {"passed": True, "max_deviation": None, "note": "dense budget exceeded"}
 
 
-def _ballot(run: str, build: Callable, validate, tally_basis=False, per_voter=False, **kw) -> Scheme:
+def _ballot(build: Callable, validate, tally_basis=False, per_voter=False, **kw) -> Scheme:
     """A quantum ballot: its trials play the :class:`~qvote.protocols.Ballot` that
     ``build(config, votes)`` makes, their records listing any announced values, and
-    verify runs ``protocols.<run>``, looked up at call time so that wrappers
-    installed on the module see every call; a ``per_voter`` ballot has one register
-    per voter."""
+    verify runs it once per backend; a ``per_voter`` ballot has one register per voter."""
 
     def play(cfg, votes, backend, rngs):
         ballot = build(cfg.protocol_config(), votes)
@@ -209,7 +207,7 @@ def _ballot(run: str, build: Callable, validate, tally_basis=False, per_voter=Fa
         return out
 
     return Scheme(play, "tally", checks, validate, expected=_vote_sum, sweep=_vote_vectors,
-                  cases=_vote_vector_count, ballot=run, **kw)
+                  cases=_vote_vector_count, ballot=build, **kw)
 
 
 def _outcome_check(name: str):
@@ -449,11 +447,9 @@ def validate(cfg: ScenarioConfig) -> None:
 
 
 SCHEMES: dict[str, Scheme] = {
-    "traveling": _ballot("run_traveling", protocols._traveling_ballot, _tally_room),
-    "distributed": _ballot("run_distributed", protocols._distributed_ballot, _tally_room,
-                           tally_basis=True, per_voter=True),
-    "dolev": _ballot("run_dolev", protocols._dolev_ballot, _dolev_valid, per_voter=True,
-                     d_follows_n=True),
+    "traveling": _ballot(protocols._traveling_ballot, _tally_room),
+    "distributed": _ballot(protocols._distributed_ballot, _tally_room, tally_basis=True, per_voter=True),
+    "dolev": _ballot(protocols._dolev_ballot, _dolev_valid, per_voter=True, d_follows_n=True),
     "broadcast": Scheme(
         _broadcast_play, "reconstructed", _outcome_check("message_reconstructed"),
         _broadcast_valid, expected=lambda cfg: cfg.message, takes_votes=False,

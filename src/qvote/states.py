@@ -17,6 +17,7 @@ only when the norm fails its check, to name the fault.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache
 
@@ -48,6 +49,16 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _integers(values, what: str) -> list[int]:
+    """``values`` as ints; an entry that is not an integer (Python or numpy) raises
+    instead of being truncated, so a vote of 0.9 is not read as a no."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -194,31 +205,6 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 # construction
 
 
-def basis_state(dims: Sequence[int], labels: Sequence[int]) -> DenseState:
-    """Computational basis state |labels[0] labels[1] ...>."""
-    dims = tuple(dims)
-    labels = tuple(labels)
-    if len(labels) != len(dims):
-        raise ValueError("one label per register required")
-    for lab, d in zip(labels, dims):
-        if not 0 <= lab < d:
-            raise ValueError(f"label {lab} out of range for dimension {d}")
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
-    amps[int(np.ravel_multi_index(labels, dims))] = 1.0
-    return DenseState(dims, amps)
-
-
-def product_state(factors: Sequence[np.ndarray]) -> DenseState:
-    """Tensor product of normalized single-register vectors."""
-    amps = np.asarray([1.0], dtype=complex)
-    dims = []
-    for f in factors:
-        f = np.asarray(f, dtype=complex).reshape(-1)
-        dims.append(f.size)
-        amps = np.kron(amps, f)
-    return DenseState(dims, amps)
-
-
 def _initial_vector(dim: int, initial: int | np.ndarray) -> np.ndarray:
     """The checked unit vector of a register either backend attaches (a label is a basis vector)."""
     if dim < 2:
@@ -235,11 +221,14 @@ def _initial_vector(dim: int, initial: int | np.ndarray) -> np.ndarray:
     return amps
 
 
-def _check_ghz(D: int, N: int) -> None:
+def _check_ghz(D: int, N: int) -> tuple[int, int]:
+    """A GHZ size as ints: a fractional D or N raises rather than being truncated."""
+    D, N = _integers((D, N), "D and N")
     if D < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {D}")
     if N < 1:
         raise ValueError(f"register count must be >= 1, got {N}")
+    return D, N
 
 
 def _ghz_amps(D: int, N: int, value) -> np.ndarray:
@@ -260,9 +249,8 @@ def _ghz_amplitude(D: int, N: int) -> complex:
 def make_uniform_ghz(D: int, N: int) -> DenseState:
     """Correlated state (1/sqrt(D)) sum_j |j>^(x N), built from its normalized
     amplitude with no norm pass: the constructor's bits."""
-    _check_ghz(D, N)
-    dims = _check_dims((D,) * N)
-    return DenseState._trusted(dims, _ghz_amps(D, N, _ghz_amplitude(D, N)))
+    D, N = _check_ghz(D, N)
+    return DenseState._trusted(_check_dims((D,) * N), _ghz_amps(D, N, _ghz_amplitude(D, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +327,7 @@ def apply_joint(state: DenseState, registers: Sequence[int], U: LocalOp | np.nda
 
 
 # ---------------------------------------------------------------------------
-# reduced states and comparisons
+# reduced states
 
 
 def partial_trace(state: DenseState, keep: Sequence[int]) -> DensityMatrix:
@@ -347,12 +335,6 @@ def partial_trace(state: DenseState, keep: Sequence[int]) -> DensityMatrix:
     keep, _ = _kept_dim(keep, state.dims)
     mat, _ = _as_matrix(state, keep)
     return DensityMatrix(mat @ mat.conj().T)
-
-
-def inner_product(a: DenseState, b: DenseState) -> complex:
-    if a.dims != b.dims:
-        raise ValueError(f"layout mismatch: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
@@ -379,14 +361,6 @@ def align_global_phase(amps: np.ndarray) -> np.ndarray:
     k = int(np.argmax(mags >= mmax * (1.0 - 1e-9)))
     a = amps[k]
     return amps * (abs(a) / a)
-
-
-def states_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
-    """Equality of state vectors up to a global phase."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(align_global_phase(a) - align_global_phase(b))) <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+from numpy.testing import assert_allclose
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -29,7 +30,7 @@ from qvote.anticheat import (
 from qvote.backends import get_backend
 from qvote.branches import branch_inner, phase_family, to_dense
 from qvote.matrices import phase_state
-from qvote.states import states_close, trace_distance, maximally_mixed
+from qvote.states import align_global_phase, trace_distance, maximally_mixed
 
 
 SECRETS = AuthoritySecrets(yes_level=1, no_level=0, offset=0.3)
@@ -113,7 +114,8 @@ class TestVoteMeasurement:
                 for k in range(D):
                     idx = k * D * D + k * D + k
                     expect[idx] = np.exp(1j * k * theta) / np.sqrt(D)
-                assert states_close(to_dense(round_.state).amps, expect, tol=1e-12)
+                assert_allclose(align_global_phase(to_dense(round_.state).amps), align_global_phase(expect),
+                                rtol=0, atol=1e-12)
                 break
         else:
             pytest.skip("outcome 0 not drawn")
@@ -145,7 +147,8 @@ class TestVoteMeasurement:
         for k in range(D):
             phase = (D + k - r) * theta if k < r else (k - r) * theta
             expect[(k,) * (N + 1)] = np.exp(1j * phase) / np.sqrt(D)
-        assert states_close(state.amps, expect.reshape(-1), tol=1e-12)
+        assert_allclose(align_global_phase(state.amps), align_global_phase(expect.reshape(-1)),
+                        rtol=0, atol=1e-12)
 
 
 class TestHonestRuns:
@@ -212,8 +215,8 @@ class TestHonestRuns:
                 vote_distributed(round_, voter, v, rng)
             authority_correct(round_, register=reg)
             finals.append(to_dense(round_.state).amps)
-        assert states_close(finals[0], finals[1], tol=1e-12)
-        assert states_close(finals[0], finals[2], tol=1e-12)
+        assert_allclose(align_global_phase(finals[0]), align_global_phase(finals[1]), rtol=0, atol=1e-12)
+        assert_allclose(align_global_phase(finals[0]), align_global_phase(finals[2]), rtol=0, atol=1e-12)
 
     def test_correction_order_immaterial(self):
         D = 8
@@ -229,7 +232,8 @@ class TestHonestRuns:
             a = bk.apply_local(a, 0, wrap_correction_diag(D, r, SECRETS.offset))
         for r in reversed(rs):
             b = bk.apply_local(b, 0, wrap_correction_diag(D, r, SECRETS.offset))
-        assert states_close(to_dense(a).amps, to_dense(b).amps, tol=1e-12)
+        assert_allclose(align_global_phase(to_dense(a).amps), align_global_phase(to_dense(b).amps),
+                        rtol=0, atol=1e-12)
 
     def test_missing_announcement_rejected(self):
         rng = np.random.default_rng(6)

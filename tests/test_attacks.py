@@ -9,6 +9,7 @@ import re
 from unittest import mock
 
 import numpy as np
+from numpy.testing import assert_allclose
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -42,7 +43,6 @@ from qvote.attacks import (
     run_classical_eavesdrop,
     run_entangling_attack,
     run_mitm_traveling,
-    run_pair_check,
     run_swap_attack,
     total_variation,
 )
@@ -56,7 +56,7 @@ from qvote.matrices import (
     swap_pair_matrix,
 )
 from qvote.protocols import ProtocolConfig, run_distributed, run_traveling, sample_zero_sum_ballots
-from qvote.states import cached_op, sample_index, trace_distance
+from qvote.states import DenseState, align_global_phase, cached_op, sample_index, trace_distance
 
 SECRETS = AuthoritySecrets(yes_level=1, no_level=0, offset=0.3)
 
@@ -568,9 +568,7 @@ class TestSwapAttack:
         for j in range(D):
             ballot[int(np.ravel_multi_index((j,) * N, (D,) * N))] = w ** (m_rest * j) / np.sqrt(D)
         expect = np.kron(ballot, ancilla)  # register order (ballot..., E)
-        from qvote.states import states_close
-
-        assert states_close(state.amps, expect, tol=1e-12)
+        assert_allclose(align_global_phase(state.amps), align_global_phase(expect), rtol=0, atol=1e-12)
 
 
 def _per_trial_counts(trials, draw):
@@ -739,15 +737,14 @@ class TestEntangling:
 
 
 class TestPairCheck:
-    def test_clean_ballot_passes_and_is_unchanged(self):
-        bk = get_backend("branch")
-        rng = np.random.default_rng(13)
-        state = bk.ghz(3, 3)
-        passed, post = run_pair_check(state, (0, 1), rng)
-        assert passed
-        from qvote.branches import to_dense
+    """The check the swap and entangling attacks run: ``project_diag`` with ``pair_agree_mask``."""
 
-        assert np.max(np.abs(to_dense(post).amps - to_dense(state).amps)) <= 1e-12
+    def test_clean_ballot_passes_and_is_unchanged(self):
+        for bk in map(get_backend, ("branch", "dense")):
+            state = bk.ghz(3, 3)
+            p, post = bk.project_diag(state, [0, 1], pair_agree_mask(3))
+            assert p == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(bk.amplitudes(post) - bk.amplitudes(state))) <= 1e-12
 
     def test_swapped_register_pass_probability(self):
         bk = get_backend("branch")
@@ -759,17 +756,14 @@ class TestPairCheck:
         assert p == pytest.approx(1 / D, abs=1e-12)
 
     def test_disagreeing_product_state_fails(self):
-        from qvote.states import basis_state
         bk = get_backend("dense")
-        rng = np.random.default_rng(14)
-        state = basis_state((2, 2), (0, 1))
-        passed, _ = run_pair_check(state, (0, 1), rng, backend="dense")
-        assert not passed
+        state = DenseState((2, 2), np.kron([1, 0], [0, 1]))  # |0 1>
+        p, post = bk.project_diag(state, [0, 1], pair_agree_mask(2))
+        assert p == 0.0 and post is None
 
     def test_same_register_rejected(self):
-        bk = get_backend("branch")
-        with pytest.raises(ValueError):
-            run_pair_check(bk.ghz(2, 2), (1, 1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="two distinct registers"):
+            attacks._check_pair((1, 1), 2)
 
 
 class TestClassicalEavesdrop:
@@ -929,6 +923,8 @@ def test_room_error_names_the_ballot_run(run, scheme, ballot):
 
 
 def test_pair_check_registers_lie_in_the_state():
-    bk = get_backend("branch")
+    cfg = ProtocolConfig(D=3, N=2, scheme="distributed")
     with pytest.raises(ValueError, match=re.escape("two distinct registers below 2, got (0, 2)")):
-        run_pair_check(bk.ghz(2, 2), (0, 2), np.random.default_rng(0))
+        run_swap_attack(cfg, [0, 1], 0, (0, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=re.escape("two distinct registers below 2, got (0, 2)")):
+        run_entangling_attack(cfg, [0, 1], 0, np.eye(9), (0, 2), np.random.default_rng(0))

@@ -6,6 +6,7 @@ import re
 from unittest import mock
 
 import numpy as np
+from numpy.testing import assert_allclose
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -27,11 +28,13 @@ from qvote.branches import (
     branch_measure,
     branch_partial_trace,
     drop_register,
+    fourier_family,
     ghz_branches,
+    phase_family,
     phase_ghz,
+    shift_family,
     shifted_ghz,
     swap_registers,
-    tensor_branches,
     to_dense,
 )
 from qvote.matrices import (
@@ -44,13 +47,13 @@ from qvote.matrices import (
 )
 from qvote.states import (
     DenseState,
+    align_global_phase,
     apply_joint,
     apply_local,
     make_uniform_ghz,
     maximally_mixed,
     measure_projective,
     partial_trace,
-    states_close,
     trace_distance,
 )
 
@@ -222,14 +225,16 @@ class TestLocalOps:
     def test_identity_noop(self):
         s = ghz_branches(3, 2)
         s2 = apply_branch_local(s, 0, np.eye(3))
-        assert states_close(to_dense(s2).amps, to_dense(s).amps)
+        assert_allclose(align_global_phase(to_dense(s2).amps), align_global_phase(to_dense(s).amps),
+                        rtol=0, atol=1e-12)
 
     def test_non_monomial_promotes_to_vector(self):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         s = apply_branch_local(ghz_branches(2, 2), 0, H)
         assert any(isinstance(fs[0], VecFactor) for _, fs in s.branches)
         dense = apply_local(make_uniform_ghz(2, 2), 0, H)
-        assert states_close(to_dense(s).amps, dense.amps)
+        assert_allclose(align_global_phase(to_dense(s).amps), align_global_phase(dense.amps),
+                        rtol=0, atol=1e-12)
 
     def test_matches_dense_oracle_on_phase_sequences(self):
         D, N = 3, 3
@@ -270,7 +275,8 @@ class TestAttachSwapDrop:
         s = attach_register(ghz_branches(2, 2), 2, 1)
         dropped = drop_register(s, 2)
         assert dropped.dims == (2, 2)
-        assert states_close(to_dense(dropped).amps, make_uniform_ghz(2, 2).amps)
+        assert_allclose(align_global_phase(to_dense(dropped).amps), align_global_phase(make_uniform_ghz(2, 2).amps),
+                        rtol=0, atol=1e-12)
 
     def test_drop_correlated_register_rejected(self):
         with pytest.raises(BranchError):
@@ -408,7 +414,8 @@ class TestMeasurement:
         comp = np.eye(D * D) - mask
         k, post, p = branch_measure(s, [mask, comp], rng, registers=[0, 1])
         assert k == 0 and p == pytest.approx(1.0, abs=1e-12)
-        assert states_close(to_dense(post).amps, to_dense(s).amps)
+        assert_allclose(align_global_phase(to_dense(post).amps), align_global_phase(to_dense(s).amps),
+                        rtol=0, atol=1e-12)
 
     def test_fourier_frame_measurement_zero_sum(self):
         # Measuring every register in the Fourier-conjugate basis must produce
@@ -437,7 +444,8 @@ class TestMeasurement:
         targets = [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(D)]
         k, post, p = branch_measure(s, targets, rng)
         assert k == m and p == pytest.approx(1.0, abs=1e-12)
-        assert states_close(to_dense(post).amps, to_dense(s).amps)
+        assert_allclose(align_global_phase(to_dense(post).amps), align_global_phase(to_dense(s).amps),
+                        rtol=0, atol=1e-12)
 
     def test_subset_branch_target_collapse(self):
         # Measure the first two registers of a 3-register correlated state
@@ -455,7 +463,7 @@ class TestMeasurement:
             to_dense(target).amps,
             np.array([1, 1 if k == 0 else -1]) / np.sqrt(2),
         )
-        assert states_close(dense_post.amps, expect, tol=1e-12)
+        assert_allclose(align_global_phase(dense_post.amps), align_global_phase(expect), rtol=0, atol=1e-12)
 
     def test_probabilities_match_dense_oracle(self):
         D = 3
@@ -613,11 +621,14 @@ def test_label_join_matches_dense(pair):
 class TestTensorAndInner:
     def test_tensor_product_branch_count(self):
         a = ghz_branches(2, 3)
-        b = ghz_branches(2, 3)
-        ab = tensor_branches(a, b)
+        ab = BranchState(a.dims * 2, [(ca * cb, fa + fb) for ca, fa in a.branches for cb, fb in a.branches])
         assert len(ab.branches) == 4
-        manual = np.kron(to_dense(a).amps, to_dense(b).amps)
+        manual = np.kron(to_dense(a).amps, to_dense(a).amps)
         assert np.max(np.abs(to_dense(ab).amps - manual)) <= 1e-12
+        v = np.array([1, 1j]) / np.sqrt(2)
+        av = attach_register(a, 2, v)  # a product with one more register keeps the branch count
+        assert len(av.branches) == 2
+        assert np.max(np.abs(to_dense(av).amps - np.kron(to_dense(a).amps, v))) <= 1e-12
 
     def test_branch_inner_matches_dense(self):
         a = phase_ghz(3, 2, 0.5)
@@ -867,7 +878,8 @@ def test_operation_sequences_match_dense(D, N, ops, seed):
         else:
             assert np.max(np.abs(dk.reduced(d, measured) - bk.reduced(b, measured))) <= 1e-12
         # The dense drop fixes the global phase afresh, so compare up to it.
-        assert states_close(dk.amplitudes(d), bk.amplitudes(b), tol=1e-12)
+        assert_allclose(align_global_phase(dk.amplitudes(d)), align_global_phase(bk.amplitudes(b)),
+                        rtol=0, atol=1e-12)
         _assert_as_constructed(b)
 
 
@@ -1004,6 +1016,53 @@ def test_ghz_families_by_construction_match_the_public_constructor():
                 _assert_same_branches(branches_module._ghz.__wrapped__(D, offsets, 0.0),
                                       _public_ghz(D, 0, offsets=offsets))
     assert renormalized  # the constructor moves bits, so a build without it would fail here
+
+
+def _score(bk, family, D, N):
+    """``family`` scored on ``bk``'s N-register ballot of dimension D."""
+    return bk.score_targets(bk.ghz(D, N), family)
+
+
+@pytest.mark.parametrize("backend", [DenseBackend(), BranchBackend()], ids=["dense", "branch"])
+@pytest.mark.parametrize("build, message", [
+    (lambda bk: bk.ghz(3.7, 2), "D and N must be integers, got 3.7"),
+    (lambda bk: bk.ghz(3, 2.0), "D and N must be integers, got 2.0"),
+    (lambda bk: bk.ghz(True, 2), "D and N must be integers, got True"),
+    (lambda bk: bk.ghz(3, True), "D and N must be integers, got True"),
+    (lambda bk: bk.measure_targets(bk.ghz(4, 2), [phase_ghz(4.9, 2, 0.0)], None),
+     "D and N must be integers, got 4.9"),
+    (lambda bk: bk.measure_targets(bk.ghz(4, 2), [shifted_ghz(4, [0, 2.9])], None),
+     "GHZ offsets must be integers, got 2.9"),
+    (lambda bk: bk.measure_targets(bk.ghz(4, 2), [shifted_ghz(4.0, [0, 2])], None),
+     "D and N must be integers, got 4.0"),
+    (lambda bk: _score(bk, shift_family(4.5), 4, 2), "D and N must be integers, got 4.5"),
+    (lambda bk: _score(bk, fourier_family(3.5), 3, 1), "D and N must be integers, got 3.5"),
+    (lambda bk: _score(bk, phase_family(4, 2.5), 4, 2), "D and N must be integers, got 2.5"),
+    (lambda bk: _score(bk, phase_family(4, 2, 1.5), 4, 2), "readout steps must be integers, got 1.5"),
+    (lambda bk: _score(bk, phase_family(4, 2, True), 4, 2), "readout steps must be integers, got True"),
+    (lambda bk: _score(bk, phase_family(4, 2, 0), 4, 2), "readout step must be >= 1, got 0"),
+    (lambda bk: _score(bk, phase_family(4, 2, -1), 4, 2), "readout step must be >= 1, got -1"),
+    # a size equal to a cached one as a value is still checked, not served from the cache
+    (lambda bk: _score(bk, phase_family(4, 2) and phase_family(4.0, 2), 4, 2),
+     "D and N must be integers, got 4.0"),
+    (lambda bk: _score(bk, shift_family(4) and shift_family(4.0), 4, 2),
+     "D and N must be integers, got 4.0"),
+], ids=["D", "N", "bool-D", "bool-N", "phase_ghz", "offsets", "shifted-D", "shift_family",
+        "fourier_family", "phase_family-N", "step", "bool-step", "zero-step", "negative-step",
+        "cached-phase_family", "cached-shift_family"])
+def test_fractional_ghz_sizes_rejected(build, message, backend):
+    """A GHZ size, offset or readout step that is not an integer raises the same
+    ValueError on both backends, rather than being truncated or failing on a cast."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(backend)
+
+
+def test_numpy_integer_ghz_sizes_accepted():
+    D, N = np.int64(3), np.int32(2)
+    for bk in (DenseBackend(), BranchBackend()):
+        assert bk.dims(bk.ghz(D, N)) == (3, 3)
+        assert _score(bk, phase_family(D, N, np.int16(1)), 3, 2)[0] == pytest.approx([1.0, 0.0, 0.0])
+    assert len(shift_family(np.int64(3))) == 3 and shifted_ghz(D, np.array([0, 2])).dims == (3, 3)
 
 
 def _per_pair_inners(dims, bras, ket):

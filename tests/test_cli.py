@@ -455,13 +455,13 @@ def test_verify_runs_each_ballot_once_per_backend(monkeypatch):
     from qvote import protocols
 
     calls = []
-    run = protocols.run_distributed
+    run = protocols._run_ballot
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(protocols, "run_distributed", counted)
+    monkeypatch.setattr(protocols, "_run_ballot", counted)
     text = (Path(__file__).resolve().parent.parent / "scenarios" / "distributed.ini").read_text()
     report = execute(parse_scenario(text), command="verify")
     assert len(calls) == 2
