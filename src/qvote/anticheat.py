@@ -14,7 +14,9 @@ Both the distributed variant (one ballot register per voter, final state on
 register disentangled and discarded after each vote) are provided. Every
 state of either is label-diagonal, sum_j c_j |j...j>, so the branch backend
 plays a round as D coefficients (:func:`_label_rounds`, the cheater's engine
-too); the dense backend, the oracle, plays each step (:func:`play`).
+too), read out by the FFT helper of the phase ballots' label frame
+(:func:`qvote.protocols._phase_weights`); the dense backend, the oracle, plays
+each step (:func:`play`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .backends import get_backend
 from .branches import BranchState, MeasurementFamily, _ghz_rows, phase_family
 from .matrices import phase_state, shift_matrix
-from .protocols import Transcript, _check_votes, _integers, _require_room
+from .protocols import Transcript, _check_votes, _integers, _phase_weights, _require_room
 from .states import _draw_outcome, _draw_rows, cached_op
 
 VARIANTS = ("distributed", "traveling")
@@ -337,7 +339,7 @@ def _label_rounds(c, secrets: AuthoritySecrets, angles, u: np.ndarray, variant: 
     for r in rs if variant == "distributed" else ():  # the wrap corrections, then the no-angle removal
         c = np.where(j < r[:, None], c * np.exp(-1j * D * secrets.offset), c)
     c = c * np.exp(-1j * j * len(angles) * secrets.no_angle(D))
-    probs = abs(np.fft.fft(c, axis=1)[:, ::secrets.gap]) ** 2 / D  # phase_family(D, regs, gap)
+    probs = _phase_weights(c, secrets.gap)  # phase_family(D, regs, gap)
     k = _draw_rows(probs, u[:, len(angles)])
     error = k == probs.shape[1]
     return rs, c, np.where(error, -1, k), np.where(error, 1.0 - probs.cumsum(axis=1)[:, -1],

@@ -18,9 +18,10 @@ join branches on their label rows; a vector object that every row shares (an
 announced register) is overlapped once per join, not once per branch pair.
 A target family finds its join when its Gram check runs, and keeps it, so a
 measurement walks the state once: O(B·N) hashing. Where the pair loop would
-multiply ``_JOIN_MIN_PAIRS`` pairs or more, a full-register all-label family
-(the tallies and the readouts) gathers the state's coefficients through its
-columns, and a one-register ket family (the announcements) scores a
+cost more, a full-register all-label family (the tallies and the readouts)
+gathers the state's coefficients through its columns (gated on the family rows
+the loop walks and the pairs it multiplies), and a one-register ket family (the
+announcements, gated at ``_JOIN_MIN_PAIRS`` members × rows) scores a
 (members × rows) array, each row's label picking a column of the conjugated
 kets: the Born weights cost a few numpy calls, each complex product written
 as separate real products so that the bits are the loop's, and only the
@@ -227,7 +228,7 @@ class BranchState(_Frozen):
 _FAMILY_CACHE = 512  # states; holds every readout family of a D = 49 round and more
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_FAMILY_CACHE)  # as many as _ghz: a cached state's rows stay the ones a new one gets
 def _ghz_rows(D: int, N: int) -> tuple[tuple[int, ...], ...]:
     """The label row (j,) * N of each label j, shared by every state built
     on it: a family of D phase-GHZ states holds D rows rather than D * D."""
@@ -271,11 +272,15 @@ def shifted_ghz(D: int, offsets: Sequence[int]) -> BranchState:
 @lru_cache(maxsize=64, typed=True)  # typed: 4.0 or True is checked and refused, not served 4 or 1
 def phase_family(D: int, N: int, step: int = 1) -> MeasurementFamily:
     """``phase_ghz(D, N, 2 pi q / D)`` for q = 0, step, 2 step, ... below D, the
-    tally (step 1) and anti-cheat readout families, checked once and cached."""
+    tally (step 1) and anti-cheat readout families, checked once and cached. The
+    family is marked with its ``step``, so a label-diagonal state can be scored
+    by its Fourier transform instead."""
     D, N = _check_ghz(D, N)
-    if _integers((step,), "readout steps")[0] < 1:
+    if (step := _integers((step,), "readout steps")[0]) < 1:
         raise ValueError(f"readout step must be >= 1, got {step}")
-    return MeasurementFamily((D,) * N, [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(0, D, step)])
+    family = MeasurementFamily((D,) * N, [phase_ghz(D, N, 2 * np.pi * q / D) for q in range(0, D, step)])
+    object.__setattr__(family, "step", step)
+    return family
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -327,6 +332,11 @@ def _pair_overlap(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence
 
 _ALL_BASIS = {int}
 _JOIN_MIN_PAIRS = 32  # branch pairs; measured break-even on 4-register states
+# The pair loop's work: the family rows it walks plus 3 per pair it multiplies (D^2 + 3D
+# for a shift family, 4D^2 for a phase family). The gather breaks even at about 256
+# (shift D = 15, phase D = 8); the gate sits at 350, so that shift families keep the loop
+# to D = 17, whose traveling readout's call-count growth tests/test_complexity.py bounds.
+_GATHER_MIN_WORK = 350
 _CHUNK_TERMS = 1 << 16  # pair terms scored at once, to bound the arrays of one bucket of many rows
 
 
@@ -394,8 +404,8 @@ def _target_amps(join: tuple, ket: Sequence[Branch]) -> list[complex] | None:
     """<t|ket> for every target t of a family join (see :func:`_check_orthonormal`),
     from one walk of the ket rows; None when one holds a vector on the key. An
     all-label family gathers the ket coefficients through its columns, bitwise the
-    pair loop, when the loop would multiply ``_JOIN_MIN_PAIRS`` pairs or more and no
-    two ket rows share a column; else the pair loop runs."""
+    pair loop, when the loop's work (see ``_GATHER_MIN_WORK``) reaches the gate
+    and no two ket rows share a column; else the pair loop runs."""
     key, rest, cols, rows, gather = join
     hits: dict[int, list[Branch]] = {}
     for b in ket:
@@ -404,10 +414,10 @@ def _target_amps(join: tuple, ket: Sequence[Branch]) -> list[complex] | None:
             hits.setdefault(u, []).append(b)
         elif not _ALL_BASIS.issuperset(map(type, labels)):
             return None
-    if (gather is None or sum(map(gather[2].__getitem__, hits)) < _JOIN_MIN_PAIRS
+    if (gather is None or gather[3] + 3 * sum(map(gather[2].__getitem__, hits)) < _GATHER_MIN_WORK
             or sum(map(len, hits.values())) > len(hits)):
         return _pair_sums(rows, hits, rest)
-    index, conj, _ = gather
+    index, conj, _, _ = gather
     c = np.zeros(len(cols) + 1, dtype=complex)  # the last column pads the shorter targets
     c[list(hits)] = [h[0][0] for h in hits.values()]
     return _loop_sum(_cmul(conj, c.view(float)[index])).view(complex)[:, 0].tolist()
@@ -436,15 +446,17 @@ def _loop_sum(terms: np.ndarray) -> np.ndarray:
 def _gather(rows: list[list[tuple]], n_cols: int) -> tuple:
     """An all-label family's join as arrays, padded to the longest target with the
     column ``n_cols``: the index of each row's column's (re, im, im, re) in a complex
-    vector's float view, each row's conj(c) as :func:`_cmul`'s first lanes, and the
-    number of rows on each column, the pairs a ket row there adds to the loop."""
+    vector's float view, each row's conj(c) as :func:`_cmul`'s first lanes, the
+    number of rows on each column, the pairs a ket row there adds to the loop, and
+    the number of rows, the loop's walk."""
     cols = np.full((len(rows), max(map(len, rows))), n_cols)
     conj = np.zeros(cols.shape, dtype=complex)
     for i, row in enumerate(rows):
         cols[i, : len(row)] = [u for _, u, _ in row]
         conj[i, : len(row)] = [cc for cc, _, _ in row]
     refs = np.bincount(cols.ravel(), minlength=n_cols + 1).tolist()
-    return _read_only((2 * cols[..., None] + [0, 1, 1, 0]).astype(np.int32)), _lanes(conj), refs
+    index = _read_only((2 * cols[..., None] + [0, 1, 1, 0]).astype(np.int32))
+    return index, _lanes(conj), refs, sum(map(len, rows))
 
 
 def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> tuple:
@@ -887,9 +899,9 @@ class MeasurementFamily(_Frozen):
     get a layout and Gram check, whose label join they keep as ``join``.
     ``owner`` (shaped ``dims``; None for targets) holds the member whose mask
     holds each label tuple, or -1 for the remainder. ``conj_kets`` is None until
-    :func:`_conj_kets` fills it."""
+    :func:`_conj_kets` fills it; ``step`` is None unless :func:`phase_family` built it."""
 
-    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join", "conj_kets")
+    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join", "conj_kets", "step")
 
     def __init__(self, dims: Sequence[int], projectors: Sequence, *, diagonal: bool = False):
         dims = tuple(int(d) for d in dims)
@@ -915,6 +927,7 @@ class MeasurementFamily(_Frozen):
         object.__setattr__(self, "rank", sum(map(np.sum, masks)) + len(targets))
         object.__setattr__(self, "join", join)
         object.__setattr__(self, "conj_kets", None)
+        object.__setattr__(self, "step", None)
 
     def __len__(self) -> int:
         return len(self.masks) + len(self.targets)

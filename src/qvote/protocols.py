@@ -20,6 +20,12 @@ Fourier transform of it, so the shift vote conjugates to the inverse
 diagonal phase and the announcement measurement to the Fourier-conjugate
 basis. Outcome statistics are identical and the frame is shared by both
 backends.
+
+An unrecorded branch ballot of diagonal phases (distributed, dolev, broadcast,
+the abelian products) read out by a phase family or the announcements stays
+sum_j c_j |j...j>: it is played in the label frame as its D coefficients and one
+FFT per readout, each outcome drawn as the step-by-step play draws it, with no
+post-state. The dense backend and every recorded run play each step, the oracle.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .backends import get_backend
-from .branches import MeasurementFamily, fourier_family, phase_family, shift_family
+from .branches import MeasurementFamily, fourier_family, ghz_branches, phase_family, shift_family
 from .matrices import phase_vote_matrix, shift_matrix
-from .states import LocalOp, _draw_outcome, _integers, cached_op, maximally_mixed, trace_distance
+from .states import (LocalOp, _draw_outcome, _draw_rows, _integers, cached_op, maximally_mixed,
+                     trace_distance)
 
 SCHEMES = (
     "traveling",
@@ -155,12 +162,42 @@ class Ballot(NamedTuple):
             m = (m + int(x)) % self.D
         return m, state
 
+    def labels(self, bk) -> np.ndarray | None:
+        """The state before the readout as the D coefficients c of sum_j c_j |j...j>:
+        the amplitude of ``bk.ghz`` times every party's diagonal phases. None, for the
+        step-by-step play, off the branch backend, for a party's operation that is not
+        a diagonal :class:`LocalOp` of dimension D, or for a readout that is neither the
+        announcements nor a phase family on the ballot's registers."""
+        D, family = self.D, self.readout
+        if bk.name != "branch" or family is not None and (
+                family.step is None or family.dims != (D,) * self.registers):
+            return None
+        c = np.full(D, ghz_branches(D, self.registers).branches[0][0])
+        for w in self.weights:
+            if (U := self.op(w)) is not None:
+                if not (isinstance(U, LocalOp) and U.dim == D and U.diagonal is not None):
+                    return None
+                c = c * U.monomial[1]
+        return c
+
+    def label_reads(self, c: np.ndarray, rngs) -> list[tuple[int, list[int] | None, float | None]]:
+        """Each stream's tally, announced values and the collector's outcome probability
+        (None where absent) on the label state ``c``, scored once for every stream; a
+        collector's draw takes the rank and measured dimension ``score_targets`` gives."""
+        if self.readout is None:
+            return [(sum(x) % self.D, x, None) for x in map(_announcer(c, self.registers), rngs)]
+        probs = _phase_weights(c, self.readout.step).tolist()
+        ks = [_draw_outcome(probs, self.readout.rank, self.D ** self.registers, rng) for rng in rngs]
+        return [(k, None, probs[k] if k < len(probs) else 1.0 - float(sum(probs))) for k in ks]
+
     def tallies(self, bk, rngs) -> list[tuple[int, list[int] | None]]:
         """The tally :func:`_run_ballot` reads on each stream of ``rngs``, with the
-        announced values (None under a collector's readout), from one preparation.
-        A collector's family is scored once and each stream draws an outcome from
-        those weights, as ``measure_targets`` draws, building no post-state;
-        announcements are played per stream."""
+        announced values (None under a collector's readout), from one preparation
+        or label state. A collector's family is scored once and each stream draws an
+        outcome from those weights, as ``measure_targets`` draws, building no
+        post-state; announcements are played per stream."""
+        if (c := self.labels(bk)) is not None:
+            return [(m, x) for m, x, _ in self.label_reads(c, rngs)]
         state = self.prepare(bk)
         if self.readout is not None:
             scores = bk.score_targets(state, self.readout)
@@ -171,6 +208,30 @@ class Ballot(NamedTuple):
             m, _ = self.announce(state, bk, rng, public)
             out.append((m, [e["value"] for e in public]))
         return out
+
+
+def _phase_weights(c: np.ndarray, step: int) -> np.ndarray:
+    """The Born weights of ``phase_family(D, n, step)`` on the label states
+    sum_j c_j |j...j> along the last axis of ``c``: |FFT(c)[q]|^2 / D for q = 0,
+    step, 2 step, ..., since member q is (1/sqrt(D)) sum_j e^{2 pi i j q / D} |j...j>."""
+    return abs(np.fft.fft(c, axis=-1)[..., ::step]) ** 2 / c.shape[-1]
+
+
+def _announcer(c: np.ndarray, registers: int) -> Callable[[np.random.Generator], list[int]]:
+    """``draw(rng)``: the values :meth:`Ballot.announce` draws from ``rng`` on the label
+    state c, one uniform per register in order. Announcing x multiplies c_j by
+    e^{2 pi i j x / D}, so each register but the last draws from the uniform weights
+    sum_j |c_j|^2 / D, and the last, after the others' sum S, from
+    D |ifft(c e^{2 pi i j S / D})|^2: D |ifft(c)|^2 rolled by S, computed once."""
+    D = len(c)
+    uniform = np.full((1, D), np.sum(c.real**2 + c.imag**2) / D)
+    last = D * abs(np.fft.ifft(c)) ** 2
+
+    def draw(rng: np.random.Generator) -> list[int]:
+        x = _draw_rows(uniform, rng.random(registers - 1), complete=True).tolist()
+        return x + [_draw_outcome(np.roll(last, -sum(x)).tolist(), D, D, rng)]
+
+    return draw
 
 
 def _recorder(t: Transcript, bk, ballot: Ballot, record_privacy: bool, record_states: bool):
@@ -199,19 +260,24 @@ def _recorder(t: Transcript, bk, ballot: Ballot, record_privacy: bool, record_st
 
 def _run_ballot(ballot: Ballot, bk, rng, record_privacy=False, record_states=False) -> TallyResult:
     """One run of ``ballot`` on backend ``bk``, its readout through
-    ``bk.measure_targets`` or the announcements, with its transcript.
+    ``bk.measure_targets`` or the announcements (in the label frame when
+    :meth:`Ballot.labels` allows it and nothing is recorded), with its transcript.
     ``record_privacy`` checks every register's reduced state after each step."""
     t = Transcript()
     record = _recorder(t, bk, ballot, record_privacy, record_states)
-    state = ballot.prepare(bk, record)
+    c = ballot.labels(bk) if record is None else None
+    state = ballot.prepare(bk, record) if c is None else None
     t.hidden.extend([{"voter": k, "vote": w} for k, w in enumerate(ballot.weights)])
-    if ballot.readout is not None:
+    if c is not None:  # no post-state: nothing reads it
+        ((m, announced, p),) = ballot.label_reads(c, [rng])
+        t.public.extend({"event": "announce", "voter": r, "value": x}
+                        for r, x in enumerate(announced or ()))
+    elif ballot.readout is not None:
         m, state, p = bk.measure_targets(state, ballot.readout, rng)
         m = int(m)
-        t.public.append({"event": "tally", "m": m, "probability": p})
     else:
         m, state = ballot.announce(state, bk, rng, t.public)
-        t.public.append({"event": "tally", "m": m})
+    t.public.append({"event": "tally", "m": m} | ({} if ballot.readout is None else {"probability": p}))
     if record is not None:
         record(state, "post-measurement")
     return TallyResult(m=m, transcript=t)

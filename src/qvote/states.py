@@ -481,9 +481,10 @@ def _draw_outcome(probs: list[float], rank: int, dim: int, rng: np.random.Genera
 
 def _draw_rows(probs: np.ndarray, u: np.ndarray, complete: bool = False) -> np.ndarray:
     """:func:`_draw_outcome` on each row of Born weights (a complete family's
-    when ``complete``), drawn by the uniforms ``u``: the same checks, and
-    :func:`sample_index`'s rule, with row sums in the order ``sum`` adds. A finite
-    sum within the bounds is checked once: it implies the looser bound."""
+    when ``complete``; a single row is drawn by every uniform), drawn by the
+    uniforms ``u``: the same checks, and :func:`sample_index`'s rule, with row sums
+    in the order ``sum`` adds. A finite sum within the bounds is checked once: it
+    implies the looser bound."""
     if not np.isfinite(probs).all():
         raise ValueError("outcome weights must be finite")
     total = probs.cumsum(axis=1)[:, -1]

@@ -121,14 +121,23 @@ def test_each_stream_draws_as_one_run(backend, readout):
 
 
 def _count_preparations(monkeypatch) -> list:
+    """Every preparation: a step-by-step one, or a label-frame build (``Ballot.labels``
+    returning the coefficients rather than None)."""
     calls = []
-    prepare = protocols.Ballot.prepare
+    prepare, labels = protocols.Ballot.prepare, protocols.Ballot.labels
 
     def counted(self, bk, record=None):
         calls.append((bk.name, tuple(self.weights)))
         return prepare(self, bk, record)
 
+    def counted_labels(self, bk):
+        c = labels(self, bk)
+        if c is not None:
+            calls.append((bk.name, tuple(self.weights)))
+        return c
+
     monkeypatch.setattr(protocols.Ballot, "prepare", counted)
+    monkeypatch.setattr(protocols.Ballot, "labels", counted_labels)
     return calls
 
 
@@ -148,8 +157,9 @@ def test_one_preparation_per_backend_and_input_vector(monkeypatch, scheme, backe
 
 
 def test_many_trials_draw_from_one_scored_readout(monkeypatch):
-    """2000 trials of one vote vector: one preparation and one scoring per backend,
-    no ``measure_targets``, and the records of the trial-by-trial loop."""
+    """2000 trials of one vote vector: one preparation and one scoring per backend
+    (on branch, the label frame's build and scoring), no ``measure_targets``, and the
+    records of the trial-by-trial loop."""
     text = _text("distributed", "both", 2000)
     want = _reference_records(parse_scenario(text), "dense")
     scored = []
@@ -158,6 +168,8 @@ def test_many_trials_draw_from_one_scored_readout(monkeypatch):
         monkeypatch.setattr(cls, "score_targets",
                             lambda self, *a, score=score, **k: scored.append(self.name) or score(self, *a, **k))
         monkeypatch.setattr(cls, "measure_targets", lambda *a, **k: pytest.fail("measured a trial"))
+    weights = protocols._phase_weights  # the label frame's scoring, on branch
+    monkeypatch.setattr(protocols, "_phase_weights", lambda *a: scored.append("branch") or weights(*a))
     monkeypatch.setattr(runner, "amplitude_agreement", lambda cfg: {"passed": True})
     calls = _count_preparations(monkeypatch)
     report = execute(parse_scenario(text), "run")

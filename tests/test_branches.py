@@ -190,6 +190,15 @@ class TestOneGhzBuilder:
         assert ballot is shifted_ghz(D, (0,) * N) is branches_module.phase_family(D, N)[0]
         assert ballot is BranchBackend().ghz(D, N)
 
+    def test_cached_rows_outlive_64_other_sizes(self):
+        """The row cache holds as many sizes as the state cache, so a cached ballot
+        and a phase-GHZ state first built after 64 other sizes share their rows."""
+        ballot = ghz_branches(11, 13)
+        for N in range(200, 270):  # 70 sizes no other test builds
+            ghz_branches(2, N)
+        fresh = phase_ghz(11, 13, 0.5123)
+        assert all(a is b for (_, a), (_, b) in zip(ballot.branches, fresh.branches))
+
     def test_anticheat_setup_holds_the_cached_ballot(self):
         from qvote import anticheat
 

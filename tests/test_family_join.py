@@ -303,10 +303,12 @@ def _unit(dims, rows):
 
 def _scoring_case(kind, rng):
     """A (state, measured registers, family) on either side of the size gate."""
-    if kind == "tally":  # a full-register all-label family on distinct label rows
+    if kind in ("tally", "shift"):  # a full-register all-label family on distinct label rows
         D = int(rng.integers(3, 12))
         family = phase_family(D, int(rng.integers(2, 5)), int(rng.integers(1, 3))) if rng.random() < 0.5 \
             else shift_family(int(rng.integers(3, 41)))
+        if kind == "shift":  # a traveling or survey readout on either side of the gate
+            family = shift_family(int(rng.choice([6, 17, 31])))
         regs = [int(r) for r in rng.permutation(len(family.dims))]
         state = _state("labels", family, regs, rng, max_rows=64)
         return _unit(state.dims, branches._merge_rows(state.branches)), regs, family
@@ -336,15 +338,17 @@ def _scoring_case(kind, rng):
 
 
 def _gated(state, regs, family):
-    """Whether the array form must score: the loop's pairs at the gate or above,
+    """Whether the array form must score: the loop's work at the gate or above (the
+    family rows it walks plus 3 per pair it multiplies; off one register, its pairs),
     every row's measured factors labels and, off one register, no free register."""
     rows = [fs for _, fs in state.branches]
     if len(regs) == state.num_registers:
         if family.join[4] is None or len(set(rows)) < len(rows):
             return False
         ket = {tuple(fs[r] for r in regs) for fs in rows}
+        walk = sum(len(t.branches) for t in family.targets)
         pairs = sum(tf in ket for t in family.targets for _, tf in t.branches)
-        return pairs >= branches._JOIN_MIN_PAIRS
+        return walk + 3 * pairs >= branches._GATHER_MIN_WORK
     rest = [r for r in range(state.num_registers) if r not in regs]
     free = branches._join_key(state.dims, [(0, tuple(fs[r] for r in rest)) for fs in rows])[2]
     return (all(len(t.branches) == 1 for t in family.targets) and not free
@@ -353,14 +357,16 @@ def _gated(state, regs, family):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(seed=hst.integers(0, 2**32 - 1), kind=hst.sampled_from(["tally", "announce", "mitm", "free"]))
+@given(seed=hst.integers(0, 2**32 - 1), kind=hst.sampled_from(["tally", "shift", "announce", "mitm", "free"]))
 def test_array_scoring_equals_the_pair_loop(seed, kind):
     """Full-register tally families and one-register ket families, scored as
     arrays at or above the gate (and by the loop below it, with a free register,
     or with a vector on the measured register): the same probability bytes,
     post-state coefficient bytes and rows, drawn outcome and next draw as the
-    pair loop. Cases: repeated rest rows in one bucket (a last announcement),
-    a shared announced vector on the rest, vanishing coefficients, one-hot kets."""
+    pair loop. Cases: shift families at D = 6 (the loop), 17 (either, by the
+    rows matched) and 31 (the gather), repeated rest rows in one bucket (a last
+    announcement), a shared announced vector on the rest, vanishing coefficients,
+    one-hot kets."""
     rng = np.random.default_rng(seed)
     state, regs, family = _scoring_case(kind, rng)
     calls, cmul = [], branches._cmul

@@ -45,9 +45,15 @@ def test_tracer_counts_tallies_and_uninstalls():
     tracer.install()
     try:
         cfg = protocols.ProtocolConfig(D=4, N=3, scheme="distributed")
+        # Recorded, the branch tally plays each step; the counts below describe that path.
         for backend in ("branch", "dense"):
-            result = protocols.run_distributed(cfg, [1, 0, 1], backend, rng=np.random.default_rng(0))
+            result = protocols.run_distributed(cfg, [1, 0, 1], backend, rng=np.random.default_rng(0),
+                                               record_states=backend == "branch")
             assert result.m == 2
+        measured = tracer.metrics()["backends.op.measure_targets"]
+        # Unrecorded, it runs in the label frame: no backend measurement.
+        assert protocols.run_distributed(cfg, [1, 0, 1], "branch", rng=np.random.default_rng(0)).m == 2
+        assert tracer.metrics()["backends.op.measure_targets"] == measured
         # The cached ballot needs no norm walk, so score one target to reach branch_inner.
         branch = backends.get_backend("branch")
         ballot = branch.ghz(4, 3)
