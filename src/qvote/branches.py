@@ -17,17 +17,10 @@ Every factor is local to one register: a basis label (a plain ``int``) or a
 join branches on their label rows; a vector object that every row shares (an
 announced register) is overlapped once per join, not once per branch pair.
 A target family finds its join when its Gram check runs, and keeps it, so a
-measurement walks the state once: O(B·N) hashing. Where the pair loop would
-cost more, a full-register all-label family (the tallies and the readouts)
-gathers the state's coefficients through its columns (gated on the family rows
-the loop walks and the pairs it multiplies), and a one-register ket family (the
-announcements, gated at ``_JOIN_MIN_PAIRS`` members × rows) scores a
-(members × rows) array, each row's label picking a column of the conjugated
-kets: the Born weights cost a few numpy calls, each complex product written
-as separate real products so that the bits are the loop's, and only the
-drawn member's post-state is built, by copying each row and setting the
-measured slot. Below that size, with a vector on a measured register, or
-with a free vector register off it, the pair loop runs.
+measurement walks the state once: O(B·N) hashing. Every family is then scored
+by one pair loop over the matched rows; the unrecorded phase ballots of
+:mod:`qvote.protocols` and the anti-cheat rounds never reach it, because they
+are played in the label frame (D coefficients and one FFT per readout).
 
 An operation that entangles two registers (a pair unitary, or a diagonal
 mask over two vector factors) splits each two-register block by the Schmidt
@@ -51,6 +44,7 @@ compared up to a global phase throughout.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
@@ -332,12 +326,6 @@ def _pair_overlap(fa: tuple[Factor, ...], fb: tuple[Factor, ...], regs: Sequence
 
 _ALL_BASIS = {int}
 _JOIN_MIN_PAIRS = 32  # branch pairs; measured break-even on 4-register states
-# The pair loop's work: the family rows it walks plus 3 per pair it multiplies (D^2 + 3D
-# for a shift family, 4D^2 for a phase family). The gather breaks even at about 256
-# (shift D = 15, phase D = 8); the gate sits at 350, so that shift families keep the loop
-# to D = 17, whose traveling readout's call-count growth tests/test_complexity.py bounds.
-_GATHER_MIN_WORK = 350
-_CHUNK_TERMS = 1 << 16  # pair terms scored at once, to bound the arrays of one bucket of many rows
 
 
 def _join_key(dims: tuple[int, ...], *sides: Sequence[Branch]) -> tuple[list[int], ...]:
@@ -389,7 +377,9 @@ def _pair_sums(bras: list[list[tuple]], hits: dict, rest: Sequence[int], shared=
     for bra in bras:
         total = 0.0 + 0.0j
         for ca, u, fa in bra:
-            for cb, fb in hits.get(u, ()):
+            if u not in hits:  # no call per row: a family walks D^2 of them
+                continue
+            for cb, fb in hits[u]:
                 if not rest:
                     total += ca * cb
                     continue
@@ -402,11 +392,8 @@ def _pair_sums(bras: list[list[tuple]], hits: dict, rest: Sequence[int], shared=
 
 def _target_amps(join: tuple, ket: Sequence[Branch]) -> list[complex] | None:
     """<t|ket> for every target t of a family join (see :func:`_check_orthonormal`),
-    from one walk of the ket rows; None when one holds a vector on the key. An
-    all-label family gathers the ket coefficients through its columns, bitwise the
-    pair loop, when the loop's work (see ``_GATHER_MIN_WORK``) reaches the gate
-    and no two ket rows share a column; else the pair loop runs."""
-    key, rest, cols, rows, gather = join
+    from one walk of the ket rows and the pair loop; None when one holds a vector on the key."""
+    key, rest, cols, rows = join
     hits: dict[int, list[Branch]] = {}
     for b in ket:
         u = cols.get(labels := _labels(b[1], key))
@@ -414,61 +401,18 @@ def _target_amps(join: tuple, ket: Sequence[Branch]) -> list[complex] | None:
             hits.setdefault(u, []).append(b)
         elif not _ALL_BASIS.issuperset(map(type, labels)):
             return None
-    if (gather is None or gather[3] + 3 * sum(map(gather[2].__getitem__, hits)) < _GATHER_MIN_WORK
-            or sum(map(len, hits.values())) > len(hits)):
-        return _pair_sums(rows, hits, rest)
-    index, conj, _, _ = gather
-    c = np.zeros(len(cols) + 1, dtype=complex)  # the last column pads the shorter targets
-    c[list(hits)] = [h[0][0] for h in hits.values()]
-    return _loop_sum(_cmul(conj, c.view(float)[index])).view(complex)[:, 0].tolist()
-
-
-def _lanes(z: np.ndarray) -> np.ndarray:
-    """A complex array as :func:`_cmul`'s first factor, (re, -im, re, im) on a last axis, read-only."""
-    return _read_only(np.stack([z.real, -z.imag, z.real, z.imag], axis=-1))
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b as (re, im) on a last axis from ``a``'s lanes (re, -im, re, im) and
-    ``b``'s (re, im, im, re): each real product rounded on its own, then summed in
-    pairs, as a complex scalar product is; numpy's complex arrays multiply
-    differently in the last bit, so the pair loop's bits need this form."""
-    ab = a * b
-    return ab[..., 0::2] + ab[..., 1::2]
-
-
-def _loop_sum(terms: np.ndarray) -> np.ndarray:
-    """The sum over axis 1 in index order from 0.0, bitwise the pair loop's running
-    total (a sequential cumulative sum; adding 0.0 turns an all -0.0 sum into 0.0)."""
-    return np.cumsum(terms, axis=1)[:, -1] + 0.0
-
-
-def _gather(rows: list[list[tuple]], n_cols: int) -> tuple:
-    """An all-label family's join as arrays, padded to the longest target with the
-    column ``n_cols``: the index of each row's column's (re, im, im, re) in a complex
-    vector's float view, each row's conj(c) as :func:`_cmul`'s first lanes, the
-    number of rows on each column, the pairs a ket row there adds to the loop, and
-    the number of rows, the loop's walk."""
-    cols = np.full((len(rows), max(map(len, rows))), n_cols)
-    conj = np.zeros(cols.shape, dtype=complex)
-    for i, row in enumerate(rows):
-        cols[i, : len(row)] = [u for _, u, _ in row]
-        conj[i, : len(row)] = [cc for cc, _, _ in row]
-    refs = np.bincount(cols.ravel(), minlength=n_cols + 1).tolist()
-    index = _read_only((2 * cols[..., None] + [0, 1, 1, 0]).astype(np.int32))
-    return index, _lanes(conj), refs, sum(map(len, rows))
+    return _pair_sums(rows, hits, rest)
 
 
 def _check_orthonormal(dims: tuple[int, ...], targets: Sequence[BranchState]) -> tuple:
     """Raise unless the targets are orthonormal, from one Gram matrix over their label join,
     returned for the family to keep: the key (registers with a label on every row), the
-    rest, each key-label row's column, the branches as (conj(c), column, factors), and,
-    when the rest is empty, the same as :func:`_gather`'s arrays."""
+    rest, each key-label row's column and the branches as (conj(c), column, factors)."""
     key, rest, _ = _join_key(dims, *(t.branches for t in targets))
     cols: dict[tuple[int, ...], int] = {}
     rows = [[(np.conj(c), cols.setdefault(_labels(fs, key), len(cols)), fs) for c, fs in t.branches]
             for t in targets]
-    join = key, rest, cols, rows, None if rest else _gather(rows, len(cols))
+    join = key, rest, cols, rows
     if rest:
         gram = np.array([_target_amps(join, t.branches) for t in targets]).T
     else:
@@ -790,22 +734,22 @@ def _collapse_onto(state: BranchState, target: BranchState, regs: list[int]) -> 
 def _rest_join(dims: tuple[int, ...], rows: list[tuple[Factor, ...]]) -> tuple:
     """The one join of a subset measurement's unmeasured ``rows`` that every member
     shares: each row's bucket (its labels on the key), the bucket count, the registers
-    off the key, the free ones among them (see :func:`_join_key`), and the overlap the
-    off-key registers share (None when one is free or none is off the key)."""
+    off the key, and the overlap they share (None when one is free, see
+    :func:`_join_key`, or none is off the key)."""
     labels = _ALL_BASIS.issuperset(map(type, chain.from_iterable(rows)))  # then every register is key
     key, off, free = (range(len(dims)), [], []) if labels else _join_key(dims, [*enumerate(rows)])
     whole = key if free else range(len(dims))  # shared off-key objects: the labels pick out the row
     buckets: dict[tuple, int] = {}
     bucket = [buckets.setdefault(_labels(row, whole), len(buckets)) for row in rows]
     shared = None if free or not off else _pair_overlap(rows[0], rows[0], off)
-    return bucket, len(buckets), off, free, shared
+    return bucket, len(buckets), off, shared
 
 
 def _collapse_norm_sq(dims: tuple[int, ...], rows: list[tuple], join: tuple,
                       chi: list[tuple[complex, int]], single: bool) -> float:
     """:func:`_branch_norm_sq` of a collapse ``chi`` onto the unmeasured ``rows``
     (each at most once when ``single``), bitwise, through their join."""
-    bucket, n_buckets, off, _, shared = join
+    bucket, n_buckets, off, shared = join
     if single and not off and n_buckets == len(rows):  # distinct label rows: j stands for row j
         return _branch_norm_sq(dims, chi, True)
     hits: dict[int, list[Branch]] = {}
@@ -813,65 +757,6 @@ def _collapse_norm_sq(dims: tuple[int, ...], rows: list[tuple], join: tuple,
         hits.setdefault(bucket[j], []).append((c, rows[j]))
     bra = [(np.conj(c), bucket[j], rows[j]) for c, j in chi]
     return max(_pair_sums([bra], hits, off, shared)[0].real, 0.0)
-
-
-def _conj_kets(family: MeasurementFamily) -> tuple[np.ndarray, np.ndarray]:
-    """A one-register family of one-branch targets as :func:`_cmul`'s first lanes:
-    each conj(c), shaped (members, 1), and each conjugated factor vector. Built when
-    the family is first scored as an array, and kept in it (``conj_kets``)."""
-    if family.conj_kets is None:
-        tc = np.conj([[t.branches[0][0]] for t in family.targets])
-        kets = np.conj([_factor_vector(t.branches[0][1][0], family.dims[0]) for t in family.targets])
-        object.__setattr__(family, "conj_kets", (_lanes(tc), _lanes(kets)))
-    return family.conj_kets
-
-
-def _ket_scores(state: BranchState, r: int, family: MeasurementFamily, join: tuple) -> tuple | None:
-    """:func:`_project` of a one-register family of one-branch targets on register
-    ``r``, bitwise its pair loop, from one (members x rows) array: each row's label
-    gathers a column of the conjugated kets, and the weights sum it by the rest join's
-    buckets. None, for the pair loop, below ``_JOIN_MIN_PAIRS`` members x rows, with a
-    vector on ``r`` or with a free register in the rest. A post-state is built only
-    when asked for: each kept row with the target's factor in slot ``r``."""
-    bucket, n_buckets, off, free, shared = join
-    labels = [fs[r] for _, fs in state.branches]
-    if (free or len(labels) * len(family) < _JOIN_MIN_PAIRS or not _ALL_BASIS.issuperset(map(type, labels))
-            or any(len(t.branches) > 1 for t in family.targets)):
-        return None
-    tc, kets = _conj_kets(family)
-    c = np.array([c for c, _ in state.branches], dtype=complex).view(float).reshape(-1, 2)
-    q = _cmul(kets[:, labels], _cmul(tc, c[:, [0, 1, 1, 0]])[..., [0, 1, 1, 0]])  # conj(t[f]) (conj(tc) c)
-    qr, qi = q[..., 0], q[..., 1]
-    keep = np.hypot(qr, qi) > _ZERO_TOL  # abs() of each complex, bitwise
-    if n_buckets == len(labels):  # each row alone in its bucket: the pairs (j, j)
-        i = l = slice(None)
-        pairs = len(labels)
-    else:  # row i against each row l of its bucket, in the loop's order
-        together: dict[int, list[int]] = {}
-        for j, b in enumerate(bucket):
-            together.setdefault(b, []).append(j)
-        i, l = np.array([(j, m) for j, b in enumerate(bucket) for m in together[b]]).T
-        pairs = len(i)
-    step = max(1, _CHUNK_TERMS // pairs)
-    probs = []
-    for k in range(0, len(qr), step):
-        ar, ai, br, bi = qr[k:k + step, i], qi[k:k + step, i], qr[k:k + step, l], qi[k:k + step, l]
-        re = ar * br + ai * bi  # conj(q_i) q_l
-        if off:  # times the overlap the rest shares
-            re = re * shared.real - (ar * bi - ai * br) * shared.imag
-        probs.append(_loop_sum(np.where(keep[k:k + step, i] & keep[k:k + step, l], re, 0.0)))
-    probs = np.concatenate(probs)
-    probs = np.where(0.0 > probs, 0.0, probs)  # max(sum, 0.0), NaN kept
-
-    def post(k: int, n: float) -> list[Branch]:
-        (tc, (tf,)), = family.targets[k].branches
-        js = np.flatnonzero(keep[k])
-        chi = np.empty(len(js), dtype=complex)  # np.complex128 scalars divide as the loop's do
-        chi.real, chi.imag = qr[k, js], qi[k, js]
-        return [(tc * (c / n), fs[:r] + (tf,) + fs[r + 1:])
-                for c, (_, fs) in zip(chi, map(state.branches.__getitem__, js.tolist()))]
-
-    return probs.tolist(), post
 
 
 def _branch_norm_sq(dims: tuple[int, ...], branches: Sequence[Branch], labels=None) -> float:
@@ -898,10 +783,10 @@ class MeasurementFamily(_Frozen):
     kets becoming one-register targets (``kets`` keeps them as parsed); targets
     get a layout and Gram check, whose label join they keep as ``join``.
     ``owner`` (shaped ``dims``; None for targets) holds the member whose mask
-    holds each label tuple, or -1 for the remainder. ``conj_kets`` is None until
-    :func:`_conj_kets` fills it; ``step`` is None unless :func:`phase_family` built it."""
+    holds each label tuple, or -1 for the remainder. ``step`` is None unless
+    :func:`phase_family` built it."""
 
-    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join", "conj_kets", "step")
+    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join", "step")
 
     def __init__(self, dims: Sequence[int], projectors: Sequence, *, diagonal: bool = False):
         dims = tuple(int(d) for d in dims)
@@ -926,7 +811,6 @@ class MeasurementFamily(_Frozen):
         object.__setattr__(self, "targets", tuple(targets))
         object.__setattr__(self, "rank", sum(map(np.sum, masks)) + len(targets))
         object.__setattr__(self, "join", join)
-        object.__setattr__(self, "conj_kets", None)
         object.__setattr__(self, "step", None)
 
     def __len__(self) -> int:
@@ -981,8 +865,6 @@ def _project(
         rows = [tuple([fs[r] for r in rest]) for _, fs in state.branches]
     rdims = tuple(state.dims[r] for r in rest)
     join = _rest_join(rdims, rows)
-    if len(regs) == 1 and (scored := _ket_scores(state, regs[0], family, join)) is not None:
-        return scored
     chis = [list(_collapse_onto(state, t, regs)) for t in targets]
     probs = [_collapse_norm_sq(rdims, rows, join, chi, len(t.branches) == 1) for chi, t in zip(chis, targets)]
     slots = sorted(range(len(regs + rest)), key=(regs + rest).__getitem__)
@@ -999,7 +881,7 @@ def _scores(state: BranchState, projectors, registers: Sequence[int] | None, dia
     :func:`_project`'s ``post``."""
     regs, family = _family(state, projectors, registers, diagonal)
     probs, post = _project(state, regs, family)
-    return probs, family.rank, int(np.prod([state.dims[r] for r in regs])), post
+    return probs, family.rank, math.prod([state.dims[r] for r in regs]), post
 
 
 def branch_measure(

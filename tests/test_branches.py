@@ -1074,6 +1074,13 @@ def test_numpy_integer_ghz_sizes_accepted():
     assert len(shift_family(np.int64(3))) == 3 and shifted_ghz(D, np.array([0, 2])).dims == (3, 3)
 
 
+@pytest.mark.parametrize("D, N", [(4, 32), (49, 48), (129, 128)])
+def test_measured_dimension_is_exact_past_int64(D, N):
+    """The measured space's dimension that a branch scoring gives the draw is D**N
+    exactly, where a product in int64 wraps: to 0 at D=4, N=32, and negative at D=129."""
+    assert _score(BranchBackend(), phase_family(D, N), D, N)[2] == D**N
+
+
 def _per_pair_inners(dims, bras, ket):
     """The join with every matched pair overlapped on its own: the reference."""
     if len(ket) * sum(map(len, bras)) < branches_module._JOIN_MIN_PAIRS:

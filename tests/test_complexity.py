@@ -2,26 +2,22 @@
 
 Wall time on a shared host swings by 2x, but the number of Python and C
 calls one op makes does not. Each branch op below is run once warm at N=16
-and N=32 with D = N+1, counted under ``sys.setprofile``, and its growth
-exponent log2(calls at 32 / calls at 16) is held under a bound. Each bound is
-the exponent measured when it was set plus a margin of 0.1; a bound only
+and N=32 with D = N+1, counted under ``sys.setprofile``, and each count is
+held under a ceiling of its own: the count measured when the ceiling was set
+times 2**0.1, the margin the growth exponent was once given. A ceiling only
 ever tightens. Counts can depend on drawn outcomes, so two seeds are checked.
-The counts are printed; only the exponents are asserted.
+The growth exponent log2(calls at 32 / calls at 16) is printed beside the
+counts and ceilings but not asserted: it reads a cheaper small size as
+steeper growth, where a ceiling per size fails on any rise, at either size
+or both, and never on a fall.
 
-Measured exponents under pytest, the same for both seeds: distributed 0.742
-and dolev 0.649, now that both are played in the label frame (D coefficients,
-one FFT per readout); traveling 1.038; the anti-cheat rounds, also in the
-label frame, 0.884 for either variant. The distributed and dolev bounds are
-their values plus the margin. The traveling readout at N=16 (D=17) is below
-the gather gate and at N=32 above it, so its exponent also counts the switch
-to the array form; gathering at N=16 too would lower that count, 1259 to 969
-calls, and lift the exponent to 1.416. The traveling and anti-cheat bounds
-were set at 1.046 and 0.896, when the announcements
-(dolev) and the readouts came to be scored as arrays above the pair-loop size
-gate; before, dolev's exponent was 2.750 (N·D² Python-level collapses),
-distributed's 1.644 and traveling's 1.557. Earlier bounds: distributed 1.567
-and dolev 1.734 (step by step, scored as arrays); 1.575, 1.485, 2.744 and
-0.911, set when every ballot was built afresh.
+Counts when the ceilings were set, under pytest and the same for both seeds
+(N=16, N=32): distributed 226, 378 and dolev 296, 464, both played in the
+label frame (D coefficients, one FFT per readout); traveling 1,259, 2,585;
+either anti-cheat variant 852, 1,572, also in the label frame. Traveling
+then read 963, 2,595 (exponent 1.430) once its readout was scored by the
+pair loop alone, which finds a bucket with ``in`` rather than ``dict.get``;
+with ``dict.get`` the N=32 count is 3,684, over its ceiling.
 """
 
 from __future__ import annotations
@@ -35,13 +31,14 @@ import pytest
 from qvote import anticheat, protocols
 from qvote.anticheat import AuthoritySecrets
 
-BOUNDS = {
-    "distributed": 0.742 + 0.1,
-    "traveling": 1.046 + 0.1,
-    "dolev": 0.649 + 0.1,
-    "anticheat-distributed": 0.896 + 0.1,
-    "anticheat-traveling": 0.896 + 0.1,
+COUNTS = {  # calls at N=16 and N=32 when the ceilings were set
+    "distributed": (226, 378),
+    "traveling": (1259, 2585),
+    "dolev": (296, 464),
+    "anticheat-distributed": (852, 1572),
+    "anticheat-traveling": (852, 1572),
 }
+MARGIN = 2 ** 0.1
 
 
 def _op(name: str, N: int, seed: int):
@@ -73,8 +70,10 @@ def _calls(op) -> int:
     return count
 
 
-@pytest.mark.parametrize("name", list(BOUNDS))
+@pytest.mark.parametrize("name", list(COUNTS))
 def test_call_count_growth_exponent(name):
+    """Each size's count under its ceiling; the growth exponent is reported."""
+    ceilings = [math.floor(count * MARGIN) for count in COUNTS[name]]
     for seed in (0, 1):
         counts = []
         for N in (16, 32):
@@ -82,6 +81,6 @@ def test_call_count_growth_exponent(name):
             op()  # warm: cached families and operators are built here
             counts.append(_calls(op))
         exponent = math.log2(counts[1] / counts[0])
-        print(f"{name} seed {seed}: calls {counts[0]} at N=16, {counts[1]} at N=32, "
-              f"exponent {exponent:.3f}")
-        assert exponent <= BOUNDS[name], (name, seed, counts)
+        print(f"{name} seed {seed}: calls {counts[0]} at N=16 (ceiling {ceilings[0]}), "
+              f"{counts[1]} at N=32 (ceiling {ceilings[1]}), exponent {exponent:.3f}")
+        assert counts[0] <= ceilings[0] and counts[1] <= ceilings[1], (name, seed, counts, ceilings)

@@ -262,18 +262,17 @@ def test_any_family_kind_is_measured_alike(backend):
 
 def test_announcement_looks_up_each_row_once(monkeypatch):
     """Each announcement of a D=13 dolev ballot takes one label lookup per
-    state row, as the tally does, and scores the members as one array."""
+    state row, as the tally does."""
     D, rng = 13, np.random.default_rng(2)
     state = ghz_branches(D, D - 1)
     for k in (1, 2, 7):
         state = apply_branch_local(state, k, phase_vote_matrix(D))
     family = fourier_family(D)
-    labels, arrays = _counting(monkeypatch, "_labels"), _counting(monkeypatch, "_cmul")
+    labels = _counting(monkeypatch, "_labels")
     for r in range(D - 1):
         before, rows = len(labels), len(state.branches)
         _, state, _ = branch_measure(state, family, rng, registers=[r])
         assert len(labels) - before == rows
-    assert len(arrays) == 2 * (D - 1)
 
 
 def _pair_loop(state, regs, family):
@@ -302,12 +301,12 @@ def _unit(dims, rows):
 
 
 def _scoring_case(kind, rng):
-    """A (state, measured registers, family) on either side of the size gate."""
+    """A (state, measured registers, family) to score."""
     if kind in ("tally", "shift"):  # a full-register all-label family on distinct label rows
         D = int(rng.integers(3, 12))
         family = phase_family(D, int(rng.integers(2, 5)), int(rng.integers(1, 3))) if rng.random() < 0.5 \
             else shift_family(int(rng.integers(3, 41)))
-        if kind == "shift":  # a traveling or survey readout on either side of the gate
+        if kind == "shift":  # a traveling or survey readout
             family = shift_family(int(rng.choice([6, 17, 31])))
         regs = [int(r) for r in rng.permutation(len(family.dims))]
         state = _state("labels", family, regs, rng, max_rows=64)
@@ -326,7 +325,7 @@ def _scoring_case(kind, rng):
     state = ghz_branches(D, N)
     for k in range(N):
         state = apply_branch_local(state, k, phase_vote_matrix(D, int(rng.integers(D))))
-    if kind == "free":  # a register entangled row by row: per-pair overlaps, the loop
+    if kind == "free":  # a register entangled row by row: per-pair overlaps
         state = branches.attach_register(state, 2, _unitary(rng, 2)[:, 0])
         state = apply_pair_unitary(state, (0, N), _unitary(rng, 2 * D))
     if rng.random() < 0.3:  # vanishing coefficients: their collapses are dropped
@@ -337,42 +336,20 @@ def _scoring_case(kind, rng):
     return state, [order[-1]], family
 
 
-def _gated(state, regs, family):
-    """Whether the array form must score: the loop's work at the gate or above (the
-    family rows it walks plus 3 per pair it multiplies; off one register, its pairs),
-    every row's measured factors labels and, off one register, no free register."""
-    rows = [fs for _, fs in state.branches]
-    if len(regs) == state.num_registers:
-        if family.join[4] is None or len(set(rows)) < len(rows):
-            return False
-        ket = {tuple(fs[r] for r in regs) for fs in rows}
-        walk = sum(len(t.branches) for t in family.targets)
-        pairs = sum(tf in ket for t in family.targets for _, tf in t.branches)
-        return walk + 3 * pairs >= branches._GATHER_MIN_WORK
-    rest = [r for r in range(state.num_registers) if r not in regs]
-    free = branches._join_key(state.dims, [(0, tuple(fs[r] for r in rest)) for fs in rows])[2]
-    return (all(len(t.branches) == 1 for t in family.targets) and not free
-            and all(type(fs[regs[0]]) is int for fs in rows)
-            and len(family) * len(rows) >= branches._JOIN_MIN_PAIRS)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=hst.integers(0, 2**32 - 1), kind=hst.sampled_from(["tally", "shift", "announce", "mitm", "free"]))
 def test_array_scoring_equals_the_pair_loop(seed, kind):
-    """Full-register tally families and one-register ket families, scored as
-    arrays at or above the gate (and by the loop below it, with a free register,
-    or with a vector on the measured register): the same probability bytes,
-    post-state coefficient bytes and rows, drawn outcome and next draw as the
-    pair loop. Cases: shift families at D = 6 (the loop), 17 (either, by the
-    rows matched) and 31 (the gather), repeated rest rows in one bucket (a last
-    announcement), a shared announced vector on the rest, vanishing coefficients,
-    one-hot kets."""
+    """Full-register tally families and one-register ket families, as the
+    branch backend scores them through the family's kept join and the state's
+    one rest join: the same probability bytes, post-state coefficient bytes and
+    rows, drawn outcome and next draw as the per-member pair loop of
+    :func:`_pair_loop`. Cases: shift families at D = 6, 17 and 31, repeated rest
+    rows in one bucket (a last announcement), a shared announced vector on the
+    rest, a free register entangled row by row, vanishing coefficients, one-hot
+    kets."""
     rng = np.random.default_rng(seed)
     state, regs, family = _scoring_case(kind, rng)
-    calls, cmul = [], branches._cmul
-    with mock.patch.object(branches, "_cmul", side_effect=lambda *a: calls.append(1) or cmul(*a)):
-        probs, post = branches._project(state, regs, family)
-    assert bool(calls) == _gated(state, regs, family)
+    probs, post = branches._project(state, regs, family)
     want_probs, want_post = _pair_loop(state, regs, family)
     assert [float(p).hex() for p in probs] == [float(p).hex() for p in want_probs]
     for k, p in enumerate(probs):
