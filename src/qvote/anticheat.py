@@ -325,19 +325,22 @@ def _label_rounds(c, secrets: AuthoritySecrets, angles, u: np.ndarray, variant: 
     its probability."""
     (n, D), j = c.shape, np.arange(c.shape[1])
     rows, rolled = np.arange(n), (j - j[:, None]) % D  # [r, j]: voting label j - r
-    rs = []
+    rs, known, wrap = [], {}, np.exp(-1j * D * secrets.offset)
     for voter, theta in enumerate(angles):
-        theta = np.full((1, 1), theta) if np.ndim(theta) == 0 else theta[:, None]
-        a = np.exp(1j * j * theta) / np.sqrt(D)  # the voting qudits, one row or one per round
-        p = ((abs(a) ** 2)[:, rolled] @ (abs(c) ** 2)[:, :, None])[:, :, 0]
+        key = None if np.ndim(theta) else theta  # a known angle's qudit is built once per value
+        if key is None or key not in known:
+            a = np.exp(1j * j * (theta[:, None] if key is None else np.full((1, 1), theta))) / np.sqrt(D)
+            known[key] = a, (abs(a) ** 2)[:, rolled]  # the voting qudits, one row or one per round
+        a, weights = known[key]
+        p = (weights @ (abs(c) ** 2)[:, :, None])[:, :, 0]
         rs.append(_draw_rows(p, u[:, voter], complete=True))
         c = c * a[rows[:, None] % len(a), rolled[rs[-1]]] / np.sqrt(p[rows, rs[-1]])[:, None]
         if variant == "traveling":  # the authority undoes the wrap phase right away
-            c = np.where(j < rs[-1][:, None], c * np.exp(-1j * D * secrets.offset), c)
+            c = np.where(j < rs[-1][:, None], c * wrap, c)
     if shift is not None:
         c = c * np.exp(1j * j * shift[:, None])
     for r in rs if variant == "distributed" else ():  # the wrap corrections, then the no-angle removal
-        c = np.where(j < r[:, None], c * np.exp(-1j * D * secrets.offset), c)
+        c = np.where(j < r[:, None], c * wrap, c)
     c = c * np.exp(-1j * j * len(angles) * secrets.no_angle(D))
     probs = _phase_weights(c, secrets.gap)  # phase_family(D, regs, gap)
     k = _draw_rows(probs, u[:, len(angles)])

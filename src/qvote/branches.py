@@ -18,9 +18,9 @@ join branches on their label rows; a vector object that every row shares (an
 announced register) is overlapped once per join, not once per branch pair.
 A target family finds its join when its Gram check runs, and keeps it, so a
 measurement walks the state once: O(B·N) hashing. Every family is then scored
-by one pair loop over the matched rows; the unrecorded phase ballots of
+by one pair loop over the matched rows; the unrecorded honest ballots of
 :mod:`qvote.protocols` and the anti-cheat rounds never reach it, because they
-are played in the label frame (D coefficients and one FFT per readout).
+are played in the label frame (D coefficients and one label row per register).
 
 An operation that entangles two registers (a pair unitary, or a diagonal
 mask over two vector factors) splits each two-register block by the Schmidt
@@ -67,6 +67,7 @@ from .states import (
     _integers,
     _kept_dim,
     _parse_family as _parse_arrays,
+    identity_perm,
 )
 
 _ZERO_TOL = 1e-14
@@ -281,7 +282,20 @@ def phase_family(D: int, N: int, step: int = 1) -> MeasurementFamily:
 def shift_family(D: int) -> MeasurementFamily:
     """The two-register tally family ``shifted_ghz(D, (0, m))``, m in [0, D), cached."""
     D, _ = _check_ghz(D, 2)
-    return MeasurementFamily((D, D), [shifted_ghz(D, (0, m)) for m in range(D)])
+    return _mark_monomial(MeasurementFamily((D, D), [shifted_ghz(D, (0, m)) for m in range(D)]))
+
+
+def _mark_monomial(family: MeasurementFamily) -> MeasurementFamily:
+    """Mark a family whose targets hold only labels with its join inverted, each label
+    row's (member, conj(coefficient)) pairs; one with a vector factor stays unmarked."""
+    _, rest, _, rows = family.join
+    if not rest:
+        table: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
+        for t, bra in enumerate(rows):
+            for cc, _, fs in bra:
+                table.setdefault(fs, []).append((t, complex(cc)))
+        object.__setattr__(family, "monomial", table)
+    return family
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -498,8 +512,8 @@ def apply_branch_local(state: BranchState, register: int, U: LocalOp | np.ndarra
     """
     _check_registers([register], state.num_registers)
     op = LocalOp.of(U, state.dims[register])
-    U, diag = op.matrix, op.diagonal
-    perm, phases = op.monomial or (None, None)
+    U, (perm, phases) = op.matrix, op.monomial or (None, None)
+    diag = phases.tolist() if perm is identity_perm(op.dim) else None
     branches = []
     for coeff, factors in state.branches:
         f = factors[register]
@@ -752,6 +766,11 @@ def _collapse_norm_sq(dims: tuple[int, ...], rows: list[tuple], join: tuple,
     bucket, n_buckets, off, shared = join
     if single and not off and n_buckets == len(rows):  # distinct label rows: j stands for row j
         return _branch_norm_sq(dims, chi, True)
+    if single and shared is not None and n_buckets == len(rows):  # each row pairs with itself only
+        total = 0.0 + 0.0j
+        for c, _ in chi if shared != 0.0 else ():  # the pair loop's products, in its order
+            total += np.conj(c) * c * shared
+        return max(complex(total).real, 0.0)
     hits: dict[int, list[Branch]] = {}
     for c, j in chi:
         hits.setdefault(bucket[j], []).append((c, rows[j]))
@@ -783,10 +802,10 @@ class MeasurementFamily(_Frozen):
     kets becoming one-register targets (``kets`` keeps them as parsed); targets
     get a layout and Gram check, whose label join they keep as ``join``.
     ``owner`` (shaped ``dims``; None for targets) holds the member whose mask
-    holds each label tuple, or -1 for the remainder. ``step`` is None unless
-    :func:`phase_family` built it."""
+    holds each label tuple, or -1 for the remainder. ``step`` (``monomial``) is None
+    unless :func:`phase_family` (:func:`_mark_monomial`) marked it."""
 
-    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join", "step")
+    __slots__ = ("dims", "masks", "kets", "targets", "rank", "owner", "join", "step", "monomial")
 
     def __init__(self, dims: Sequence[int], projectors: Sequence, *, diagonal: bool = False):
         dims = tuple(int(d) for d in dims)
@@ -812,6 +831,7 @@ class MeasurementFamily(_Frozen):
         object.__setattr__(self, "rank", sum(map(np.sum, masks)) + len(targets))
         object.__setattr__(self, "join", join)
         object.__setattr__(self, "step", None)
+        object.__setattr__(self, "monomial", None)
 
     def __len__(self) -> int:
         return len(self.masks) + len(self.targets)

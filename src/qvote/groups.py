@@ -1,13 +1,13 @@
 """Distributed group multiplication over entangled traveling registers.
 
-A finite group is given by its Cayley table. Parties encode choices as
-unitaries from a representation whose non-identity elements are traceless;
-that makes the candidate final states exactly orthogonal, so the collector
-(who never learns the individual choices) reads off the product with one
-projective measurement. The regular representation always qualifies; the
-Klein four-group admits a dimension-2 projective representation by Pauli
-matrices, which is the dense-coding special case. Both products run on the
-voting schemes' ballot body; voting is the Z_D case of the abelian product.
+A finite group is given by its Cayley table. Parties encode choices as unitaries
+from a representation whose non-identity elements are traceless; that makes the
+candidate final states exactly orthogonal, so the collector (who never learns the
+individual choices) reads off the product with one projective measurement. The
+regular representation always qualifies; the Klein four-group admits a dimension-2
+projective representation by Pauli matrices, the dense-coding special case. Both
+products run on the voting schemes' ballot body, in its label frame on branch (both
+representations are monomial); voting is the Z_D case of the abelian product.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .backends import get_backend
-from .branches import BranchState, MeasurementFamily, VecFactor, phase_family
+from .branches import BranchState, MeasurementFamily, VecFactor, _mark_monomial, phase_family
 from .matrices import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, phase_vote_matrix
 from .protocols import Ballot, _integers, _run_ballot, _weighted
 from .states import LocalOp
@@ -167,12 +167,13 @@ class Representation:
 
     @cached_property
     def candidate_family(self) -> MeasurementFamily:
-        """The candidate final states (I x U(g))|Psi>, one per element, checked once."""
+        """The candidate final states (I x U(g))|Psi>, one per element, checked once;
+        marked with their label rows when every U(g) is monomial (the rows are all labels)."""
         dims, c = (self.dim, self.dim), 1.0 / np.sqrt(self.dim)
-        return MeasurementFamily(dims, [
+        return _mark_monomial(MeasurementFamily(dims, [
             BranchState(dims, [(c, (j, VecFactor(M[:, j]))) for j in range(self.dim)], renormalize=False)
             for M in self.matrices
-        ])
+        ]))
 
 
 def klein4() -> tuple[FiniteGroup, Representation]:

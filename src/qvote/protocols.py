@@ -21,11 +21,11 @@ diagonal phase and the announcement measurement to the Fourier-conjugate
 basis. Outcome statistics are identical and the frame is shared by both
 backends.
 
-An unrecorded branch ballot of diagonal phases (distributed, dolev, broadcast,
-the abelian products) read out by a phase family or the announcements stays
-sum_j c_j |j...j>: it is played in the label frame as its D coefficients and one
-FFT per readout, each outcome drawn as the step-by-step play draws it, with no
-post-state. The dense backend and every recorded run play each step, the oracle.
+An unrecorded branch ballot of monomial operations (every honest ballot here)
+stays sum_j c_j |s_0(j) ... s_n-1(j)>, one label permutation s_r per register, and
+is played in the label frame: one FFT (phase votes) or one lookup per label row
+(shifts, group elements) per readout, each outcome drawn as the step-by-step play
+draws it. The dense backend and every recorded run play each step, the oracle.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 from .backends import get_backend
 from .branches import MeasurementFamily, fourier_family, ghz_branches, phase_family, shift_family
 from .matrices import phase_vote_matrix, shift_matrix
-from .states import (LocalOp, _draw_outcome, _draw_rows, _integers, cached_op, maximally_mixed,
-                     trace_distance)
+from .states import (LocalOp, _draw_outcome, _draw_rows, _integers, cached_op, identity_perm,
+                     maximally_mixed, trace_distance)
 
 SCHEMES = (
     "traveling",
@@ -162,32 +162,37 @@ class Ballot(NamedTuple):
             m = (m + int(x)) % self.D
         return m, state
 
-    def labels(self, bk) -> np.ndarray | None:
-        """The state before the readout as the D coefficients c of sum_j c_j |j...j>:
-        the amplitude of ``bk.ghz`` times every party's diagonal phases. None, for the
-        step-by-step play, off the branch backend, for a party's operation that is not
-        a diagonal :class:`LocalOp` of dimension D, or for a readout that is neither the
-        announcements nor a phase family on the ballot's registers."""
-        D, family = self.D, self.readout
+    def labels(self, bk) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """The state before the readout as coefficients c and label rows, sum_j c_j
+        |rows[0][j] ... rows[n-1][j]>: ``bk.ghz`` on rows ``identity_perm(D)``; a party's
+        monomial U[perm[j], j] = phases[j] on register r takes c to c * phases[rows[r]] and
+        rows[r] to perm[rows[r]]. None (the step-by-step play) off the branch backend, for an
+        operation that is not a monomial :class:`LocalOp` of dimension D, for a readout on other
+        registers or unmarked (``step``, ``monomial``), or a phase or announcement readout once
+        labels moved."""
+        D, n, family = self.D, self.registers, self.readout
         if bk.name != "branch" or family is not None and (
-                family.step is None or family.dims != (D,) * self.registers):
+                family.step is None and family.monomial is None or family.dims != (D,) * n):
             return None
-        c = np.full(D, ghz_branches(D, self.registers).branches[0][0])
-        for w in self.weights:
+        c, rows, moved = np.full(D, ghz_branches(D, n).branches[0][0]), [ghz := identity_perm(D)] * n, False
+        for k, w in enumerate(self.weights):
             if (U := self.op(w)) is not None:
-                if not (isinstance(U, LocalOp) and U.dim == D and U.diagonal is not None):
+                if not (isinstance(U, LocalOp) and U.dim == D and U.monomial is not None):
                     return None
-                c = c * U.monomial[1]
-        return c
+                (perm, phases), r = U.monomial, self.register(k)
+                row, moved = rows[r], moved or perm is not ghz  # the identity gathers nothing
+                c, rows[r] = (c * phases, perm) if row is ghz else (c * phases[row], perm[row])
+        return None if moved and (family is None or family.monomial is None) else (c, rows)
 
-    def label_reads(self, c: np.ndarray, rngs) -> list[tuple[int, list[int] | None, float | None]]:
+    def label_reads(self, frame: tuple, rngs) -> list[tuple[int, list[int] | None, float | None]]:
         """Each stream's tally, announced values and the collector's outcome probability
-        (None where absent) on the label state ``c``, scored once for every stream; a
-        collector's draw takes the rank and measured dimension ``score_targets`` gives."""
-        if self.readout is None:
+        (None where absent) on the label state ``frame`` = (c, rows), scored once for every
+        stream; a collector's draw takes the rank and measured dimension ``score_targets`` gives."""
+        (c, rows), family = frame, self.readout
+        if family is None:
             return [(sum(x) % self.D, x, None) for x in map(_announcer(c, self.registers), rngs)]
-        probs = _phase_weights(c, self.readout.step).tolist()
-        ks = [_draw_outcome(probs, self.readout.rank, self.D ** self.registers, rng) for rng in rngs]
+        probs = _phase_weights(c, family.step).tolist() if family.step else _member_weights(c, rows, family)
+        ks = [_draw_outcome(probs, family.rank, self.D ** self.registers, rng) for rng in rngs]
         return [(k, None, probs[k] if k < len(probs) else 1.0 - float(sum(probs))) for k in ks]
 
     def tallies(self, bk, rngs) -> list[tuple[int, list[int] | None]]:
@@ -196,8 +201,8 @@ class Ballot(NamedTuple):
         or label state. A collector's family is scored once and each stream draws an
         outcome from those weights, as ``measure_targets`` draws, building no
         post-state; announcements are played per stream."""
-        if (c := self.labels(bk)) is not None:
-            return [(m, x) for m, x, _ in self.label_reads(c, rngs)]
+        if (frame := self.labels(bk)) is not None:
+            return [(m, x) for m, x, _ in self.label_reads(frame, rngs)]
         state = self.prepare(bk)
         if self.readout is not None:
             scores = bk.score_targets(state, self.readout)
@@ -215,6 +220,16 @@ def _phase_weights(c: np.ndarray, step: int) -> np.ndarray:
     sum_j c_j |j...j> along the last axis of ``c``: |FFT(c)[q]|^2 / D for q = 0,
     step, 2 step, ..., since member q is (1/sqrt(D)) sum_j e^{2 pi i j q / D} |j...j>."""
     return abs(np.fft.fft(c, axis=-1)[..., ::step]) ** 2 / c.shape[-1]
+
+
+def _member_weights(c: np.ndarray, rows: list[np.ndarray], family: MeasurementFamily) -> list[float]:
+    """The Born weights |sum_j conj(t_j) c_j|^2 of the members t of a family marked with
+    its ``monomial`` table on a label state, over the rows t holds: one lookup per row."""
+    amps, table = [0j] * len(family), family.monomial
+    for cj, row in zip(c.tolist(), zip(*[row.tolist() for row in rows])):
+        for t, ct in table.get(row, ()):
+            amps[t] += ct * cj
+    return [abs(a) ** 2 for a in amps]
 
 
 def _announcer(c: np.ndarray, registers: int) -> Callable[[np.random.Generator], list[int]]:
@@ -265,11 +280,11 @@ def _run_ballot(ballot: Ballot, bk, rng, record_privacy=False, record_states=Fal
     ``record_privacy`` checks every register's reduced state after each step."""
     t = Transcript()
     record = _recorder(t, bk, ballot, record_privacy, record_states)
-    c = ballot.labels(bk) if record is None else None
-    state = ballot.prepare(bk, record) if c is None else None
+    frame = ballot.labels(bk) if record is None else None
+    state = ballot.prepare(bk, record) if frame is None else None
     t.hidden.extend([{"voter": k, "vote": w} for k, w in enumerate(ballot.weights)])
-    if c is not None:  # no post-state: nothing reads it
-        ((m, announced, p),) = ballot.label_reads(c, [rng])
+    if frame is not None:  # no post-state: nothing reads it
+        ((m, announced, p),) = ballot.label_reads(frame, [rng])
         t.public.extend({"event": "announce", "voter": r, "value": x}
                         for r, x in enumerate(announced or ()))
     elif ballot.readout is not None:

@@ -291,17 +291,18 @@ class LocalOp(_Frozen):
         if np.any(nz.sum(axis=0) != 1) or len(set(perm.tolist())) != self.dim:
             return None
         phases = self.matrix[perm, np.arange(self.dim)]
+        perm = identity_perm(self.dim) if np.array_equal(perm, identity_perm(self.dim)) else perm
         perm.flags.writeable = phases.flags.writeable = False
         return perm, phases
 
-    @cached_property
-    def diagonal(self) -> tuple[complex, ...] | None:
-        """The phases of a diagonal monomial (the identity permutation, as a vote
-        phase has) as Python complex numbers, or None; tested once per operator."""
-        mono = self.monomial
-        if mono is None or np.any(mono[0] != np.arange(self.dim)):
-            return None
-        return tuple(mono[1].tolist())
+
+@lru_cache(maxsize=None)
+def identity_perm(dim: int) -> np.ndarray:
+    """The read-only identity permutation of ``dim`` labels: one object per size, which
+    every diagonal operator's ``monomial`` holds, so callers may test it by ``is``."""
+    perm = np.arange(dim)
+    perm.flags.writeable = False
+    return perm
 
 
 @lru_cache(maxsize=256)

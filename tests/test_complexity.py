@@ -13,11 +13,15 @@ or both, and never on a fall.
 
 Counts when the ceilings were set, under pytest and the same for both seeds
 (N=16, N=32): distributed 226, 378 and dolev 296, 464, both played in the
-label frame (D coefficients, one FFT per readout); traveling 1,259, 2,585;
-either anti-cheat variant 852, 1,572, also in the label frame. Traveling
-then read 963, 2,595 (exponent 1.430) once its readout was scored by the
-pair loop alone, which finds a bucket with ``in`` rather than ``dict.get``;
-with ``dict.get`` the N=32 count is 3,684, over its ceiling.
+label frame (D coefficients, one FFT per readout). Traveling read 1,259,
+2,585 step by step, then 963, 2,595 with its readout scored by the pair
+loop alone. Its ceilings were set again at 267, 459 once it was played in
+the label frame too (one label row per register, one lookup per state row
+in the readout), and the anti-cheat ceilings at 782, 1,422 for either
+variant (852, 1,572 before) once a round built its voting qudit and their
+weights once per distinct angle. The label frame's register lookup per
+vote raised distributed to 234, 394 and dolev to 304, 480, within their
+ceilings.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from qvote.anticheat import AuthoritySecrets
 
 COUNTS = {  # calls at N=16 and N=32 when the ceilings were set
     "distributed": (226, 378),
-    "traveling": (1259, 2585),
+    "traveling": (267, 459),
     "dolev": (296, 464),
-    "anticheat-distributed": (852, 1572),
-    "anticheat-traveling": (852, 1572),
+    "anticheat-distributed": (782, 1422),
+    "anticheat-traveling": (782, 1422),
 }
 MARGIN = 2 ** 0.1
 
